@@ -129,6 +129,21 @@ impl AuditEntry {
         ])
     }
 
+    /// The first of `data`, `purpose` and `authorized` whose value
+    /// normalizes to empty (`""`, `"   "`, `"_"`, `"-"`), if any — exactly
+    /// the entries [`Self::to_ground_rule`] refuses, decided without
+    /// allocating.
+    pub fn blank_attribute(&self) -> Option<&'static str> {
+        [
+            (schema::COL_DATA, &self.data),
+            (schema::COL_PURPOSE, &self.purpose),
+            (schema::COL_AUTHORIZED, &self.authorized),
+        ]
+        .into_iter()
+        .find(|(_, value)| prima_vocab::normalizes_to_empty(value))
+        .map(|(attribute, _)| attribute)
+    }
+
     /// Converts to the relational row form (column order of
     /// [`schema::audit_schema`]).
     pub fn to_row(&self) -> Row {
@@ -141,24 +156,6 @@ impl AuditEntry {
             Value::str(&self.authorized),
             Value::Int(self.status.as_int()),
         ])
-    }
-
-    /// Parses an entry back from its row form. Returns `None` on layout or
-    /// encoding mismatch (defensive: rows should only come from audit
-    /// tables).
-    pub fn from_row(row: &Row) -> Option<Self> {
-        if row.len() != 7 {
-            return None;
-        }
-        Some(Self {
-            time: row.get(schema::COL_TIME_IDX).as_timestamp()?,
-            op: Op::from_int(row.get(schema::COL_OP_IDX).as_int()?)?,
-            user: row.get(schema::COL_USER_IDX).as_str()?.to_string(),
-            data: row.get(schema::COL_DATA_IDX).as_str()?.to_string(),
-            purpose: row.get(schema::COL_PURPOSE_IDX).as_str()?.to_string(),
-            authorized: row.get(schema::COL_AUTHORIZED_IDX).as_str()?.to_string(),
-            status: AccessStatus::from_int(row.get(schema::COL_STATUS_IDX).as_int()?)?,
-        })
     }
 }
 
@@ -217,21 +214,14 @@ mod tests {
     }
 
     #[test]
-    fn row_roundtrip() {
-        let e = entry();
-        let row = e.to_row();
-        assert_eq!(AuditEntry::from_row(&row), Some(e));
-    }
-
-    #[test]
-    fn from_row_rejects_malformed() {
-        assert_eq!(AuditEntry::from_row(&Row::new(vec![Value::Int(1)])), None);
-        let mut row = entry().to_row();
-        row.set(schema::COL_OP_IDX, Value::Int(9));
-        assert_eq!(AuditEntry::from_row(&row), None);
-        let mut row2 = entry().to_row();
-        row2.set(schema::COL_USER_IDX, Value::Int(1));
-        assert_eq!(AuditEntry::from_row(&row2), None);
+    fn row_follows_the_audit_schema() {
+        let row = entry().to_row();
+        let schema = schema::audit_schema();
+        let col = |name: &str| row.get(schema.index_of(name).unwrap()).clone();
+        assert_eq!(row.len(), schema.arity());
+        assert_eq!(col(schema::COL_TIME), Value::Timestamp(3));
+        assert_eq!(col(schema::COL_PURPOSE), Value::str("Registration"));
+        assert_eq!(col(schema::COL_STATUS), Value::Int(0));
     }
 
     #[test]

@@ -8,9 +8,8 @@
 //! a relational table with a provenance column (for ad-hoc analytics).
 
 use crate::entry::AuditEntry;
-use crate::schema::{audit_schema, COL_STATUS};
+use crate::schema::audit_schema;
 use crate::store::AuditStore;
-use prima_model::{GroundRule, Policy, StoreTag};
 use prima_store::{Column, DataType, Row, Schema, StoreError, Table, Value};
 
 /// Name of the provenance column added by [`AuditFederation::consolidated_table`].
@@ -95,7 +94,10 @@ impl AuditFederation {
     /// source order). This is the "consistent consolidated view" the
     /// refinement pipeline consumes.
     pub fn consolidated_entries(&self) -> Vec<AuditEntry> {
-        let mut out: Vec<AuditEntry> = self.sources.iter().flat_map(|s| s.entries()).collect();
+        let mut out = Vec::with_capacity(self.total_len());
+        for s in &self.sources {
+            out.extend_from_slice(&s.read());
+        }
         out.sort_by_key(|e| e.time);
         out
     }
@@ -118,45 +120,12 @@ impl AuditFederation {
         Ok(table)
     }
 
-    /// The federation-wide audit-log policy `P_AL` (one ground rule per
-    /// entry across all sources).
-    pub fn to_policy(&self) -> Policy {
-        Policy::from_ground_rules(StoreTag::AuditLog, self.ground_rules())
-    }
-
-    /// One ground rule per entry across all sources, in consolidated
-    /// (timestamp) order.
-    pub fn ground_rules(&self) -> Vec<GroundRule> {
-        self.consolidated_entries()
-            .iter()
-            .map(|e| {
-                e.to_ground_rule()
-                    .expect("audit entries carry non-empty attributes")
-            })
-            .collect()
-    }
-
     /// Exception-based entries across all sources, in timestamp order.
     pub fn exception_entries(&self) -> Vec<AuditEntry> {
         self.consolidated_entries()
             .into_iter()
             .filter(AuditEntry::is_exception)
             .collect()
-    }
-
-    /// Sanity check: the consolidated table's status column agrees with the
-    /// entry view (exercised by tests; cheap invariant for callers too).
-    pub fn exception_count(&self) -> usize {
-        let mut n = 0;
-        for s in &self.sources {
-            let t = s.snapshot_table();
-            let idx = t
-                .schema()
-                .index_of(COL_STATUS)
-                .expect("audit schema has status");
-            n += t.scan().filter(|r| r.get(idx) == &Value::Int(0)).count();
-        }
-        n
     }
 }
 
@@ -227,18 +196,10 @@ mod tests {
     }
 
     #[test]
-    fn federation_policy_spans_sources() {
-        let f = federation();
-        let p = f.to_policy();
-        assert_eq!(p.cardinality(), 3);
-        assert_eq!(p.tag(), &StoreTag::AuditLog);
-    }
-
-    #[test]
     fn exception_views_agree() {
         let f = federation();
-        assert_eq!(f.exception_entries().len(), 2);
-        assert_eq!(f.exception_count(), 2);
+        let times: Vec<i64> = f.exception_entries().iter().map(|e| e.time).collect();
+        assert_eq!(times, vec![1, 3], "time-sorted across sources");
     }
 
     #[test]
@@ -273,7 +234,7 @@ mod tests {
         assert!(matches!(err2, FederationError::DuplicateSource { .. }));
         // Provenance stayed single-counted.
         assert_eq!(f.total_len(), 1);
-        assert_eq!(f.ground_rules().len(), 1);
+        assert_eq!(f.consolidated_entries().len(), 1);
     }
 
     #[test]

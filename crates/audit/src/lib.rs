@@ -10,11 +10,12 @@
 //! where `op` is 0 (disallow) / 1 (allow) and `status` is 0
 //! (exception-based access) / 1 (regular access). This crate provides:
 //!
-//! * [`AuditEntry`] — the typed entry, with lossless conversion to/from the
-//!   relational row form the analytics queries run on, and projection to the
+//! * [`AuditEntry`] — the typed entry, with conversion to the relational
+//!   row form the analytics queries run on, and projection to the
 //!   `(data, purpose, authorized)` ground rule the formal model uses;
-//! * [`AuditStore`] — a thread-safe, append-only audit trail backed by a
-//!   `prima-store` table;
+//! * [`AuditStore`] — a thread-safe, append-only audit trail of typed
+//!   entries that refuses entries with blank attributes ([`AppendError`]);
+//!   relational tables are built from entries only when a query needs one;
 //! * [`federation`] — the role DB2 Information Integrator plays in the
 //!   paper's first instantiation: a consolidated virtual view over many
 //!   per-site audit trails, with provenance;
@@ -61,4 +62,4 @@ pub use source::{
     FaultySource, FetchResponse, LogSource, RawRecord, SourceError, SourceFaults, StoreSource,
 };
 pub use stats::{glass_breakers, trail_stats, TrailObserver, TrailStats};
-pub use store::AuditStore;
+pub use store::{AppendError, AuditStore};

@@ -328,7 +328,7 @@ fn consolidate(
 mod tests {
     use super::*;
     use crate::retry::BreakerState;
-    use crate::source::{FaultySource, SourceFaults, StoreSource};
+    use crate::source::{FaultySource, FetchResponse, SourceFaults, StoreSource};
     use crate::store::AuditStore;
 
     fn site(name: &str, times: &[i64]) -> AuditStore {
@@ -534,23 +534,33 @@ mod tests {
         assert_eq!(h.missing_entries(), 2);
     }
 
+    /// A remote site serving fixed records, blank attributes included
+    /// (an `AuditStore` refuses those at append).
+    #[derive(Debug)]
+    struct RawSite(Vec<AuditEntry>);
+
+    impl LogSource for RawSite {
+        fn name(&self) -> &str {
+            "blank"
+        }
+
+        fn fetch(&mut self) -> Result<FetchResponse, SourceError> {
+            Ok(FetchResponse {
+                records: self.0.iter().cloned().map(RawRecord::Entry).collect(),
+                expected: self.0.len(),
+                latency: Duration::ZERO,
+            })
+        }
+    }
+
     #[test]
     fn unprojectable_entries_are_quarantined_with_reason() {
-        let store = AuditStore::new("blank");
-        store
-            .append(&AuditEntry::regular(1, "u", "", "treatment", "nurse"))
-            .unwrap();
-        store
-            .append(&AuditEntry::regular(
-                2,
-                "u",
-                "referral",
-                "treatment",
-                "nurse",
-            ))
-            .unwrap();
         let mut f = fed();
-        f.attach(Box::new(StoreSource::new(store))).unwrap();
+        f.attach(Box::new(RawSite(vec![
+            AuditEntry::regular(1, "u", "", "treatment", "nurse"),
+            AuditEntry::regular(2, "u", "referral", "treatment", "nurse"),
+        ])))
+        .unwrap();
         let h = f.sync();
         assert_eq!(h.source("blank").unwrap().fetched, 1);
         assert_eq!(h.source("blank").unwrap().quarantined, 1);

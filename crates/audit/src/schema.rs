@@ -17,21 +17,6 @@ pub const COL_AUTHORIZED: &str = "authorized";
 /// Column name: regular/exception bit.
 pub const COL_STATUS: &str = "status";
 
-/// Positional index of [`COL_TIME`].
-pub const COL_TIME_IDX: usize = 0;
-/// Positional index of [`COL_OP`].
-pub const COL_OP_IDX: usize = 1;
-/// Positional index of [`COL_USER`].
-pub const COL_USER_IDX: usize = 2;
-/// Positional index of [`COL_DATA`].
-pub const COL_DATA_IDX: usize = 3;
-/// Positional index of [`COL_PURPOSE`].
-pub const COL_PURPOSE_IDX: usize = 4;
-/// Positional index of [`COL_AUTHORIZED`].
-pub const COL_AUTHORIZED_IDX: usize = 5;
-/// Positional index of [`COL_STATUS`].
-pub const COL_STATUS_IDX: usize = 6;
-
 /// The paper's audit schema as a `prima-store` [`Schema`]:
 /// `{time, op, user, data, purpose, authorized, status}`.
 pub fn audit_schema() -> Schema {
@@ -71,8 +56,6 @@ mod tests {
                 "status"
             ]
         );
-        assert_eq!(s.index_of(COL_TIME), Some(COL_TIME_IDX));
-        assert_eq!(s.index_of(COL_STATUS), Some(COL_STATUS_IDX));
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! E10 — streaming ingestion: sustained entries/sec through the
 //! block-based prima-stream pipeline at 1, 2, 4 and 8 shards over the
-//! community hospital trail, plus the decision-cache hit rate at each
+//! community hospital trail, plus the verdict hit rate at each
 //! width.
 //!
 //! Besides the Criterion timings, the bench runs the shared

@@ -304,7 +304,7 @@ impl PrimaSystem {
 
     /// Runs one refinement round over the stream's trailing training
     /// window, then pushes the (possibly refined) policy back into the
-    /// engine so its decision caches re-key against the new epoch.
+    /// engine so its shards re-label their verdicts under the new epoch.
     ///
     /// Returns `None` when the stream has no windowed stats yet (window
     /// tracking off or no events ingested): there is nothing to train
@@ -370,29 +370,19 @@ impl PrimaSystem {
     /// Set-based coverage (Definition 9) of the current policy with
     /// respect to the consolidated audit trail, using the lazy engine.
     pub fn coverage(&self) -> Result<CoverageReport, ModelError> {
-        let trail = if self.resilient.is_empty() {
-            self.federation.to_policy()
-        } else {
-            let grounds: Vec<prima_model::GroundRule> = self
-                .all_entries()
-                .iter()
-                .map(|e| {
-                    e.to_ground_rule()
-                        .expect("audit entries carry non-empty attributes")
-                })
-                .collect();
-            Policy::from_ground_rules(prima_model::StoreTag::AuditLog, grounds)
-        };
+        let trail = Policy::from_ground_rules(
+            prima_model::StoreTag::AuditLog,
+            ground_rules(&self.all_entries()),
+        );
         CoverageEngine::new(Strategy::Lazy).coverage(&self.policy, &trail, &self.vocab)
     }
 
     /// Entry-weighted coverage (the Section 5 computation) over the
-    /// consolidated trail.
+    /// consolidated trail. `uncovered_indices` index the trail
+    /// [`Self::run_round`] sees: local and resilient entries merged in
+    /// timestamp order.
     pub fn entry_coverage(&self) -> EntryCoverageReport {
-        let mut grounds = self.federation.ground_rules();
-        if !self.resilient.is_empty() {
-            grounds.extend(self.resilient.ground_rules());
-        }
+        let grounds = ground_rules(&self.all_entries());
         CoverageEngine::default().entry_coverage(&self.policy, &grounds, &self.vocab)
     }
 
@@ -446,13 +436,7 @@ impl PrimaSystem {
             .root_span("round.run")
             .with_field("round", round)
             .with_field("entries", entries.len());
-        let rules: Vec<prima_model::GroundRule> = entries
-            .iter()
-            .map(|e| {
-                e.to_ground_rule()
-                    .expect("audit entries carry non-empty attributes")
-            })
-            .collect();
+        let rules = ground_rules(&entries);
         let coverage_start = std::time::Instant::now();
         let before = CoverageEngine::default()
             .entry_coverage(&self.policy, &rules, &self.vocab)
@@ -614,6 +598,19 @@ impl PrimaSystem {
         self.review = review;
         self.history = history;
     }
+}
+
+/// One ground rule per entry, in trail order. Every entry projects: the
+/// audit store refuses blank attributes at append, and the resilient
+/// federation quarantines unprojectable remote records.
+fn ground_rules(entries: &[AuditEntry]) -> Vec<prima_model::GroundRule> {
+    entries
+        .iter()
+        .map(|e| {
+            e.to_ground_rule()
+                .expect("stores and quarantine admit only projectable entries")
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -1151,5 +1148,59 @@ mod tests {
             .run_streamed_round(&mut engine, ReviewMode::AutoAccept)
             .unwrap();
         assert!(outcome.is_none(), "no window tracking, no training period");
+    }
+
+    #[test]
+    fn entry_coverage_indexes_the_trail_rounds_see() {
+        use prima_audit::StoreSource;
+        // Local and resilient timestamps interleave: the uncovered
+        // indices must point into the time-merged trail, not into
+        // "local, then resilient".
+        let shape = |t: i64, data: &str| AuditEntry::regular(t, "u", data, "treatment", "nurse");
+        let local = AuditStore::new("local");
+        local
+            .append_all(&[
+                shape(1, "referral"),
+                shape(3, "psychiatry"),
+                shape(5, "referral"),
+            ])
+            .unwrap();
+        let remote = AuditStore::new("remote");
+        remote
+            .append_all(&[shape(2, "psychiatry"), shape(4, "referral")])
+            .unwrap();
+        let mut sys = PrimaSystem::new(figure_1(), figure_3_policy_store());
+        sys.attach_store(local).unwrap();
+        sys.attach_source(Box::new(StoreSource::new(remote)))
+            .unwrap();
+        assert!(sys.sync_sources().all_healthy());
+
+        let trail = sys.all_entries();
+        let times: Vec<i64> = trail.iter().map(|e| e.time).collect();
+        assert_eq!(times, vec![1, 2, 3, 4, 5]);
+        let report = sys.entry_coverage();
+        assert_eq!(report.uncovered_indices, vec![1, 2]);
+        assert!(report
+            .uncovered_indices
+            .iter()
+            .all(|&i| trail[i].data == "psychiatry"));
+        assert_eq!(sys.coverage().unwrap().target_cardinality, 2);
+        let record = sys.run_round(ReviewMode::Manual).unwrap();
+        assert_eq!(record.audit_entries, 5);
+        assert!((record.entry_coverage_before - report.ratio()).abs() < 1e-12);
+    }
+
+    #[test]
+    fn blank_purpose_is_refused_before_it_reaches_a_round() {
+        // A blank purpose is refused at the store, so no round ever has
+        // to ground it: the round runs on the rest and 30 % → 80 % holds.
+        let mut sys = system_with_table_1();
+        let blank = AuditEntry::exception(11, "eve", "referral", "   ", "nurse");
+        let err = sys.federation().sources()[0].append(&blank).unwrap_err();
+        assert_eq!(err.attribute, "purpose");
+        let record = sys.run_round(ReviewMode::AutoAccept).unwrap();
+        assert_eq!(record.audit_entries, 10);
+        assert!((record.entry_coverage_before - 0.3).abs() < 1e-9);
+        assert!((record.entry_coverage_after - 0.8).abs() < 1e-9);
     }
 }

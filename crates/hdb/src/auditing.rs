@@ -103,6 +103,16 @@ mod tests {
     }
 
     #[test]
+    fn blank_purpose_is_refused_and_nothing_is_logged() {
+        let ca = ComplianceAuditing::new(AuditStore::new("log"));
+        let mut batch = entries();
+        batch[1].purpose = "   ".into();
+        let err = ca.log(&batch).unwrap_err();
+        assert!(matches!(&err, HdbError::Store(m) if m.contains("purpose")));
+        assert!(ca.store().is_empty(), "the batch is all or nothing");
+    }
+
+    #[test]
     fn exception_scope_drops_regular_allows() {
         let ca = ComplianceAuditing::new(AuditStore::new("log"))
             .with_scope(AuditScope::ExceptionsAndDenials);

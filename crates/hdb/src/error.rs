@@ -30,7 +30,8 @@ pub enum HdbError {
         /// The configured patient column name.
         column: String,
     },
-    /// Storage-layer failure (propagated).
+    /// Storage-layer failure (propagated), including an audit entry the
+    /// audit store refused for a blank attribute.
     Store(String),
 }
 
@@ -56,6 +57,12 @@ impl std::error::Error for HdbError {}
 
 impl From<prima_store::StoreError> for HdbError {
     fn from(e: prima_store::StoreError) -> Self {
+        HdbError::Store(e.to_string())
+    }
+}
+
+impl From<prima_audit::AppendError> for HdbError {
+    fn from(e: prima_audit::AppendError) -> Self {
         HdbError::Store(e.to_string())
     }
 }

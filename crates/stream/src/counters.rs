@@ -4,13 +4,48 @@
 //! entry updates exactly one counter, so maintaining both the set view
 //! (Definition 9's `CoverageReport`) and the entry-weighted view is O(1)
 //! per entry — and a run of identical consecutive entries inside a block
-//! is one `observe_run` bump. Because ground rules are hash-partitioned,
-//! per-shard key sets are disjoint and a snapshot merge is a
-//! concatenation followed by one sort — no cross-shard reconciliation.
+//! is one `observe_run` bump. The counters are also the shard's only
+//! verdict memo: a rule's `covered` flag is computed once, when the rule
+//! is first seen, and kept current by `relabel` on every policy epoch.
+//! Because ground rules are hash-partitioned, per-shard key sets are
+//! disjoint and a snapshot merge is a concatenation followed by one
+//! sort — no cross-shard reconciliation.
 
 use prima_model::{CoverageReport, GroundRule};
 use std::collections::HashMap;
 use std::sync::Arc;
+
+/// Hit/miss book of the verdict lookups one shard (or an aggregate of
+/// several) ran against its counters: a hit is an entry whose rule the
+/// counters already held, a miss is a full `PolicyMatcher::covers` probe.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct CacheStats {
+    /// Entries whose verdict the counters already held.
+    pub hits: u64,
+    /// Entries that ran the full subsumption probe.
+    pub misses: u64,
+    /// Policy epochs installed (each re-labels the counters).
+    pub invalidations: u64,
+}
+
+impl CacheStats {
+    /// `hits ÷ (hits + misses)`, 0 when nothing was looked up.
+    pub fn hit_rate(&self) -> f64 {
+        let total = self.hits + self.misses;
+        if total == 0 {
+            0.0
+        } else {
+            self.hits as f64 / total as f64
+        }
+    }
+
+    /// Component-wise sum (for aggregating shard stats).
+    pub fn merge(&mut self, other: &CacheStats) {
+        self.hits += other.hits;
+        self.misses += other.misses;
+        self.invalidations += other.invalidations;
+    }
+}
 
 /// Running totals for one distinct ground rule.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -61,35 +96,34 @@ impl CoverageCounters {
         Self::default()
     }
 
-    /// Records one classified entry.
-    pub fn observe(&mut self, g: &GroundRule, covered: bool) {
-        match self.by_rule.get_mut(g) {
-            Some(stats) => stats.count += 1,
-            None => {
-                self.by_rule
-                    .insert(Arc::new(g.clone()), PatternStats { count: 1, covered });
-            }
-        }
-        self.totals.total_entries += 1;
-        if covered {
-            self.totals.covered_entries += 1;
-        }
-    }
-
     /// Records a run of `n` entries sharing one rule — one counter bump,
-    /// identical end state to `n` [`Self::observe`] calls.
-    pub fn observe_run(&mut self, g: &Arc<GroundRule>, covered: bool, n: u64) {
-        match self.by_rule.get_mut(g) {
-            Some(stats) => stats.count += n,
+    /// identical end state to `n` one-entry runs. `covers` runs only for
+    /// a rule not seen before; a seen rule answers with the verdict its
+    /// counter holds. Returns `(verdict, probed)`, where `probed` says
+    /// whether `covers` ran.
+    pub fn observe_run<F: FnOnce(&GroundRule) -> bool>(
+        &mut self,
+        g: &Arc<GroundRule>,
+        n: u64,
+        covers: F,
+    ) -> (bool, bool) {
+        let (covered, probed) = match self.by_rule.get_mut(g) {
+            Some(stats) => {
+                stats.count += n;
+                (stats.covered, false)
+            }
             None => {
+                let covered = covers(g);
                 self.by_rule
                     .insert(Arc::clone(g), PatternStats { count: n, covered });
+                (covered, true)
             }
-        }
+        };
         self.totals.total_entries += n;
         if covered {
             self.totals.covered_entries += n;
         }
+        (covered, probed)
     }
 
     /// Re-labels every counter under a new policy verdict function (run
@@ -186,12 +220,17 @@ mod tests {
         ])
     }
 
+    /// Records one entry whose verdict, if the rule is new, is `covered`.
+    fn observe(c: &mut CoverageCounters, data: &str, covered: bool) {
+        c.observe_run(&Arc::new(g(data)), 1, |_| covered);
+    }
+
     #[test]
     fn observe_is_count_weighted() {
         let mut c = CoverageCounters::new();
-        c.observe(&g("referral"), true);
-        c.observe(&g("referral"), true);
-        c.observe(&g("psychiatry"), false);
+        observe(&mut c, "referral", true);
+        observe(&mut c, "referral", true);
+        observe(&mut c, "psychiatry", false);
         assert_eq!(c.distinct(), 2);
         let t = c.totals();
         assert_eq!(t.total_entries, 3);
@@ -200,14 +239,14 @@ mod tests {
     }
 
     #[test]
-    fn observe_run_matches_repeated_observe() {
+    fn observe_run_matches_one_entry_runs() {
         let mut runs = CoverageCounters::new();
         let mut seq = CoverageCounters::new();
         for (data, covered, n) in [("referral", true, 5u64), ("psychiatry", false, 2)] {
             let rule = Arc::new(g(data));
-            runs.observe_run(&rule, covered, n);
+            runs.observe_run(&rule, n, |_| covered);
             for _ in 0..n {
-                seq.observe(&rule, covered);
+                seq.observe_run(&rule, 1, |_| covered);
             }
         }
         assert_eq!(runs.totals(), seq.totals());
@@ -220,11 +259,32 @@ mod tests {
     }
 
     #[test]
+    fn observe_run_probes_only_unseen_rules() {
+        let mut c = CoverageCounters::new();
+        let rule = Arc::new(g("referral"));
+        assert_eq!(c.observe_run(&rule, 3, |_| true), (true, true));
+        // A value-equal rule under another Arc is the same counter.
+        let again = Arc::new(g("referral"));
+        let verdict = c.observe_run(&again, 2, |_| panic!("seen rules are not probed"));
+        assert_eq!(verdict, (true, false));
+        // After a relabel the held verdict is the new policy's.
+        c.relabel(|_| false);
+        assert_eq!(c.observe_run(&rule, 1, |_| true), (false, false));
+        assert_eq!(c.totals().total_entries, 6);
+        assert_eq!(c.totals().covered_entries, 0);
+    }
+
+    #[test]
+    fn empty_book_hit_rate_is_zero() {
+        assert_eq!(CacheStats::default().hit_rate(), 0.0);
+    }
+
+    #[test]
     fn relabel_refreshes_verdicts_and_totals() {
         let mut c = CoverageCounters::new();
-        c.observe(&g("referral"), true);
-        c.observe(&g("psychiatry"), false);
-        c.observe(&g("psychiatry"), false);
+        observe(&mut c, "referral", true);
+        observe(&mut c, "psychiatry", false);
+        observe(&mut c, "psychiatry", false);
         // New policy covers everything.
         c.relabel(|_| true);
         let t = c.totals();
@@ -235,10 +295,10 @@ mod tests {
     #[test]
     fn merge_produces_sorted_disjoint_report() {
         let mut a = CoverageCounters::new();
-        a.observe(&g("referral"), true);
+        observe(&mut a, "referral", true);
         let mut b = CoverageCounters::new();
-        b.observe(&g("psychiatry"), false);
-        b.observe(&g("address"), true);
+        observe(&mut b, "psychiatry", false);
+        observe(&mut b, "address", true);
         let report = merge_reports(vec![a.export(), b.export()]);
         assert_eq!(report.overlap, 2);
         assert_eq!(report.target_cardinality, 3);

@@ -2,7 +2,7 @@
 //! shard workers with epoch-barrier snapshots.
 //!
 //! ```text
-//!  ingest(entry) ──┬─ route memo ─▶ pending block ─▶ shard 0 ─ cache ─ counters
+//!  ingest(entry) ──┬─ route memo ─▶ pending block ─▶ shard 0 ─ counters
 //!                  │   (raw shape →   (flush at       shard 1 ─   "        "
 //!                  │    Arc rule +     block_size      shard n ─   "        "
 //!                  │    shard, once)   or barrier)          ▲
@@ -28,9 +28,8 @@
 //! same entry sequence the dead one did.
 
 use crate::block::{BlockStorage, EntryBlock};
-use crate::cache::CacheStats;
 use crate::config::StreamConfig;
-use crate::counters::{merge_reports, StreamTotals};
+use crate::counters::{merge_reports, CacheStats, StreamTotals};
 use crate::fault::FaultPlan;
 use crate::obs::StreamObs;
 use crate::route::RouteMemo;
@@ -75,7 +74,7 @@ pub struct StreamSnapshot {
     /// Entry-weighted totals (the Section 5 computation, maintained
     /// incrementally).
     pub totals: StreamTotals,
-    /// Aggregated decision-cache counters.
+    /// Aggregated hit/miss books of the shards' verdict lookups.
     pub cache: CacheStats,
     /// Trailing-window per-pattern stats, when window tracking is on
     /// and at least one event has been seen.
@@ -244,10 +243,10 @@ impl StreamEngine {
             }
         }
         if let Some(sink) = &self.sink {
-            // The sink is append-only and idempotent per call; a
-            // full table is a store-layer invariant violation, not
-            // a stream condition, so surface it loudly.
-            sink.append(entry).expect("audit sink append");
+            // The sink refuses exactly the entries that do not ground,
+            // and those were counted as poisoned above.
+            sink.append(entry)
+                .expect("grounded entries pass the append check");
         }
         self.ingested += 1;
         self.pending[shard].push(entry.time, ground);
@@ -441,9 +440,9 @@ impl StreamEngine {
     /// Respawns a dead shard worker, seeds it from its last checkpoint,
     /// and replays the journal of entries accepted since — re-chunked
     /// into blocks, so the replacement ends up in the exact state the
-    /// dead worker would have reached, including its decision-cache
-    /// books. The shard's fault script is disarmed first so an injected
-    /// crash fires once rather than killing every replacement.
+    /// dead worker would have reached, including its hit/miss books.
+    /// The shard's fault script is disarmed first so an injected crash
+    /// fires once rather than killing every replacement.
     fn recover(&mut self, shard: usize) {
         let _span = self
             .obs
@@ -608,8 +607,8 @@ impl StreamEngine {
     /// Installs a refined policy: flushes pending blocks (they classify
     /// under the epoch they were ingested in), bumps the epoch,
     /// re-indexes under the same vocabulary, and broadcasts the new
-    /// matcher to every live shard (each clears its decision cache and
-    /// re-labels its counters).
+    /// matcher to every live shard (each re-labels the verdicts its
+    /// counters hold).
     pub fn refresh_policy(&mut self, policy: &Policy) {
         for shard in 0..self.senders.len() {
             self.flush_shard(shard);
@@ -847,10 +846,28 @@ mod tests {
         let after = eng.snapshot();
         assert_eq!(after.epoch, 1);
         assert_eq!(after.totals.covered_entries, 1, "history re-labeled");
-        // Same shape again: cache was cleared, so this is a fresh miss.
+        assert_eq!(after.cache.misses, 1);
+        // Same shape again: the counters still hold it, with the verdict
+        // the refresh flipped, so this is a hit rather than a new probe.
         eng.ingest(&entry(2, "referral", "registration", "nurse"));
         let last = eng.shutdown();
         assert_eq!(last.totals.covered_entries, 2);
+        assert_eq!(last.cache.misses, 1, "no probe after the refresh");
+        assert_eq!(last.cache.hits, before.cache.hits + 1);
+
+        // The incremental totals are the batch entry-weighted coverage of
+        // the same trail under the refreshed policy.
+        let trail: Vec<GroundRule> = (1..=2)
+            .map(|t| {
+                entry(t, "referral", "registration", "nurse")
+                    .to_ground_rule()
+                    .unwrap()
+            })
+            .collect();
+        let batch =
+            prima_model::CoverageEngine::default().entry_coverage(&policy, &trail, &figure_1());
+        assert_eq!(last.totals.covered_entries as usize, batch.covered_entries);
+        assert_eq!(last.totals.total_entries as usize, batch.total_entries);
     }
 
     #[test]

@@ -7,9 +7,10 @@
 //! per-shard [`EntryBlock`]s, and shipped block-at-a-time over bounded
 //! channels to hash-partitioned shard workers — amortizing channel
 //! synchronization, cache probes, and metric updates across the block.
-//! Inside a shard, runs of identical rules are classified with a single
-//! memoized decision-cache probe, and per-pattern counters make every
-//! [`prima_model::CoverageReport`] delta O(1) per entry. An
+//! Inside a shard, per-pattern counters hold each rule's count and
+//! verdict: a run of identical rules is one counter lookup, the policy
+//! matcher runs only for a rule the shard has never seen, and every
+//! [`prima_model::CoverageReport`] delta is O(1) per entry. An
 //! epoch-barrier [`StreamEngine::snapshot`] produces the same report,
 //! bit for bit, that `prima_model::compute_coverage` would compute over
 //! the accumulated trail — partial blocks are flushed before every
@@ -29,13 +30,12 @@
 //! bit-for-bit what a fault-free run would have produced.
 
 //! Observability: [`StreamConfig::observability`] routes per-shard
-//! ingest/processed counts, queue-depth gauges, decision-cache hit/miss
+//! ingest/processed counts, queue-depth gauges, verdict hit/miss
 //! counters, and checkpoint/recovery timings into a shared
 //! `prima_obs::MetricsRegistry` (disabled, and effectively free, by
 //! default).
 
 pub mod block;
-pub mod cache;
 pub mod config;
 pub mod counters;
 pub mod engine;
@@ -47,9 +47,8 @@ pub mod shard;
 pub mod window;
 
 pub use block::{BlockStorage, EntryBlock};
-pub use cache::{CacheStats, DecisionCache};
 pub use config::{StreamConfig, DEFAULT_BLOCK_SIZE};
-pub use counters::{CoverageCounters, PatternStats, StreamTotals};
+pub use counters::{CacheStats, CoverageCounters, PatternStats, StreamTotals};
 pub use engine::{IngestOutcome, ShardHealth, StreamEngine, StreamSnapshot};
 pub use fault::FaultPlan;
 pub use loadbench::{run_stream_bench, StreamBenchConfig, StreamBenchReport};

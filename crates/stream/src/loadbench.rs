@@ -2,7 +2,7 @@
 //!
 //! Replays a seeded community-hospital trail through the block-based
 //! ingestion pipeline at a ladder of shard widths and measures sustained
-//! entries/second, the decision-cache hit rate, the metrics-enabled
+//! entries/second, the verdict hit rate, the metrics-enabled
 //! overhead, and checkpoint-barrier latencies. The report carries
 //! machine-checkable acceptance gates (the `BENCH_stream.json` shape CI
 //! re-emits and enforces).
@@ -31,7 +31,7 @@ use std::time::Instant;
 pub const STANDARD_TRAIL_LEN: usize = 50_000;
 /// Simulator seed of the standard trail.
 pub const STANDARD_SEED: u64 = 23;
-/// Decision-cache hit rate of the standard trail (a property of the
+/// Verdict hit rate of the standard trail (a property of the
 /// trail's shape mix, not of machine speed — the run must land within
 /// half a percentage point of it).
 pub const STANDARD_HIT_RATE: f64 = 0.98144;
@@ -97,7 +97,7 @@ pub struct WidthResult {
     pub shards: usize,
     /// Best sustained ingest rate over the configured passes.
     pub entries_per_sec: f64,
-    /// Decision-cache hit rate of the final snapshot.
+    /// Verdict hit rate of the final snapshot.
     pub cache_hit_rate: f64,
 }
 

@@ -18,7 +18,7 @@
 //! | `prima_stream_block_fill_entries` | histogram | entries per flushed block |
 //! | `prima_stream_queue_depth{shard}` | gauge | blocks waiting in a shard's channel |
 //! | `prima_stream_processed_total{shard}` | counter | entries a worker consumed |
-//! | `prima_stream_cache_hits_total{shard}` | counter | memoized verdicts served |
+//! | `prima_stream_cache_hits_total{shard}` | counter | verdicts the shard's counters already held |
 //! | `prima_stream_cache_misses_total{shard}` | counter | full subsumption probes run |
 //! | `prima_stream_checkpoint_seconds` | histogram | checkpoint barrier round trips |
 //! | `prima_stream_recovery_seconds` | histogram | respawn-and-replay durations |
@@ -34,9 +34,9 @@ use prima_obs::{Counter, Gauge, Histogram, MetricsRegistry, Tracer};
 pub struct ShardObs {
     /// Entries this worker consumed.
     pub processed: Counter,
-    /// Decision-cache verdicts answered from the memo table.
+    /// Verdicts answered from the shard's coverage counters.
     pub cache_hits: Counter,
-    /// Decision-cache verdicts that ran the full probe.
+    /// Verdicts that ran the full probe (rules new to the shard).
     pub cache_misses: Counter,
     /// The engine's tracer, cloned into the worker so per-block shard
     /// spans join the trace the shipping flush stamped on the block.
@@ -128,12 +128,12 @@ impl StreamObs {
                     cache_hits: per_shard(
                         i,
                         "prima_stream_cache_hits_total",
-                        "Decision-cache verdicts served from the memo table.",
+                        "Verdicts answered from the shard's coverage counters.",
                     ),
                     cache_misses: per_shard(
                         i,
                         "prima_stream_cache_misses_total",
-                        "Decision-cache lookups that ran the full probe.",
+                        "Verdict lookups that ran the full probe.",
                     ),
                     tracer: tracer.clone(),
                 })

@@ -5,16 +5,17 @@
 //! [`EntryBlock`]s: one channel recv per block, then a tight loop over
 //! thread-local state. Inside a block, consecutive entries carrying the
 //! *same* `Arc<GroundRule>` (detected by pointer identity — free, and
-//! the common case since trails arrive bursty) are classified with one
-//! decision-cache probe and counted with one counter bump, with the
-//! hit/miss books charged exactly as per-entry probing would have.
+//! the common case since trails arrive bursty) cost one counter lookup.
+//! The counters hold each rule's verdict, so the policy matcher runs
+//! only for a rule the shard has never seen, and a policy refresh
+//! re-labels the held verdicts in place. The hit/miss books are charged
+//! exactly as per-entry lookups would have been.
 //! Control messages ride the same FIFO channel as blocks, so a
 //! `Snapshot` barrier observes exactly the entries sent before it — a
 //! consistent cut without stopping the world.
 
 use crate::block::{BlockStorage, EntryBlock};
-use crate::cache::{CacheStats, DecisionCache};
-use crate::counters::{CoverageCounters, PatternStats};
+use crate::counters::{CacheStats, CoverageCounters, PatternStats};
 use crate::fault::FaultPlan;
 use crate::obs::ShardObs;
 use crate::window::SlidingWindow;
@@ -41,8 +42,8 @@ pub enum ShardMsg {
         /// Channel the checkpoint is sent back on.
         reply: Sender<ShardCheckpoint>,
     },
-    /// Install a new policy matcher for `epoch`; clears the decision
-    /// cache and re-labels the counters.
+    /// Install a new policy matcher for `epoch` and re-label the
+    /// counters under it.
     UpdatePolicy {
         /// The policy epoch the new matcher belongs to.
         epoch: u64,
@@ -53,19 +54,17 @@ pub enum ShardMsg {
     Shutdown,
 }
 
-/// Everything needed to rebuild a shard worker mid-stream: counters,
-/// decision-cache memo and stats, retained window events, epoch, and the
-/// processed count. The engine keeps the latest checkpoint per shard and
-/// seeds a replacement worker from it after a crash; replaying the
-/// journal of post-checkpoint entries then reproduces the lost state
-/// bit-for-bit (same counts, same verdicts, same cache hit/miss books).
+/// Everything needed to rebuild a shard worker mid-stream: counters
+/// (with their verdicts), hit/miss books, retained window events, epoch,
+/// and the processed count. The engine keeps the latest checkpoint per
+/// shard and seeds a replacement worker from it after a crash; replaying
+/// the journal of post-checkpoint entries then reproduces the lost state
+/// bit-for-bit (same counts, same verdicts, same hit/miss books).
 #[derive(Debug, Clone)]
 pub struct ShardCheckpoint {
     /// Per-pattern counters at the barrier.
     pub patterns: Vec<(GroundRule, PatternStats)>,
-    /// Memoized `(rule, verdict)` pairs.
-    pub memo: Vec<(GroundRule, bool)>,
-    /// Cache hit/miss/invalidation counters.
+    /// Hit/miss/invalidation counters.
     pub cache: CacheStats,
     /// Retained trailing-window events, if window tracking is on.
     pub window: Option<Vec<(i64, GroundRule)>>,
@@ -84,7 +83,7 @@ pub struct ShardState {
     pub patterns: Vec<(GroundRule, PatternStats)>,
     /// Entry-weighted totals.
     pub totals: crate::counters::StreamTotals,
-    /// Decision-cache counters.
+    /// Hit/miss counters of the verdict lookups.
     pub cache: CacheStats,
     /// Retained trailing-window events, if window tracking is on.
     pub window: Option<Vec<(i64, GroundRule)>>,
@@ -118,7 +117,7 @@ pub fn run_shard(
     let slow = faults.slow_for(shard);
     let crash_after = faults.crash_after_for(shard);
 
-    let (mut cache, mut counters, mut window, mut processed) = match seed {
+    let (mut stats, mut epoch, mut counters, mut window, mut processed) = match seed {
         Some(ckpt) => {
             let mut window = window_secs.map(SlidingWindow::new);
             if let (Some(w), Some(events)) = (window.as_mut(), ckpt.window) {
@@ -129,14 +128,16 @@ pub fn run_shard(
                 }
             }
             (
-                DecisionCache::restore(ckpt.epoch, ckpt.memo, ckpt.cache),
+                ckpt.cache,
+                ckpt.epoch,
                 CoverageCounters::from_export(ckpt.patterns),
                 window,
                 ckpt.processed,
             )
         }
         None => (
-            DecisionCache::new(0),
+            CacheStats::default(),
+            0,
             CoverageCounters::new(),
             window_secs.map(SlidingWindow::new),
             0u64,
@@ -163,8 +164,8 @@ pub fn run_shard(
                     let ground = &entries[i].1;
                     // Extend the run while the next entry shares the
                     // same rule allocation. A value-equal rule under a
-                    // different Arc just starts a new run, whose probe
-                    // is a memo hit — the books come out identical.
+                    // different Arc just starts a new run, whose lookup
+                    // is a hit — the books come out identical.
                     let mut j = i + 1;
                     while j < n && Arc::ptr_eq(&entries[j].1, ground) {
                         j += 1;
@@ -184,10 +185,11 @@ pub fn run_shard(
                             std::thread::sleep(delay);
                         }
                     }
-                    let (covered, run_hits, run_misses) = cache.classify_run(&matcher, ground, run);
-                    hits += run_hits;
+                    // An unseen rule is one probe, then `run - 1` hits.
+                    let (_, probed) = counters.observe_run(ground, run, |g| matcher.covers(g));
+                    let run_misses = u64::from(probed);
+                    hits += run - run_misses;
                     misses += run_misses;
-                    counters.observe_run(ground, covered, run);
                     if let Some(w) = window.as_mut() {
                         for (time, g) in &entries[i..j] {
                             w.observe(*time, g);
@@ -205,6 +207,8 @@ pub fn run_shard(
                 obs.processed.add(done);
                 obs.cache_hits.add(hits);
                 obs.cache_misses.add(misses);
+                stats.hits += hits;
+                stats.misses += misses;
                 span.field("entries", done);
                 if crashed {
                     // Simulated mid-block crash: abandon in-memory state,
@@ -222,9 +226,9 @@ pub fn run_shard(
                     shard,
                     patterns: counters.export(),
                     totals: counters.totals(),
-                    cache: cache.stats(),
+                    cache: stats,
                     window: window.as_ref().map(SlidingWindow::export),
-                    epoch: cache.epoch(),
+                    epoch,
                     processed,
                 };
                 // The engine may have given up on this snapshot (e.g.
@@ -235,17 +239,23 @@ pub fn run_shard(
             ShardMsg::Checkpoint { reply } => {
                 let ckpt = ShardCheckpoint {
                     patterns: counters.export(),
-                    memo: cache.export_memo(),
-                    cache: cache.stats(),
+                    cache: stats,
                     window: window.as_ref().map(SlidingWindow::export),
-                    epoch: cache.epoch(),
+                    epoch,
                     processed,
                 };
                 let _ = reply.send(ckpt);
             }
-            ShardMsg::UpdatePolicy { epoch, matcher: m } => {
+            ShardMsg::UpdatePolicy {
+                epoch: next,
+                matcher: m,
+            } => {
                 matcher = m;
-                cache.invalidate(epoch);
+                // A stale or duplicate epoch is not a new install.
+                if next > epoch {
+                    epoch = next;
+                    stats.invalidations += 1;
+                }
                 counters.relabel(|g| matcher.covers(g));
             }
             ShardMsg::Shutdown => break,
@@ -333,8 +343,8 @@ mod tests {
     #[test]
     fn value_equal_rules_under_distinct_arcs_keep_the_same_books() {
         // Same rule via two Arc allocations: the run detector sees two
-        // runs, but the second probe is a memo hit — the hit/miss books
-        // are exactly what per-entry probing would have recorded.
+        // runs, but the second lookup is a hit — the hit/miss books are
+        // exactly what per-entry lookups would have recorded.
         let (tx, handle) = spawn_worker(FaultPlan::none(), None, None);
         let a = g("referral");
         let b = g("referral");
@@ -463,8 +473,8 @@ mod tests {
         assert_eq!(state.cache.hits, 1, "hit/miss books survive recovery");
         assert_eq!(state.cache.misses, 2);
         assert_eq!(state.window.as_ref().unwrap().len(), 3);
-        // A replayed shape is a cache hit, as it would have been — even
-        // though the restored memo holds a different Arc allocation.
+        // A replayed shape is a hit, as it would have been — even though
+        // the restored counters hold a different Arc allocation.
         tx2.send(block(&[(13, &g("referral"))])).unwrap();
         let (reply_tx, reply_rx) = bounded(1);
         tx2.send(ShardMsg::Snapshot { reply: reply_tx }).unwrap();

@@ -84,9 +84,25 @@ pub fn normalize(name: &str) -> String {
     out
 }
 
+/// True iff [`normalize`] maps `name` to the empty string — every
+/// character is whitespace, `_` or `-` — decided without allocating.
+pub fn normalizes_to_empty(name: &str) -> bool {
+    name.chars()
+        .all(|ch| ch.is_whitespace() || ch == '_' || ch == '-')
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn normalizes_to_empty_agrees_with_normalize() {
+        // Separator-only names, then names with one kept character.
+        for name in "|   |_|-|-_- \t|\u{3000}|a| a |-a|a-|É|--b--|.".split('|') {
+            let empty = normalize(name).is_empty();
+            assert_eq!(normalizes_to_empty(name), empty, "{name:?}");
+        }
+    }
 
     #[test]
     fn normalize_lowercases_and_trims() {

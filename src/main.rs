@@ -297,15 +297,15 @@ fn cmd_coverage(args: &[String]) -> Result<(), String> {
     let vocab = load_vocab(&flags)?;
     let policy = load_policy(&flags)?;
     lint_and_report(&policy, &vocab);
-    let entries = load_audit(&flags)?;
+    // The store refuses a trail with a blank attribute, naming the entry.
+    let store = prima::audit::AuditStore::new("coverage");
+    store
+        .append_all(&load_audit(&flags)?)
+        .map_err(|e| e.to_string())?;
+    let rules = store.ground_rules();
 
     if flags.contains_key("set") {
-        let al = Policy::from_ground_rules(
-            StoreTag::AuditLog,
-            entries
-                .iter()
-                .map(|e| e.to_ground_rule().expect("audit entries are well-formed")),
-        );
+        let al = Policy::from_ground_rules(StoreTag::AuditLog, rules);
         let report = CoverageEngine::new(Strategy::Lazy)
             .coverage(&policy, &al, &vocab)
             .map_err(|e| e.to_string())?;
@@ -319,10 +319,6 @@ fn cmd_coverage(args: &[String]) -> Result<(), String> {
             println!("  uncovered: {g}");
         }
     } else {
-        let rules: Vec<_> = entries
-            .iter()
-            .map(|e| e.to_ground_rule().expect("audit entries are well-formed"))
-            .collect();
         let report = CoverageEngine::default().entry_coverage(&policy, &rules, &vocab);
         println!(
             "entry coverage: {}/{} = {:.1}%",
