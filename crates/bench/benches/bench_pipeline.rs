@@ -1,17 +1,13 @@
 //! E5 — a full PRIMA round (Figure 4, end to end): federate → measure
 //! coverage → filter → mine → prune → accept, at increasing trail sizes.
 //!
-//! Besides the Criterion timings, the bench runs one fully instrumented
-//! round, prints its per-stage `PipelineReport`, and writes the profile
-//! to `BENCH_pipeline.json` at the repo root for machine consumption.
+//! The per-stage profile of one instrumented round (`BENCH_pipeline.json`)
+//! comes from `prima-bench --suite pipeline`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use prima_bench::{stage_profiles_json, write_bench_json};
-use prima_core::{PrimaSystem, ReviewMode, SystemObs};
+use prima_core::{PrimaSystem, ReviewMode};
 use prima_workload::sim::{split_sites, SimConfig};
 use prima_workload::Scenario;
-use serde_json::Value;
-use std::time::Instant;
 
 fn bench_full_round(c: &mut Criterion) {
     let scenario = Scenario::community_hospital();
@@ -37,50 +33,5 @@ fn bench_full_round(c: &mut Criterion) {
     group.finish();
 }
 
-/// One instrumented round at 10k entries: per-stage latency profile and
-/// round throughput, printed and written to `BENCH_pipeline.json`.
-fn emit_summary(_c: &mut Criterion) {
-    const N: usize = 10_000;
-    let scenario = Scenario::community_hospital();
-    let sim = scenario.simulator();
-    let trail = sim.generate(&SimConfig {
-        seed: 19,
-        n_entries: N,
-        ..SimConfig::default()
-    });
-    let mut system = PrimaSystem::new(scenario.vocab.clone(), scenario.policy.clone())
-        .with_observability(SystemObs::enabled());
-    for store in split_sites(&trail, 4) {
-        system.attach_store(store).expect("unique source name");
-    }
-    let start = Instant::now();
-    let record = system
-        .run_round(ReviewMode::AutoAccept)
-        .expect("round runs");
-    let round_seconds = start.elapsed().as_secs_f64();
-    let report = system.pipeline_report();
-    println!("{report}");
-    let summary = Value::Map(vec![
-        ("bench".into(), Value::Str("pipeline-round-summary".into())),
-        ("trail_entries".into(), Value::U64(N as u64)),
-        ("round_seconds".into(), Value::F64(round_seconds)),
-        (
-            "entries_per_sec".into(),
-            Value::F64((N as f64 / round_seconds).round()),
-        ),
-        (
-            "coverage_after".into(),
-            Value::F64(record.entry_coverage_after),
-        ),
-        (
-            "all_stages_observed".into(),
-            Value::Bool(report.all_stages_observed()),
-        ),
-        ("stages".into(), stage_profiles_json(&report)),
-    ]);
-    let path = write_bench_json("BENCH_pipeline.json", &summary).expect("repo root is writable");
-    println!("wrote {}", path.display());
-}
-
-criterion_group!(benches, bench_full_round, emit_summary);
+criterion_group!(benches, bench_full_round);
 criterion_main!(benches);

@@ -19,19 +19,26 @@
 //! (E8), `bench_refinement` (E3), `bench_hdb` (E6), and `bench_pipeline`
 //! (E5).
 //!
-//! This library holds the shared glue: wall-clock timing, aligned table
-//! rendering, and the standard workloads the binaries and benches share.
+//! The load suites ([`suite`]: `pipeline`, `stream`, `serve`, `surge`)
+//! carry acceptance gates and run through one binary,
+//! `prima-bench --suite NAME [--smoke] [--out FILE]`, which writes the
+//! shared [`report::BenchReport`] envelope (the `BENCH_*.json` shape)
+//! and exits 1 when a gate fails.
+//!
+//! This library also holds the shared glue: wall-clock timing, aligned
+//! table rendering, and the standard workloads the binaries and benches
+//! share.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use prima_audit::AuditEntry;
-use prima_obs::PipelineReport;
 use prima_workload::sim::{entries, SimConfig};
 use prima_workload::Scenario;
-use serde_json::Value;
-use std::path::PathBuf;
 use std::time::Instant;
+
+pub mod report;
+pub mod suite;
 
 /// Times a closure, returning `(result, milliseconds)`.
 pub fn timed<T>(f: impl FnOnce() -> T) -> (T, f64) {
@@ -90,44 +97,6 @@ pub fn standard_trail(n: usize, seed: u64) -> Vec<AuditEntry> {
 /// Section header for experiment output.
 pub fn banner(title: &str) {
     println!("\n=== {title} ===");
-}
-
-/// Absolute path of a machine-readable bench artifact at the repo root
-/// (where CI and the acceptance gates look for `BENCH_*.json`).
-pub fn bench_artifact_path(file_name: &str) -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("../..")
-        .join(file_name)
-}
-
-/// Writes `value` as pretty JSON to `file_name` at the repo root and
-/// returns the path written.
-pub fn write_bench_json(file_name: &str, value: &Value) -> std::io::Result<PathBuf> {
-    let path = bench_artifact_path(file_name);
-    let text = serde_json::to_string_pretty(value).expect("bench summaries are plain value trees");
-    std::fs::write(&path, format!("{text}\n"))?;
-    Ok(path)
-}
-
-/// A [`PipelineReport`]'s stage profiles as a JSON sequence, for the
-/// `BENCH_*.json` artifacts.
-pub fn stage_profiles_json(report: &PipelineReport) -> Value {
-    Value::Seq(
-        report
-            .stages
-            .iter()
-            .map(|s| {
-                Value::Map(vec![
-                    ("stage".into(), Value::Str(s.stage.clone())),
-                    ("count".into(), Value::U64(s.count)),
-                    ("total_seconds".into(), Value::F64(s.total_seconds)),
-                    ("p50_seconds".into(), Value::F64(s.p50_seconds)),
-                    ("p95_seconds".into(), Value::F64(s.p95_seconds)),
-                    ("max_seconds".into(), Value::F64(s.max_seconds)),
-                ])
-            })
-            .collect(),
-    )
 }
 
 #[cfg(test)]

@@ -1,4 +1,5 @@
-//! The Zipf-driven load benchmark behind `prima serve-bench`.
+//! The `serve` suite: the Zipf-driven load benchmark of the
+//! policy-decision service (the `BENCH_serve.json` shape).
 //!
 //! Simulates a hospital-scale request stream against a running
 //! [`PolicyService`]: a Zipf-ranked population of ≥1M principals (a few
@@ -19,15 +20,15 @@
 //! skipped-and-counted rather than compared — the verdict legitimately
 //! changed under the request.
 
-use crate::api::DecisionRequest;
-use crate::service::{PolicyService, ServeConfig, Transport};
+use crate::report::{Gate, Measured};
 use prima_model::Rule;
 use prima_obs::{FlightRecorder, MetricsRegistry, SamplePolicy, Tracer};
+use prima_serve::{DecisionRequest, PolicyService, ServeConfig, Transport};
 use prima_vocab::{ATTR_AUTHORIZED, ATTR_DATA, ATTR_PURPOSE};
 use prima_workload::{Scenario, ZipfPopulation};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde_json::Value;
+use serde::{Serialize, Value};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -52,8 +53,19 @@ fn bench_tracer() -> Tracer {
     )
 }
 
-/// Load-run parameters.
-#[derive(Debug, Clone)]
+/// Requests per batched transport call.
+const BATCH: usize = 64;
+/// Zipf exponent of the principal population.
+const ZIPF: f64 = 1.05;
+/// RNG seed (request streams are deterministic given the seed).
+const SEED: u64 = 42;
+/// Interleaved calibration passes per side (baseline vs instrumented)
+/// for the instrumentation-overhead measurement.
+const OVERHEAD_PASSES: usize = 3;
+
+/// Load-run parameters. The pool runs `ServeConfig`'s default worker
+/// count, one per core.
+#[derive(Debug, Clone, Serialize)]
 pub struct LoadConfig {
     /// Simulated principal population (the acceptance floor is 1M).
     pub principals: usize,
@@ -61,16 +73,6 @@ pub struct LoadConfig {
     pub requests: usize,
     /// Client threads driving the service.
     pub clients: usize,
-    /// Worker threads serving it.
-    pub workers: usize,
-    /// Decision-cache shard count.
-    pub cache_shards: usize,
-    /// Requests per batched transport call (1 = unbatched round-trips).
-    pub batch: usize,
-    /// Zipf exponent of the principal population.
-    pub zipf: f64,
-    /// RNG seed (request streams are deterministic given the seed).
-    pub seed: u64,
     /// Install one promoted rule every this many decisions (0 = never).
     pub promote_every: usize,
     /// Audit one of every this many replies against the uncached oracle
@@ -79,9 +81,6 @@ pub struct LoadConfig {
     /// Smoke mode: relaxes the throughput gate (CI machines vary); the
     /// correctness and hit-rate gates still apply.
     pub smoke: bool,
-    /// Interleaved calibration passes per side (baseline vs
-    /// instrumented) for the instrumentation-overhead measurement.
-    pub overhead_passes: usize,
 }
 
 impl Default for LoadConfig {
@@ -90,17 +89,9 @@ impl Default for LoadConfig {
             principals: 1_000_000,
             requests: 2_000_000,
             clients: 4,
-            workers: std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(4),
-            cache_shards: 64,
-            batch: 64,
-            zipf: 1.05,
-            seed: 42,
             promote_every: 250_000,
             coherence_sample: 1_000,
             smoke: false,
-            overhead_passes: 3,
         }
     }
 }
@@ -117,15 +108,15 @@ impl LoadConfig {
             promote_every: 40_000,
             coherence_sample: 500,
             smoke: true,
-            ..Self::default()
         }
     }
 }
 
 /// What a load run measured.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Serialize)]
 pub struct LoadReport {
     /// The configuration that produced this report.
+    #[serde(skip)]
     pub config: LoadConfig,
     /// Wall-clock seconds over the request phase.
     pub elapsed_secs: f64,
@@ -202,11 +193,26 @@ impl LoadReport {
             (1.0 - self.instrumented_qps / self.baseline_qps) * 100.0
         }
     }
+}
+
+impl Measured for LoadReport {
+    const BENCH: &'static str = "serve_load";
+
+    fn config(&self) -> Value {
+        self.config.serialize()
+    }
+
+    fn derived(&self) -> Vec<(&'static str, Value)> {
+        vec![
+            ("hit_rate", Value::F64(self.hit_rate())),
+            ("overhead_pct", Value::F64(self.overhead_pct())),
+        ]
+    }
 
     /// The acceptance gates. Throughput and instrumentation overhead are
     /// only gated in full mode — smoke runs on shared CI hardware
     /// measure correctness, not speed.
-    pub fn gates(&self) -> Vec<(&'static str, bool)> {
+    fn gates(&self) -> Vec<Gate> {
         let mut gates = vec![
             ("coherent", self.coherent()),
             ("hit_rate_ge_90", self.hit_rate() >= 0.90),
@@ -222,96 +228,6 @@ impl LoadReport {
             ));
         }
         gates
-    }
-
-    /// True iff every gate passes.
-    pub fn passed(&self) -> bool {
-        self.gates().iter().all(|(_, ok)| *ok)
-    }
-
-    /// The report as a JSON value tree (the `BENCH_serve.json` shape).
-    pub fn to_json(&self) -> Value {
-        let gates = self
-            .gates()
-            .into_iter()
-            .map(|(name, ok)| (name.to_string(), Value::Bool(ok)))
-            .collect();
-        Value::Map(vec![
-            ("bench".into(), Value::Str("serve_load".into())),
-            (
-                "config".into(),
-                Value::Map(vec![
-                    (
-                        "principals".into(),
-                        Value::U64(self.config.principals as u64),
-                    ),
-                    ("requests".into(), Value::U64(self.config.requests as u64)),
-                    ("clients".into(), Value::U64(self.config.clients as u64)),
-                    ("workers".into(), Value::U64(self.config.workers as u64)),
-                    (
-                        "cache_shards".into(),
-                        Value::U64(self.config.cache_shards as u64),
-                    ),
-                    ("batch".into(), Value::U64(self.config.batch as u64)),
-                    ("zipf_exponent".into(), Value::F64(self.config.zipf)),
-                    ("seed".into(), Value::U64(self.config.seed)),
-                    (
-                        "promote_every".into(),
-                        Value::U64(self.config.promote_every as u64),
-                    ),
-                    (
-                        "coherence_sample".into(),
-                        Value::U64(self.config.coherence_sample as u64),
-                    ),
-                    ("smoke".into(), Value::Bool(self.config.smoke)),
-                ]),
-            ),
-            ("elapsed_secs".into(), Value::F64(self.elapsed_secs)),
-            (
-                "decisions_per_sec".into(),
-                Value::F64(self.decisions_per_sec),
-            ),
-            ("decisions".into(), Value::U64(self.decisions)),
-            ("allows".into(), Value::U64(self.allows)),
-            ("denials".into(), Value::U64(self.denials)),
-            ("cache_hits".into(), Value::U64(self.cache_hits)),
-            ("cache_misses".into(), Value::U64(self.cache_misses)),
-            ("hit_rate".into(), Value::F64(self.hit_rate())),
-            ("invalidations".into(), Value::U64(self.invalidations)),
-            ("promotions".into(), Value::U64(self.promotions)),
-            ("policy_revision".into(), Value::U64(self.policy_revision)),
-            ("p50_us".into(), Value::F64(self.p50_us)),
-            ("p99_us".into(), Value::F64(self.p99_us)),
-            (
-                "coherence".into(),
-                Value::Map(vec![
-                    ("checked".into(), Value::U64(self.coherence_checked)),
-                    (
-                        "skipped_racing_install".into(),
-                        Value::U64(self.coherence_skipped),
-                    ),
-                    ("mismatches".into(), Value::U64(self.coherence_mismatches)),
-                ]),
-            ),
-            (
-                "instrumentation".into(),
-                Value::Map(vec![
-                    ("baseline_qps".into(), Value::F64(self.baseline_qps)),
-                    ("instrumented_qps".into(), Value::F64(self.instrumented_qps)),
-                    ("overhead_pct".into(), Value::F64(self.overhead_pct())),
-                    (
-                        "sampling".into(),
-                        Value::Map(vec![
-                            ("keep_every".into(), Value::U64(BENCH_KEEP_EVERY)),
-                            ("slow_trace_us".into(), Value::U64(BENCH_SLOW_TRACE_US)),
-                            ("traces_kept".into(), Value::U64(self.traces_kept)),
-                            ("traces_dropped".into(), Value::U64(self.traces_dropped)),
-                        ]),
-                    ),
-                ]),
-            ),
-            ("gates".into(), Value::Map(gates)),
-        ])
     }
 }
 
@@ -364,7 +280,7 @@ impl Workload {
         let op_skew = ZipfPopulation::new(ops.len(), 1.8);
         let purpose_skew = ZipfPopulation::new(purposes.len(), 1.8);
         Arc::new(Self {
-            population: ZipfPopulation::new(config.principals, config.zipf),
+            population: ZipfPopulation::new(config.principals, ZIPF),
             roles,
             ops,
             purposes,
@@ -413,28 +329,24 @@ fn calibration_pass(
     requests: usize,
     instrumented: bool,
 ) -> f64 {
-    let mut serve = ServeConfig::new()
-        .workers(config.workers)
-        .cache_shards(config.cache_shards)
-        .queue_capacity(config.clients * 4);
+    let mut serve = ServeConfig::new().queue_capacity(config.clients * 4);
     if instrumented {
         serve = serve.metrics(MetricsRegistry::new()).tracer(bench_tracer());
     }
     let service = PolicyService::start(serve, &scenario.policy, &scenario.vocab);
     let clients_n = config.clients.max(1);
     let per_client = requests / clients_n;
-    let batch = config.batch.max(1);
     let start = Instant::now();
     let clients: Vec<_> = (0..clients_n)
         .map(|c| {
             let transport = service.handle();
             let workload = Arc::clone(workload);
-            let seed = config.seed ^ (0xCA11_B8A7 + c as u64);
+            let seed = SEED ^ (0xCA11_B8A7 + c as u64);
             std::thread::spawn(move || {
                 let mut rng = StdRng::seed_from_u64(seed);
                 let mut sent = 0usize;
                 while sent < per_client {
-                    let n = batch.min(per_client - sent);
+                    let n = BATCH.min(per_client - sent);
                     let reqs = (0..n).map(|_| workload.request(&mut rng)).collect();
                     transport.decide_batch(reqs).expect("service up");
                     sent += n;
@@ -460,8 +372,6 @@ pub fn run_load(config: LoadConfig) -> LoadReport {
     let tracer = bench_tracer();
     let service = PolicyService::start(
         ServeConfig::new()
-            .workers(config.workers)
-            .cache_shards(config.cache_shards)
             .queue_capacity(config.clients * 4)
             .metrics(registry.clone())
             .tracer(tracer.clone()),
@@ -513,9 +423,8 @@ pub fn run_load(config: LoadConfig) -> LoadReport {
             let engine = Arc::clone(&engine);
             let workload = Arc::clone(&workload);
             let quota = per_client + if c == 0 { remainder } else { 0 };
-            let batch = config.batch.max(1);
             let sample_every = config.coherence_sample;
-            let seed = config.seed.wrapping_add(c as u64);
+            let seed = SEED.wrapping_add(c as u64);
             std::thread::spawn(move || {
                 let mut rng = StdRng::seed_from_u64(seed);
                 let mut tally = ClientTally {
@@ -525,7 +434,7 @@ pub fn run_load(config: LoadConfig) -> LoadReport {
                 };
                 let mut sent = 0usize;
                 while sent < quota {
-                    let n = batch.min(quota - sent);
+                    let n = BATCH.min(quota - sent);
                     let reqs: Vec<DecisionRequest> =
                         (0..n).map(|_| workload.request(&mut rng)).collect();
                     let replies = transport
@@ -584,7 +493,7 @@ pub fn run_load(config: LoadConfig) -> LoadReport {
     let calib_requests = (config.requests / 10).clamp(20_000, 500_000);
     let mut baseline_qps = 0.0f64;
     let mut instrumented_qps = 0.0f64;
-    for _ in 0..config.overhead_passes.max(3) {
+    for _ in 0..OVERHEAD_PASSES {
         baseline_qps = baseline_qps.max(calibration_pass(
             &config,
             &scenario,
@@ -641,18 +550,5 @@ mod tests {
         assert!(report.coherence_checked > 0);
         assert_eq!(report.coherence_mismatches, 0);
         assert!(report.passed(), "gates: {:?}", report.gates());
-    }
-
-    #[test]
-    fn report_json_carries_the_gates() {
-        let mut config = LoadConfig::smoke();
-        config.requests = 5_000;
-        config.principals = 1_000;
-        config.promote_every = 1_000;
-        let report = run_load(config);
-        let json = serde_json::to_string_pretty(&report.to_json()).unwrap();
-        assert!(json.contains("\"bench\": \"serve_load\""));
-        assert!(json.contains("hit_rate_ge_90"));
-        assert!(json.contains("decisions_per_sec"));
     }
 }

@@ -1,11 +1,10 @@
-//! The shard-scaling throughput benchmark behind `prima stream-bench`.
+//! The `stream` suite: shard-scaling throughput of the block-based
+//! ingestion pipeline (the `BENCH_stream.json` shape).
 //!
-//! Replays a seeded community-hospital trail through the block-based
-//! ingestion pipeline at a ladder of shard widths and measures sustained
-//! entries/second, the verdict hit rate, the metrics-enabled
-//! overhead, and checkpoint-barrier latencies. The report carries
-//! machine-checkable acceptance gates (the `BENCH_stream.json` shape CI
-//! re-emits and enforces).
+//! Replays a seeded community-hospital trail through `prima-stream` at
+//! a ladder of shard widths and measures sustained entries/second, the
+//! verdict hit rate, the metrics-enabled overhead, and
+//! checkpoint-barrier latencies.
 //!
 //! The headline gate is *scaling*, not an absolute shard-count figure:
 //! the widest width's throughput over the narrowest width's, floored by
@@ -16,39 +15,34 @@
 //! *lost* ~24% going 1→8 shards; block shipping must never reintroduce
 //! that cliff).
 
-use crate::config::{DEFAULT_BLOCK_SIZE, DEFAULT_CHANNEL_CAPACITY};
-use crate::{StreamConfig, StreamEngine};
+use crate::report::{cores, stage_profiles, Gate, Measured};
+use crate::standard_trail;
 use prima_audit::AuditEntry;
 use prima_model::PolicyMatcher;
 use prima_obs::{MetricsRegistry, PipelineReport, Tracer};
-use prima_workload::sim::entries;
-use prima_workload::{Scenario, SimConfig};
-use serde_json::Value;
+use prima_stream::{StreamConfig, StreamEngine};
+use prima_workload::Scenario;
+use serde::{Serialize, Value};
 use std::time::Instant;
 
-/// The standard trail: entry count and simulator seed the committed
-/// baseline (`BENCH_stream.json`) was measured with.
+/// Entry count of the standard trail the committed baseline
+/// (`BENCH_stream.json`) was measured with.
 pub const STANDARD_TRAIL_LEN: usize = 50_000;
-/// Simulator seed of the standard trail.
+/// Simulator seed of every trail the suite replays.
 pub const STANDARD_SEED: u64 = 23;
 /// Verdict hit rate of the standard trail (a property of the
 /// trail's shape mix, not of machine speed — the run must land within
 /// half a percentage point of it).
 pub const STANDARD_HIT_RATE: f64 = 0.98144;
 
-/// Parameters of one benchmark run.
-#[derive(Debug, Clone)]
+/// Parameters of one benchmark run. Block size and channel capacity are
+/// [`StreamConfig`]'s defaults.
+#[derive(Debug, Clone, Serialize)]
 pub struct StreamBenchConfig {
     /// Simulated trail length in entries.
     pub trail_len: usize,
-    /// Simulator seed (trails are deterministic given the seed).
-    pub seed: u64,
     /// Shard widths to ladder through (must be non-empty and sorted).
     pub widths: Vec<usize>,
-    /// Entries accumulated per block before a flush.
-    pub block_size: usize,
-    /// Per-shard channel capacity in entries.
-    pub channel_capacity: usize,
     /// Measured passes per width; the best is reported (best-of damps
     /// scheduler noise, which single passes at these durations sit
     /// well inside).
@@ -65,10 +59,7 @@ impl Default for StreamBenchConfig {
     fn default() -> Self {
         Self {
             trail_len: STANDARD_TRAIL_LEN,
-            seed: STANDARD_SEED,
             widths: vec![1, 2, 4, 8],
-            block_size: DEFAULT_BLOCK_SIZE,
-            channel_capacity: DEFAULT_CHANNEL_CAPACITY,
             passes: 3,
             checkpoint_every: 5_000,
             smoke: false,
@@ -91,7 +82,7 @@ impl StreamBenchConfig {
 }
 
 /// One width's measurements.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Serialize)]
 pub struct WidthResult {
     /// Shard count.
     pub shards: usize,
@@ -101,21 +92,24 @@ pub struct WidthResult {
     pub cache_hit_rate: f64,
 }
 
-/// What a benchmark run measured, plus its acceptance gates.
-#[derive(Debug, Clone)]
+/// What a benchmark run measured.
+#[derive(Debug, Clone, Serialize)]
 pub struct StreamBenchReport {
     /// The configuration that produced this report.
+    #[serde(skip)]
     pub config: StreamBenchConfig,
     /// Per-width results, in `config.widths` order.
     pub widths: Vec<WidthResult>,
-    /// Cores the host offered (`available_parallelism`), which tiers
-    /// the scaling floor.
+    /// Cores the host offered, which tiers the scaling floor (the
+    /// envelope reports it).
+    #[serde(skip)]
     pub cores: usize,
     /// Uninstrumented entries/sec at the widest width.
     pub baseline_eps: f64,
     /// Entries/sec at the widest width with live metrics + tracer.
     pub instrumented_eps: f64,
     /// Checkpoint-barrier latency profile from the checkpointing pass.
+    #[serde(skip)]
     pub checkpoint: PipelineReport,
 }
 
@@ -130,14 +124,6 @@ pub fn scaling_floor(cores: usize) -> f64 {
 }
 
 impl StreamBenchReport {
-    /// Entries/sec measured at `shards`, if that width was run.
-    pub fn eps_at(&self, shards: usize) -> Option<f64> {
-        self.widths
-            .iter()
-            .find(|w| w.shards == shards)
-            .map(|w| w.entries_per_sec)
-    }
-
     /// Widest-over-narrowest throughput ratio (the scaling headline).
     pub fn scaling_ratio(&self) -> f64 {
         let narrow = self.widths.first().map_or(0.0, |w| w.entries_per_sec);
@@ -162,9 +148,24 @@ impl StreamBenchReport {
     pub fn hit_rate(&self) -> f64 {
         self.widths.last().map_or(0.0, |w| w.cache_hit_rate)
     }
+}
 
-    /// The acceptance gates.
-    ///
+impl Measured for StreamBenchReport {
+    const BENCH: &'static str = "stream-throughput-summary";
+
+    fn config(&self) -> Value {
+        self.config.serialize()
+    }
+
+    fn derived(&self) -> Vec<(&'static str, Value)> {
+        vec![
+            ("ratio_wide_over_narrow", Value::F64(self.scaling_ratio())),
+            ("scaling_floor", Value::F64(scaling_floor(self.cores))),
+            ("overhead_pct", Value::F64(self.overhead_pct())),
+            ("checkpoint_latency", stage_profiles(&self.checkpoint)),
+        ]
+    }
+
     /// `scaling_vs_cores` always applies: the wide/narrow ratio must
     /// clear [`scaling_floor`] for this host. The absolute gates —
     /// ≥1M entries/sec at the widest width, hit rate within half a
@@ -172,7 +173,7 @@ impl StreamBenchReport {
     /// apply to full runs only (smoke runs use a reduced trail on
     /// shared hardware, which measures neither absolute speed nor the
     /// standard trail's shape mix).
-    pub fn gates(&self) -> Vec<(&'static str, bool)> {
+    fn gates(&self) -> Vec<Gate> {
         let mut gates = vec![(
             "scaling_vs_cores",
             self.scaling_ratio() >= scaling_floor(self.cores),
@@ -192,100 +193,6 @@ impl StreamBenchReport {
         }
         gates
     }
-
-    /// True iff every gate passes.
-    pub fn passed(&self) -> bool {
-        self.gates().iter().all(|(_, ok)| *ok)
-    }
-
-    /// The report as a JSON value tree (the `BENCH_stream.json` shape).
-    pub fn to_json(&self) -> Value {
-        let widths = self
-            .widths
-            .iter()
-            .map(|w| {
-                Value::Map(vec![
-                    ("shards".into(), Value::U64(w.shards as u64)),
-                    (
-                        "entries_per_sec".into(),
-                        Value::F64(w.entries_per_sec.round()),
-                    ),
-                    ("cache_hit_rate".into(), Value::F64(w.cache_hit_rate)),
-                ])
-            })
-            .collect();
-        let gates = self
-            .gates()
-            .into_iter()
-            .map(|(name, ok)| (name.to_string(), Value::Bool(ok)))
-            .collect();
-        let checkpoints = self
-            .checkpoint
-            .stages
-            .iter()
-            .map(|s| {
-                Value::Map(vec![
-                    ("stage".into(), Value::Str(s.stage.clone())),
-                    ("count".into(), Value::U64(s.count)),
-                    ("total_seconds".into(), Value::F64(s.total_seconds)),
-                    ("p50_seconds".into(), Value::F64(s.p50_seconds)),
-                    ("p95_seconds".into(), Value::F64(s.p95_seconds)),
-                    ("max_seconds".into(), Value::F64(s.max_seconds)),
-                ])
-            })
-            .collect();
-        Value::Map(vec![
-            (
-                "bench".into(),
-                Value::Str("stream-throughput-summary".into()),
-            ),
-            (
-                "config".into(),
-                Value::Map(vec![
-                    (
-                        "trail_entries".into(),
-                        Value::U64(self.config.trail_len as u64),
-                    ),
-                    ("seed".into(), Value::U64(self.config.seed)),
-                    (
-                        "block_size".into(),
-                        Value::U64(self.config.block_size as u64),
-                    ),
-                    (
-                        "channel_capacity".into(),
-                        Value::U64(self.config.channel_capacity as u64),
-                    ),
-                    ("passes".into(), Value::U64(self.config.passes as u64)),
-                    ("smoke".into(), Value::Bool(self.config.smoke)),
-                ]),
-            ),
-            ("widths".into(), Value::Seq(widths)),
-            (
-                "scaling".into(),
-                Value::Map(vec![
-                    ("cores".into(), Value::U64(self.cores as u64)),
-                    (
-                        "ratio_wide_over_narrow".into(),
-                        Value::F64(self.scaling_ratio()),
-                    ),
-                    ("floor".into(), Value::F64(scaling_floor(self.cores))),
-                ]),
-            ),
-            (
-                "metrics_overhead".into(),
-                Value::Map(vec![
-                    ("baseline_eps".into(), Value::F64(self.baseline_eps.round())),
-                    (
-                        "instrumented_eps".into(),
-                        Value::F64(self.instrumented_eps.round()),
-                    ),
-                    ("overhead_pct".into(), Value::F64(self.overhead_pct())),
-                ]),
-            ),
-            ("checkpoint_latency".into(), Value::Seq(checkpoints)),
-            ("gates".into(), Value::Map(gates)),
-        ])
-    }
 }
 
 /// One measured pass: ingest the whole trail, drain, and read the final
@@ -303,15 +210,10 @@ fn measured_pass(config: StreamConfig, scenario: &Scenario, trail: &[AuditEntry]
     (trail.len() as f64 / secs.max(1e-9), snap.cache.hit_rate())
 }
 
-/// Best entries/sec over `n` passes under `make_config`.
-fn best_eps(
-    n: usize,
-    scenario: &Scenario,
-    trail: &[AuditEntry],
-    make_config: impl Fn() -> StreamConfig,
-) -> (f64, f64) {
+/// Best entries/sec over `n` passes at `shards`.
+fn best_eps(n: usize, scenario: &Scenario, trail: &[AuditEntry], shards: usize) -> (f64, f64) {
     (0..n.max(1))
-        .map(|_| measured_pass(make_config(), scenario, trail))
+        .map(|_| measured_pass(StreamConfig::with_shards(shards), scenario, trail))
         .fold(
             (0.0, 0.0),
             |best, pass| {
@@ -327,22 +229,17 @@ fn best_eps(
 /// Runs the benchmark ladder and returns the measured report.
 pub fn run_stream_bench(config: StreamBenchConfig) -> StreamBenchReport {
     let scenario = Scenario::community_hospital();
-    let trail = entries(&scenario.simulator().generate(&SimConfig {
-        seed: config.seed,
-        n_entries: config.trail_len,
-        ..SimConfig::default()
-    }));
-    let stream_config = |shards: usize| {
-        StreamConfig::with_shards(shards)
-            .block_size(config.block_size)
-            .channel_capacity(config.channel_capacity)
-    };
+    let trail = standard_trail(config.trail_len, STANDARD_SEED);
 
     let mut widths = Vec::new();
     for &shards in &config.widths {
         // Warm pass (thread spawn, allocator), then the measured ones.
-        measured_pass(stream_config(shards), &scenario, &trail[..trail.len() / 10]);
-        let (eps, hit_rate) = best_eps(config.passes, &scenario, &trail, || stream_config(shards));
+        measured_pass(
+            StreamConfig::with_shards(shards),
+            &scenario,
+            &trail[..trail.len() / 10],
+        );
+        let (eps, hit_rate) = best_eps(config.passes, &scenario, &trail, shards);
         widths.push(WidthResult {
             shards,
             entries_per_sec: eps,
@@ -356,14 +253,16 @@ pub fn run_stream_bench(config: StreamBenchConfig) -> StreamBenchReport {
     // both sides alike, and with extra passes — at block-amortized
     // throughput one pass is tens of milliseconds, so best-of needs
     // more draws here than the width ladder does.
-    let widest = config.widths.last().copied().unwrap_or(1);
+    let widest = StreamConfig::with_shards(config.widths.last().copied().unwrap_or(1));
     let mut baseline_eps: f64 = 0.0;
     let mut instrumented_eps: f64 = 0.0;
     for _ in 0..config.passes.max(5) {
-        baseline_eps = baseline_eps.max(measured_pass(stream_config(widest), &scenario, &trail).0);
+        baseline_eps = baseline_eps.max(measured_pass(widest.clone(), &scenario, &trail).0);
         instrumented_eps = instrumented_eps.max(
             measured_pass(
-                stream_config(widest).observability(MetricsRegistry::new(), Tracer::new()),
+                widest
+                    .clone()
+                    .observability(MetricsRegistry::new(), Tracer::new()),
                 &scenario,
                 &trail,
             )
@@ -375,7 +274,7 @@ pub fn run_stream_bench(config: StreamBenchConfig) -> StreamBenchReport {
     // histogram in the report is non-empty.
     let registry = MetricsRegistry::new();
     measured_pass(
-        stream_config(widest)
+        widest
             .checkpoint_every(config.checkpoint_every)
             .observability(registry.clone(), Tracer::disabled()),
         &scenario,
@@ -385,7 +284,7 @@ pub fn run_stream_bench(config: StreamBenchConfig) -> StreamBenchReport {
 
     StreamBenchReport {
         widths,
-        cores: std::thread::available_parallelism().map_or(1, |n| n.get()),
+        cores: cores(),
         baseline_eps,
         instrumented_eps,
         checkpoint,
@@ -421,14 +320,13 @@ mod tests {
             passes: 1,
             checkpoint_every: 500,
             smoke: true,
-            ..StreamBenchConfig::smoke()
         };
         let report = run_stream_bench(config);
         assert_eq!(report.widths.len(), 2);
         assert!(report.widths.iter().all(|w| w.entries_per_sec > 0.0));
         assert!(report.widths.iter().all(|w| w.cache_hit_rate > 0.5));
         assert!(report.checkpoint.all_stages_observed());
-        let json = serde_json::to_string_pretty(&report.to_json()).unwrap();
+        let json = serde_json::to_string_pretty(&report.report().to_json()).unwrap();
         assert!(json.contains("\"bench\": \"stream-throughput-summary\""));
         assert!(json.contains("scaling_vs_cores"));
         assert!(json.contains("ratio_wide_over_narrow"));

@@ -1,12 +1,14 @@
-//! The overload benchmark behind `prima serve-bench --surge`.
+//! The `surge` suite: the overload benchmark of the policy-decision
+//! service.
 //!
-//! Where [`crate::bench`] measures the happy path (sustained throughput
+//! Where the `serve` suite measures the happy path (sustained throughput
 //! against a cooperative client fleet), this bench measures *graceful
-//! degradation*: a [`SurgeProfile`] burst offers 10–100× the pool's
-//! capacity with an elevated break-the-glass rate, and the report scores
-//! the overload contract rather than raw QPS:
+//! degradation*: a mass-casualty burst ([`SurgeProfile::mass_casualty`])
+//! offers 10–100× the pool's capacity with an elevated break-the-glass
+//! rate, and the report scores the overload contract rather than raw
+//! QPS:
 //!
-//! * **Emergency certainty** — every [`crate::api::Priority::Emergency`]
+//! * **Emergency certainty** — every [`prima_serve::Priority::Emergency`]
 //!   request is decided within its deadline: the emergency lane bypasses
 //!   the shedder, workers drain it first, and its bounded capacity
 //!   clamps queue wait far below the deadline budget.
@@ -29,32 +31,46 @@
 //! not by the runaway batch job, so it scales with the hospital, not
 //! with the storm.
 
-use crate::api::{DecisionRequest, DenyReason, Verdict};
-use crate::service::{PolicyService, ServeConfig, Transport};
+use crate::report::{Gate, Measured};
 use prima_obs::{MetricsRegistry, Tracer};
+use prima_serve::{DecisionRequest, DenyReason, PolicyService, ServeConfig, Transport, Verdict};
 use prima_vocab::{ATTR_AUTHORIZED, ATTR_DATA, ATTR_PURPOSE};
 use prima_workload::{Scenario, SurgeProfile, ZipfPopulation};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde_json::Value;
+use serde::{Serialize, Value};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Surge-run parameters.
-#[derive(Debug, Clone)]
+/// Bulk client threads blasting the service open-throttle. Enough to
+/// saturate admission control, few enough that a small host isn't
+/// scheduler-thrashed: the blast rate is CPU-bound, so extra spinning
+/// threads only add latency jitter that lands on the emergency
+/// deadline. Clients are synchronous (one request in flight each), so
+/// the bulk lane can only reach this deep — it must comfortably exceed
+/// `shed_threshold + workers` for admission control to engage.
+const BULK_CLIENTS: usize = 12;
+/// Dedicated emergency client threads (paced, never blasting).
+const EMERGENCY_CLIENTS: usize = 4;
+/// Emergency-lane capacity (bounds emergency queue wait at
+/// `EMERGENCY_CAPACITY × delay / workers`).
+const EMERGENCY_CAPACITY: usize = 16;
+/// Zipf exponent of the principal population.
+const ZIPF: f64 = 1.05;
+/// RNG seed.
+const SEED: u64 = 42;
+
+/// Surge-run parameters. The burst's shape is the mass-casualty
+/// profile: its `emergency_share` is read as the fraction of service
+/// *capacity* the paced break-the-glass population consumes.
+#[derive(Debug, Clone, Serialize)]
 pub struct SurgeConfig {
-    /// The burst shape. `emergency_share` is read as the fraction of
-    /// service *capacity* the paced break-the-glass population consumes.
-    pub profile: SurgeProfile,
+    /// Deadline budget carried by bulk requests, in microseconds.
+    pub bulk_deadline_us: u64,
+    /// Deadline budget carried by emergency requests, in microseconds.
+    pub emergency_deadline_us: u64,
     /// Simulated principal population.
     pub principals: usize,
-    /// Bulk client threads blasting the service open-throttle. Clients
-    /// are synchronous (one request in flight each), so the bulk lane
-    /// can only reach `bulk_clients` deep — this must comfortably exceed
-    /// `shed_threshold + workers` for admission control to engage.
-    pub bulk_clients: usize,
-    /// Dedicated emergency client threads (paced, never blasting).
-    pub emergency_clients: usize,
     /// Wall-clock length of the burst. Every client — bulk and emergency
     /// — stops offering at the same instant, so the measured offered
     /// rate reflects the storm itself, not a straggler tail of blocked
@@ -67,13 +83,6 @@ pub struct SurgeConfig {
     pub decision_delay_us: u64,
     /// Bulk-lane shed threshold (admission control).
     pub shed_threshold: usize,
-    /// Emergency-lane capacity (bounds emergency queue wait at
-    /// `emergency_capacity × delay / workers`).
-    pub emergency_capacity: usize,
-    /// Zipf exponent of the principal population.
-    pub zipf: f64,
-    /// RNG seed.
-    pub seed: u64,
     /// Audit one of every this many decided replies against the
     /// uncached oracle (0 = no auditing).
     pub coherence_sample: usize,
@@ -83,22 +92,15 @@ pub struct SurgeConfig {
 
 impl Default for SurgeConfig {
     fn default() -> Self {
+        let profile = SurgeProfile::mass_casualty();
         Self {
-            profile: SurgeProfile::mass_casualty(),
+            bulk_deadline_us: profile.bulk_deadline_us,
+            emergency_deadline_us: profile.emergency_deadline_us,
             principals: 100_000,
-            // Enough clients to saturate admission control, few enough
-            // that a small host isn't scheduler-thrashed: the blast rate
-            // is CPU-bound, so extra spinning threads only add latency
-            // jitter that lands on the emergency deadline.
-            bulk_clients: 12,
-            emergency_clients: 4,
             duration_ms: 10_000,
             workers: 4,
             decision_delay_us: 1_000,
             shed_threshold: 8,
-            emergency_capacity: 16,
-            zipf: 1.05,
-            seed: 42,
             coherence_sample: 64,
             smoke: false,
         }
@@ -112,21 +114,15 @@ impl SurgeConfig {
     /// deadlines are widened to sit far above OS scheduling jitter.
     pub fn smoke() -> Self {
         Self {
-            profile: SurgeProfile {
-                bulk_deadline_us: 20_000,
-                emergency_deadline_us: 250_000,
-                ..SurgeProfile::mass_casualty()
-            },
+            bulk_deadline_us: 20_000,
+            emergency_deadline_us: 250_000,
             principals: 10_000,
-            bulk_clients: 12,
-            emergency_clients: 4,
             duration_ms: 4_000,
             workers: 1,
             decision_delay_us: 5_000,
             shed_threshold: 4,
             coherence_sample: 8,
             smoke: true,
-            ..Self::default()
         }
     }
 
@@ -138,13 +134,14 @@ impl SurgeConfig {
     /// Pacing interval per emergency client so the population together
     /// offers `emergency_share × capacity`.
     fn emergency_interval(&self) -> Duration {
-        let rate = (self.profile.emergency_share * self.capacity_per_sec()).max(1.0);
-        Duration::from_secs_f64(self.emergency_clients.max(1) as f64 / rate)
+        let share = SurgeProfile::mass_casualty().emergency_share;
+        let rate = (share * self.capacity_per_sec()).max(1.0);
+        Duration::from_secs_f64(EMERGENCY_CLIENTS as f64 / rate)
     }
 }
 
 /// Per-lane outcome tallies.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, Serialize)]
 pub struct LaneOutcomes {
     /// Requests offered to the lane.
     pub offered: u64,
@@ -170,9 +167,10 @@ impl LaneOutcomes {
 }
 
 /// What a surge run measured.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Serialize)]
 pub struct SurgeReport {
     /// The configuration that produced this report.
+    #[serde(skip)]
     pub config: SurgeConfig,
     /// Wall-clock seconds until the last client finished.
     pub elapsed_secs: f64,
@@ -194,9 +192,15 @@ pub struct SurgeReport {
     pub coherence_mismatches: u64,
 }
 
-impl SurgeReport {
+impl Measured for SurgeReport {
+    const BENCH: &'static str = "serve_surge";
+
+    fn config(&self) -> Value {
+        self.config.serialize()
+    }
+
     /// The overload-contract gates.
-    pub fn gates(&self) -> Vec<(&'static str, bool)> {
+    fn gates(&self) -> Vec<Gate> {
         vec![
             ("surge_factor_ge_10", self.surge_factor >= 10.0),
             (
@@ -212,92 +216,6 @@ impl SurgeReport {
                 self.coherence_checked > 0 && self.coherence_mismatches == 0,
             ),
         ]
-    }
-
-    /// True iff every gate passes.
-    pub fn passed(&self) -> bool {
-        self.gates().iter().all(|(_, ok)| *ok)
-    }
-
-    /// The report as a JSON value tree (the `BENCH_serve.json` surge
-    /// section).
-    pub fn to_json(&self) -> Value {
-        let lane = |o: &LaneOutcomes| {
-            Value::Map(vec![
-                ("offered".into(), Value::U64(o.offered)),
-                ("decided".into(), Value::U64(o.decided)),
-                ("shed_srv011".into(), Value::U64(o.shed)),
-                ("expired_srv012".into(), Value::U64(o.expired)),
-                ("unexpected".into(), Value::U64(o.unexpected)),
-            ])
-        };
-        let gates = self
-            .gates()
-            .into_iter()
-            .map(|(name, ok)| (name.to_string(), Value::Bool(ok)))
-            .collect();
-        Value::Map(vec![
-            ("bench".into(), Value::Str("serve_surge".into())),
-            (
-                "config".into(),
-                Value::Map(vec![
-                    (
-                        "emergency_share_of_capacity".into(),
-                        Value::F64(self.config.profile.emergency_share),
-                    ),
-                    (
-                        "bulk_deadline_us".into(),
-                        Value::U64(self.config.profile.bulk_deadline_us),
-                    ),
-                    (
-                        "emergency_deadline_us".into(),
-                        Value::U64(self.config.profile.emergency_deadline_us),
-                    ),
-                    (
-                        "principals".into(),
-                        Value::U64(self.config.principals as u64),
-                    ),
-                    (
-                        "bulk_clients".into(),
-                        Value::U64(self.config.bulk_clients as u64),
-                    ),
-                    (
-                        "emergency_clients".into(),
-                        Value::U64(self.config.emergency_clients as u64),
-                    ),
-                    ("duration_ms".into(), Value::U64(self.config.duration_ms)),
-                    ("workers".into(), Value::U64(self.config.workers as u64)),
-                    (
-                        "decision_delay_us".into(),
-                        Value::U64(self.config.decision_delay_us),
-                    ),
-                    (
-                        "shed_threshold".into(),
-                        Value::U64(self.config.shed_threshold as u64),
-                    ),
-                    (
-                        "emergency_capacity".into(),
-                        Value::U64(self.config.emergency_capacity as u64),
-                    ),
-                    ("seed".into(), Value::U64(self.config.seed)),
-                    ("smoke".into(), Value::Bool(self.config.smoke)),
-                ]),
-            ),
-            ("elapsed_secs".into(), Value::F64(self.elapsed_secs)),
-            ("capacity_per_sec".into(), Value::F64(self.capacity_per_sec)),
-            ("offered_per_sec".into(), Value::F64(self.offered_per_sec)),
-            ("surge_factor".into(), Value::F64(self.surge_factor)),
-            ("bulk".into(), lane(&self.bulk)),
-            ("emergency".into(), lane(&self.emergency)),
-            (
-                "coherence".into(),
-                Value::Map(vec![
-                    ("checked".into(), Value::U64(self.coherence_checked)),
-                    ("mismatches".into(), Value::U64(self.coherence_mismatches)),
-                ]),
-            ),
-            ("gates".into(), Value::Map(gates)),
-        ])
     }
 }
 
@@ -357,9 +275,9 @@ pub fn run_surge(config: SurgeConfig) -> SurgeReport {
         ServeConfig::new()
             .workers(config.workers)
             .queue_capacity(config.shed_threshold.max(1) * 2)
-            .emergency_capacity(config.emergency_capacity)
+            .emergency_capacity(EMERGENCY_CAPACITY)
             .shed_threshold(config.shed_threshold)
-            .max_queue_age(Duration::from_micros(config.profile.bulk_deadline_us))
+            .max_queue_age(Duration::from_micros(config.bulk_deadline_us))
             .decision_delay(Duration::from_micros(config.decision_delay_us))
             .metrics(MetricsRegistry::new())
             .tracer(Tracer::disabled()),
@@ -375,7 +293,7 @@ pub fn run_surge(config: SurgeConfig) -> SurgeReport {
             .collect()
     };
     let space = Arc::new(RequestSpace {
-        population: ZipfPopulation::new(config.principals, config.zipf),
+        population: ZipfPopulation::new(config.principals, ZIPF),
         roles: leaves(ATTR_AUTHORIZED),
         ops: leaves(ATTR_DATA),
         purposes: leaves(ATTR_PURPOSE),
@@ -386,14 +304,14 @@ pub fn run_surge(config: SurgeConfig) -> SurgeReport {
     let until = start + Duration::from_millis(config.duration_ms);
     // The storm: bulk clients blast with no pacing; admission control is
     // the only thing standing between them and queueing collapse.
-    let bulk_clients: Vec<_> = (0..config.bulk_clients.max(1))
+    let bulk_clients: Vec<_> = (0..BULK_CLIENTS)
         .map(|c| {
             let transport = service.handle();
             let engine = Arc::clone(&engine);
             let space = Arc::clone(&space);
-            let deadline_us = config.profile.bulk_deadline_us;
+            let deadline_us = config.bulk_deadline_us;
             let sample_every = config.coherence_sample;
-            let seed = config.seed.wrapping_add(c as u64);
+            let seed = SEED.wrapping_add(c as u64);
             std::thread::spawn(move || {
                 let began = Instant::now();
                 let mut rng = StdRng::seed_from_u64(seed);
@@ -436,12 +354,12 @@ pub fn run_surge(config: SurgeConfig) -> SurgeReport {
     // population offers `emergency_share × capacity`, independent of how
     // hard the storm blows.
     let interval = config.emergency_interval();
-    let emergency_clients: Vec<_> = (0..config.emergency_clients.max(1))
+    let emergency_clients: Vec<_> = (0..EMERGENCY_CLIENTS)
         .map(|c| {
             let transport = service.handle();
             let space = Arc::clone(&space);
-            let deadline_us = config.profile.emergency_deadline_us;
-            let seed = config.seed.wrapping_add(1_000_003 + c as u64);
+            let deadline_us = config.emergency_deadline_us;
+            let seed = SEED.wrapping_add(1_000_003 + c as u64);
             std::thread::spawn(move || {
                 let began = Instant::now();
                 let mut rng = StdRng::seed_from_u64(seed);
@@ -529,18 +447,5 @@ mod tests {
         // The burst genuinely exceeded capacity and bulk work was shed.
         assert!(report.bulk.shed > 0);
         assert_eq!(report.emergency.decided, report.emergency.offered);
-    }
-
-    #[test]
-    fn surge_report_json_carries_the_gates() {
-        let mut config = SurgeConfig::smoke();
-        config.bulk_clients = 4;
-        config.emergency_clients = 2;
-        config.duration_ms = 800;
-        let report = run_surge(config);
-        let json = serde_json::to_string_pretty(&report.to_json()).unwrap();
-        assert!(json.contains("\"bench\": \"serve_surge\""));
-        assert!(json.contains("emergency_all_decided_within_deadline"));
-        assert!(json.contains("shed_srv011"));
     }
 }

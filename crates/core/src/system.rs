@@ -233,9 +233,10 @@ impl PrimaSystem {
     /// Attaches a live ingestion pipeline: starts a
     /// [`prima_stream::StreamEngine`] classifying against the current
     /// policy, whose durable sink is a fresh store registered with this
-    /// system's federation. Streamed entries are therefore visible to
-    /// every batch computation (`run_round`, `coverage`, …) while the
-    /// engine maintains the same coverage incrementally.
+    /// system's federation under the first unused `stream-{n}` name.
+    /// Streamed entries are therefore visible to every batch
+    /// computation (`run_round`, `coverage`, …) while the engine
+    /// maintains the same coverage incrementally.
     ///
     /// The caller owns the returned engine and drives ingestion;
     /// [`Self::run_streamed_round`] closes the loop back into
@@ -249,10 +250,15 @@ impl PrimaSystem {
         &mut self,
         config: prima_stream::StreamConfig,
     ) -> prima_stream::StreamEngine {
-        let store = AuditStore::new(&format!("stream-{}", self.federation.sources().len()));
+        let sources = self.federation.sources();
+        let mut n = sources.len();
+        while sources.iter().any(|s| s.name() == format!("stream-{n}")) {
+            n += 1;
+        }
+        let store = AuditStore::new(&format!("stream-{n}"));
         self.federation
             .register(store.clone())
-            .expect("generated stream sink name is unique");
+            .expect("the sink name was checked unused");
         let matcher = prima_model::PolicyMatcher::new(&self.policy, &self.vocab);
         prima_stream::StreamEngine::start(config, matcher).with_sink(store)
     }
@@ -848,6 +854,29 @@ mod tests {
         assert_eq!(record.audit_entries, 10);
         assert_eq!(record.rules_added, 1);
         assert!((record.entry_coverage_after - 0.8).abs() < 1e-9);
+    }
+
+    #[test]
+    fn stream_sink_skips_a_taken_name() {
+        use prima_stream::StreamConfig;
+        let mut sys = PrimaSystem::new(figure_1(), figure_3_policy_store());
+        let store = AuditStore::new("stream-1");
+        store.append_all(&table_1()).unwrap();
+        sys.attach_store(store).unwrap();
+        let mut first = sys.attach_stream(StreamConfig::with_shards(1));
+        let mut second = sys.attach_stream(StreamConfig::with_shards(1));
+        first.ingest_all(&table_1());
+        second.ingest_all(&table_1());
+        first.drain();
+        second.drain();
+        let names: Vec<&str> = sys
+            .federation()
+            .sources()
+            .iter()
+            .map(|s| s.name())
+            .collect();
+        assert_eq!(names, ["stream-1", "stream-2", "stream-3"]);
+        assert_eq!(sys.all_entries().len(), 30);
     }
 
     #[test]

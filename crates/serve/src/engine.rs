@@ -115,6 +115,9 @@ pub struct DecisionEngine {
     obs: ServeObs,
 }
 
+/// Segments of every engine's decision cache.
+pub const CACHE_SHARDS: usize = 64;
+
 fn fingerprint(policy: &Policy) -> u64 {
     let mut h = DefaultHasher::new();
     for rule in policy.rules() {
@@ -124,11 +127,11 @@ fn fingerprint(policy: &Policy) -> u64 {
 }
 
 impl DecisionEngine {
-    /// Builds an engine over `policy`, with a cache of `shards` segments.
+    /// Builds an engine over `policy`, with a cache of [`CACHE_SHARDS`]
+    /// segments.
     pub fn new(
         policy: &Policy,
         vocab: Arc<Vocabulary>,
-        shards: usize,
         columns: Option<ColumnMap>,
         obs: ServeObs,
     ) -> Self {
@@ -142,7 +145,7 @@ impl DecisionEngine {
                 epoch: 0,
             }),
             revision: AtomicU64::new(policy.revision()),
-            cache: ShardedDecisionCache::new(shards),
+            cache: ShardedDecisionCache::new(CACHE_SHARDS),
             columns,
             degraded: AtomicBool::new(false),
             installs_held: AtomicBool::new(false),
@@ -476,7 +479,7 @@ mod tests {
     }
 
     fn engine() -> DecisionEngine {
-        DecisionEngine::new(&policy(), vocab(), 8, None, ServeObs::disabled())
+        DecisionEngine::new(&policy(), vocab(), None, ServeObs::disabled())
     }
 
     fn req(role: &str, op: &str, purpose: &str, consent: &str) -> DecisionRequest {
@@ -679,7 +682,7 @@ mod tests {
         let mut columns = ColumnMap::new();
         columns.map("records", "referral_note", "referral");
         columns.map("records", "lab_panel", "lab-result");
-        let e = DecisionEngine::new(&policy(), vocab(), 4, Some(columns), ServeObs::disabled());
+        let e = DecisionEngine::new(&policy(), vocab(), Some(columns), ServeObs::disabled());
         let reply = e.rewrite(&RewriteRequest::new(
             "p-1",
             "nurse",

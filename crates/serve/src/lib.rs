@@ -19,10 +19,9 @@
 //! * [`fault`] — [`FaultyTransport`], a chaos wrapper injecting scripted
 //!   drops, delays, duplicates and worker panics into any transport.
 //! * [`obs`] — the serve metric catalog on `prima-obs`.
-//! * [`bench`] — the Zipf-driven load benchmark behind
-//!   `prima serve-bench` (emits `BENCH_serve.json`).
-//! * [`surge`] — the overload benchmark behind `prima serve-bench
-//!   --surge`: 10–100× bursts with elevated break-the-glass rates.
+//!
+//! The load and surge benchmarks that gate this crate live in
+//! `prima-bench` (`prima-bench --suite serve|surge`).
 //!
 //! The coherence contract: a refinement promotion or a gated overturn
 //! bumps `Policy::revision`, the install advances the cache epoch, and
@@ -36,25 +35,21 @@
 //! answer fail-closed while the supervisor respawns the pool.
 
 pub mod api;
-pub mod bench;
 pub mod cache;
 pub mod engine;
 pub mod fault;
 pub mod obs;
 pub mod service;
-pub mod surge;
 
 pub use api::{
     Consent, DecisionReply, DecisionRequest, DenyReason, Priority, RewriteReply, RewriteRequest,
     Verdict,
 };
-pub use bench::{run_load, LoadConfig, LoadReport};
 pub use cache::{DecisionKey, ServeCacheStats, ShardedDecisionCache};
-pub use engine::{DecisionEngine, InstallError};
+pub use engine::{DecisionEngine, InstallError, CACHE_SHARDS};
 pub use fault::{FaultyTransport, TransportFaults};
 pub use obs::{ServeObs, DECISION_LATENCY_BUCKETS};
 pub use service::{
     DirectTransport, InProcessTransport, PolicyService, ServeConfig, ServeError, ServeHealth,
     ServeSnapshot, ServiceState, Transport,
 };
-pub use surge::{run_surge, LaneOutcomes, SurgeConfig, SurgeReport};

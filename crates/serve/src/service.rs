@@ -75,12 +75,11 @@ use std::time::{Duration, Instant};
 const EMERGENCY_POLL: Duration = Duration::from_micros(100);
 
 /// Service configuration. Builder-style; the defaults serve a test
-/// deployment (workers = available parallelism, 64 shards, back-pressure
+/// deployment (workers = available parallelism, back-pressure
 /// admission, no shedding, no supervision-breaker tripping in practice).
 #[derive(Debug)]
 pub struct ServeConfig {
     workers: usize,
-    cache_shards: usize,
     queue_capacity: usize,
     emergency_capacity: usize,
     shed_threshold: Option<usize>,
@@ -102,7 +101,6 @@ impl Default for ServeConfig {
             .unwrap_or(4);
         Self {
             workers,
-            cache_shards: 64,
             queue_capacity: 1024,
             emergency_capacity: 1024,
             shed_threshold: None,
@@ -131,12 +129,6 @@ impl ServeConfig {
     /// Worker-pool size (clamped to ≥ 1).
     pub fn workers(mut self, n: usize) -> Self {
         self.workers = n.max(1);
-        self
-    }
-
-    /// Decision-cache shard count.
-    pub fn cache_shards(mut self, n: usize) -> Self {
-        self.cache_shards = n;
         self
     }
 
@@ -1006,7 +998,6 @@ impl PolicyService {
         let engine = Arc::new(DecisionEngine::new(
             policy,
             Arc::new(vocab.clone()),
-            config.cache_shards,
             config.columns,
             obs.clone(),
         ));

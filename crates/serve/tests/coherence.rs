@@ -170,7 +170,7 @@ proptest! {
     ) {
         let vocab = Arc::new(figure_1());
         let mut policy = base_policy();
-        let engine = DecisionEngine::new(&policy, Arc::clone(&vocab), 8, None, ServeObs::disabled());
+        let engine = DecisionEngine::new(&policy, Arc::clone(&vocab), None, ServeObs::disabled());
         let gate = gate();
         let mut queue = ReviewQueue::new();
         let mut round = 0usize;
@@ -239,7 +239,7 @@ proptest! {
     ) {
         let vocab = Arc::new(figure_1());
         let mut policy = base_policy();
-        let engine = DecisionEngine::new(&policy, Arc::clone(&vocab), 4, None, ServeObs::disabled());
+        let engine = DecisionEngine::new(&policy, Arc::clone(&vocab), None, ServeObs::disabled());
         let gate = gate();
         let mut queue = ReviewQueue::new();
 

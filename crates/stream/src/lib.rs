@@ -40,7 +40,6 @@ pub mod config;
 pub mod counters;
 pub mod engine;
 pub mod fault;
-pub mod loadbench;
 pub mod obs;
 mod route;
 pub mod shard;
@@ -51,7 +50,6 @@ pub use config::{StreamConfig, DEFAULT_BLOCK_SIZE};
 pub use counters::{CacheStats, CoverageCounters, PatternStats, StreamTotals};
 pub use engine::{IngestOutcome, ShardHealth, StreamEngine, StreamSnapshot};
 pub use fault::FaultPlan;
-pub use loadbench::{run_stream_bench, StreamBenchConfig, StreamBenchReport};
 pub use obs::ShardObs;
 pub use shard::ShardCheckpoint;
 pub use window::{SlidingWindow, WindowSnapshot};

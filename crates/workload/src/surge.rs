@@ -7,7 +7,7 @@
 //! break-the-glass share, exactly when a policy-decision service is
 //! least able to afford queueing collapse. A [`SurgeProfile`] captures
 //! that shape declaratively so the serve-layer surge bench
-//! (`prima serve-bench --surge`) and chaos suites can drive realistic
+//! (`prima-bench --suite surge`) and chaos suites can drive realistic
 //! overload instead of a flat uniform blast.
 
 use rand::rngs::StdRng;

@@ -34,8 +34,6 @@ fn main() -> ExitCode {
         Some("stats") => cmd_stats(&args[1..]),
         Some("refine") => cmd_refine(&args[1..]),
         Some("analyze") => cmd_analyze(&args[1..]),
-        Some("serve-bench") => cmd_serve_bench(&args[1..]),
-        Some("stream-bench") => cmd_stream_bench(&args[1..]),
         Some("flight-dump") => cmd_flight_dump(&args[1..]),
         Some("help") | Some("--help") | Some("-h") | None => {
             print_usage();
@@ -72,21 +70,6 @@ fn print_usage() {
            [--vocab FILE] [--audit FILE] [--format human|json] [--budget N]\n      \
              (--audit enables the cross-policy conflict pass against denied\n      \
               accesses; exits non-zero when error-severity diagnostics exist)\n  \
-         serve-bench                  load-test the policy-decision service\n    \
-           [--smoke] [--principals N] [--requests N] [--clients N] [--workers N]\n    \
-           [--shards N] [--batch N] [--zipf S] [--seed S] [--promote-every N]\n    \
-           [--out FILE]               (writes the gate report as JSON; exits\n      \
-              non-zero when any acceptance gate fails)\n    \
-           [--surge]                  overload run instead: 10-100x burst with\n      \
-              an elevated break-the-glass rate; gates graceful degradation\n      \
-              (SRV-011 shedding, SRV-012 deadlines, emergency certainty)\n    \
-           [--suite]                  full sweep: load at workers=1 and =4 plus\n      \
-              the surge run, written as one aggregate report (BENCH_serve.json)\n  \
-         stream-bench                 shard-scaling ingest benchmark (prima-stream)\n    \
-           [--smoke] [--entries N] [--seed S] [--block-size N] [--capacity N]\n    \
-           [--passes N] [--out FILE]  (ladders 1/2/4/8 shards over the hospital\n      \
-              trail; writes the gate report as JSON and exits non-zero when an\n      \
-              acceptance gate — scaling floor, throughput, hit rate — fails)\n  \
          flight-dump                  demonstrate the flight recorder end to end\n    \
            [--requests N] [--out FILE]  (serves N traced decisions, injects one\n      \
               worker panic, and writes the black-box dump — the span ring with\n      \
@@ -106,13 +89,7 @@ fn parse_flags(args: &[String], allowed: &[&str]) -> Result<HashMap<String, Stri
             return Err(format!("unknown flag '--{key}'"));
         }
         // Boolean flags take no value.
-        if key == "set"
-            || key == "generalize"
-            || key == "profile"
-            || key == "smoke"
-            || key == "surge"
-            || key == "suite"
-        {
+        if key == "set" || key == "generalize" || key == "profile" {
             flags.insert(key.to_string(), "true".to_string());
             i += 1;
             continue;
@@ -359,171 +336,6 @@ fn cmd_analyze(args: &[String]) -> Result<(), String> {
     }
 }
 
-fn cmd_serve_bench(args: &[String]) -> Result<(), String> {
-    use prima::serve::LoadConfig;
-    let flags = parse_flags(
-        args,
-        &[
-            "smoke",
-            "surge",
-            "suite",
-            "principals",
-            "requests",
-            "clients",
-            "workers",
-            "shards",
-            "batch",
-            "zipf",
-            "seed",
-            "promote-every",
-            "out",
-        ],
-    )?;
-    if flags.contains_key("suite") {
-        return serve_bench_suite(&flags);
-    }
-    if flags.contains_key("surge") {
-        return serve_bench_surge(&flags);
-    }
-    let mut config = if flags.contains_key("smoke") {
-        LoadConfig::smoke()
-    } else {
-        LoadConfig::default()
-    };
-    fn num<T: std::str::FromStr>(
-        flags: &HashMap<String, String>,
-        key: &str,
-        into: &mut T,
-    ) -> Result<(), String> {
-        if let Some(s) = flags.get(key) {
-            *into = s.parse().map_err(|_| format!("bad --{key} '{s}'"))?;
-        }
-        Ok(())
-    }
-    num(&flags, "principals", &mut config.principals)?;
-    num(&flags, "requests", &mut config.requests)?;
-    num(&flags, "clients", &mut config.clients)?;
-    num(&flags, "workers", &mut config.workers)?;
-    num(&flags, "shards", &mut config.cache_shards)?;
-    num(&flags, "batch", &mut config.batch)?;
-    num(&flags, "zipf", &mut config.zipf)?;
-    num(&flags, "seed", &mut config.seed)?;
-    num(&flags, "promote-every", &mut config.promote_every)?;
-
-    println!(
-        "serve-bench: {} request(s) over {} principal(s), {} client(s) x {} worker(s), \
-         {} shard(s), zipf {} ({} mode)",
-        config.requests,
-        config.principals,
-        config.clients,
-        config.workers,
-        config.cache_shards,
-        config.zipf,
-        if config.smoke { "smoke" } else { "full" }
-    );
-    let report = prima::serve::run_load(config);
-    println!(
-        "{:.0} decisions/s ({} decisions in {:.2}s); hit rate {:.1}%, \
-         {} invalidation(s), {} promotion(s), p50 {:.1}us, p99 {:.1}us",
-        report.decisions_per_sec,
-        report.decisions,
-        report.elapsed_secs,
-        report.hit_rate() * 100.0,
-        report.invalidations,
-        report.promotions,
-        report.p50_us,
-        report.p99_us
-    );
-    println!(
-        "coherence: {} audited, {} skipped (revision raced), {} mismatch(es)",
-        report.coherence_checked, report.coherence_skipped, report.coherence_mismatches
-    );
-    for (gate, ok) in report.gates() {
-        println!("gate {gate}: {}", if ok { "pass" } else { "FAIL" });
-    }
-
-    if let Some(path) = flags.get("out") {
-        let text = serde_json::to_string_pretty(&report.to_json())
-            .map_err(|e| format!("cannot serialize report: {e}"))?;
-        std::fs::write(path, text).map_err(|e| format!("cannot write '{path}': {e}"))?;
-        println!("report written to {path}");
-    }
-    if report.passed() {
-        Ok(())
-    } else {
-        Err("serve-bench acceptance gate(s) failed".to_string())
-    }
-}
-
-fn cmd_stream_bench(args: &[String]) -> Result<(), String> {
-    use prima::stream::{run_stream_bench, StreamBenchConfig};
-    let flags = parse_flags(
-        args,
-        &[
-            "smoke",
-            "entries",
-            "seed",
-            "block-size",
-            "capacity",
-            "passes",
-            "out",
-        ],
-    )?;
-    let mut config = if flags.contains_key("smoke") {
-        StreamBenchConfig::smoke()
-    } else {
-        StreamBenchConfig::default()
-    };
-    flag_num(&flags, "entries", &mut config.trail_len)?;
-    flag_num(&flags, "seed", &mut config.seed)?;
-    flag_num(&flags, "block-size", &mut config.block_size)?;
-    flag_num(&flags, "capacity", &mut config.channel_capacity)?;
-    flag_num(&flags, "passes", &mut config.passes)?;
-
-    println!(
-        "stream-bench: {} entr(ies) over shard widths {:?}, block size {}, \
-         capacity {}, best of {} pass(es) ({} mode)",
-        config.trail_len,
-        config.widths,
-        config.block_size,
-        config.channel_capacity,
-        config.passes,
-        if config.smoke { "smoke" } else { "full" }
-    );
-    let report = run_stream_bench(config);
-    for w in &report.widths {
-        println!(
-            "  {} shard(s): {:.0} entries/s, hit rate {:.2}%",
-            w.shards,
-            w.entries_per_sec,
-            w.cache_hit_rate * 100.0
-        );
-    }
-    println!(
-        "scaling {:.2}x wide-over-narrow (floor {:.2} at {} core(s)); \
-         metrics overhead {:.2}%",
-        report.scaling_ratio(),
-        prima::stream::loadbench::scaling_floor(report.cores),
-        report.cores,
-        report.overhead_pct()
-    );
-    for (gate, ok) in report.gates() {
-        println!("gate {gate}: {}", if ok { "pass" } else { "FAIL" });
-    }
-
-    if let Some(path) = flags.get("out") {
-        let text = serde_json::to_string_pretty(&report.to_json())
-            .map_err(|e| format!("cannot serialize report: {e}"))?;
-        std::fs::write(path, text).map_err(|e| format!("cannot write '{path}': {e}"))?;
-        println!("report written to {path}");
-    }
-    if report.passed() {
-        Ok(())
-    } else {
-        Err("stream-bench acceptance gate(s) failed".to_string())
-    }
-}
-
 /// Demonstrates the flight recorder end to end: serve traced decisions,
 /// inject one worker panic, and write the black-box dump the incident
 /// produced — the recent-span ring as JSONL with the panicking request's
@@ -632,121 +444,6 @@ fn flag_num<T: std::str::FromStr>(
         *into = s.parse().map_err(|_| format!("bad --{key} '{s}'"))?;
     }
     Ok(())
-}
-
-fn surge_config_from(flags: &HashMap<String, String>) -> Result<prima::serve::SurgeConfig, String> {
-    let mut config = if flags.contains_key("smoke") {
-        prima::serve::SurgeConfig::smoke()
-    } else {
-        prima::serve::SurgeConfig::default()
-    };
-    flag_num(flags, "principals", &mut config.principals)?;
-    flag_num(flags, "clients", &mut config.bulk_clients)?;
-    flag_num(flags, "workers", &mut config.workers)?;
-    flag_num(flags, "zipf", &mut config.zipf)?;
-    flag_num(flags, "seed", &mut config.seed)?;
-    Ok(config)
-}
-
-fn print_surge_report(report: &prima::serve::SurgeReport) {
-    println!(
-        "capacity {:.0}/s, offered {:.0}/s — surge factor {:.1}x over {:.2}s",
-        report.capacity_per_sec, report.offered_per_sec, report.surge_factor, report.elapsed_secs
-    );
-    let lane = |name: &str, o: &prima::serve::LaneOutcomes| {
-        println!(
-            "{name}: {} offered, {} decided, {} shed (SRV-011), {} expired (SRV-012), \
-             {} unexpected",
-            o.offered, o.decided, o.shed, o.expired, o.unexpected
-        );
-    };
-    lane("bulk", &report.bulk);
-    lane("emergency", &report.emergency);
-    println!(
-        "coherence: {} audited, {} mismatch(es)",
-        report.coherence_checked, report.coherence_mismatches
-    );
-    for (gate, ok) in report.gates() {
-        println!("gate {gate}: {}", if ok { "pass" } else { "FAIL" });
-    }
-}
-
-fn serve_bench_surge(flags: &HashMap<String, String>) -> Result<(), String> {
-    let config = surge_config_from(flags)?;
-    println!(
-        "serve-bench --surge: {} bulk + {} emergency client(s) for {}ms, \
-         {} worker(s) at {}us/decision ({} mode)",
-        config.bulk_clients,
-        config.emergency_clients,
-        config.duration_ms,
-        config.workers,
-        config.decision_delay_us,
-        if config.smoke { "smoke" } else { "full" }
-    );
-    let report = prima::serve::run_surge(config);
-    print_surge_report(&report);
-    if let Some(path) = flags.get("out") {
-        let text = serde_json::to_string_pretty(&report.to_json())
-            .map_err(|e| format!("cannot serialize report: {e}"))?;
-        std::fs::write(path, text).map_err(|e| format!("cannot write '{path}': {e}"))?;
-        println!("report written to {path}");
-    }
-    if report.passed() {
-        Ok(())
-    } else {
-        Err("serve-bench surge gate(s) failed".to_string())
-    }
-}
-
-fn serve_bench_suite(flags: &HashMap<String, String>) -> Result<(), String> {
-    use prima::serve::LoadConfig;
-    let smoke = flags.contains_key("smoke");
-    let base = if smoke {
-        LoadConfig::smoke()
-    } else {
-        LoadConfig::default()
-    };
-    let mut load_reports = Vec::new();
-    for workers in [1usize, 4] {
-        let config = LoadConfig {
-            workers,
-            ..base.clone()
-        };
-        println!("suite: load bench, {workers} worker(s) …");
-        let report = prima::serve::run_load(config);
-        println!(
-            "  {:.0} decisions/s, hit rate {:.1}%, {} coherence mismatch(es): {}",
-            report.decisions_per_sec,
-            report.hit_rate() * 100.0,
-            report.coherence_mismatches,
-            if report.passed() { "pass" } else { "FAIL" }
-        );
-        load_reports.push(report);
-    }
-    println!("suite: surge bench …");
-    let surge = prima::serve::run_surge(surge_config_from(flags)?);
-    print_surge_report(&surge);
-
-    let passed = load_reports.iter().all(|r| r.passed()) && surge.passed();
-    if let Some(path) = flags.get("out") {
-        let json = serde_json::Value::Map(vec![
-            ("bench".into(), serde_json::Value::Str("serve_suite".into())),
-            (
-                "load".into(),
-                serde_json::Value::Seq(load_reports.iter().map(|r| r.to_json()).collect()),
-            ),
-            ("surge".into(), surge.to_json()),
-        ]);
-        let text = serde_json::to_string_pretty(&json)
-            .map_err(|e| format!("cannot serialize report: {e}"))?;
-        std::fs::write(path, text).map_err(|e| format!("cannot write '{path}': {e}"))?;
-        println!("report written to {path}");
-    }
-    if passed {
-        Ok(())
-    } else {
-        Err("serve-bench suite gate(s) failed".to_string())
-    }
 }
 
 fn cmd_refine(args: &[String]) -> Result<(), String> {
