@@ -22,6 +22,8 @@
 //! * [`classify`] — hooks for separating *violations* from *informal
 //!   practice* among exception entries, which the paper flags as necessary
 //!   before patterns are proposed as policy;
+//! * [`shape`] — [`ShapeTrail`], a trail interned by access shape, so
+//!   coverage grounds and decides each distinct shape once;
 //! * [`export`] — JSON-lines export/import for experiment artifacts;
 //! * [`source`] / [`resilience`] — the fault-tolerant side of federation:
 //!   a [`LogSource`] abstraction over fallible per-site fetches, retried
@@ -44,6 +46,7 @@ pub mod resilience;
 pub mod retention;
 pub mod retry;
 pub mod schema;
+pub mod shape;
 pub mod source;
 pub mod stats;
 pub mod store;
@@ -58,6 +61,7 @@ pub use resilience::ResilientFederation;
 pub use retention::TrainingWindow;
 pub use retry::{BreakerConfig, BreakerState, CircuitBreaker, RetryPolicy};
 pub use schema::audit_schema;
+pub use shape::{ShapeTrail, TrailError, NO_SHAPE};
 pub use source::{
     FaultySource, FetchResponse, LogSource, RawRecord, SourceError, SourceFaults, StoreSource,
 };

@@ -1,14 +1,16 @@
 //! E5 — Figure 4: end-to-end cost of one PRIMA round, decomposed per
 //! architecture component, as the trail grows.
 //!
-//! Components timed: audit federation (consolidated view), coverage
-//! measurement (entry-weighted, lazy), Filter, extractPatterns (SQL
-//! miner), and Prune. Expected shape: every stage is near-linear in the
-//! trail; mining dominates (it carries the GROUP BY); coverage is cheap
-//! because the lazy engine never materializes the policy-store range.
+//! Components timed: audit federation (consolidated view), grounding
+//! (interning the trail by access shape), coverage measurement
+//! (entry-weighted, each distinct shape decided once against the compiled
+//! policy), Filter, extractPatterns (SQL miner), and Prune. Expected
+//! shape: every stage is near-linear in the trail; coverage costs almost
+//! nothing because it follows the distinct shapes, not the entries.
 
+use prima_audit::ShapeTrail;
 use prima_bench::{banner, render_table, timed};
-use prima_model::CoverageEngine;
+use prima_model::{CompiledPolicy, EntryCoverageReport};
 use prima_refine::{refinement, ReviewQueue};
 use prima_workload::sim::{entries, split_sites, SimConfig};
 use prima_workload::Scenario;
@@ -42,13 +44,14 @@ fn main() {
         }
         let (consolidated, t_fed) = timed(|| federation.consolidated_entries());
 
-        // Coverage measurement.
-        let rules: Vec<_> = consolidated
-            .iter()
-            .map(|e| e.to_ground_rule().expect("well-formed"))
-            .collect();
+        // Grounding: each distinct access shape once.
+        let (shapes, t_ground) = timed(|| ShapeTrail::of(&consolidated).expect("well-formed"));
+
+        // Coverage measurement, weighed back onto the entries.
         let (cov, t_cov) = timed(|| {
-            CoverageEngine::default().entry_coverage(&scenario.policy, &rules, &scenario.vocab)
+            let verdicts =
+                CompiledPolicy::new(&scenario.policy, &scenario.vocab).verdicts(shapes.shapes());
+            EntryCoverageReport::weigh(&verdicts, shapes.shape_ids())
         });
 
         // Refinement pipeline (Filter + extractPatterns + Prune timed
@@ -68,7 +71,9 @@ fn main() {
         rows.push(vec![
             n.to_string(),
             format!("{t_fed:.1}"),
-            format!("{t_cov:.1}"),
+            format!("{t_ground:.1}"),
+            format!("{t_cov:.2}"),
+            shapes.shapes().len().to_string(),
             format!("{t_refine:.1}"),
             format!("{t_apply:.3}"),
             format!("{:.1}%", cov.percent()),
@@ -81,7 +86,9 @@ fn main() {
             &[
                 "entries",
                 "federate (ms)",
+                "ground (ms)",
                 "coverage (ms)",
+                "shapes",
                 "filter+mine+prune (ms)",
                 "apply (ms)",
                 "coverage",

@@ -11,7 +11,7 @@
 //!
 //! | metric | kind | meaning |
 //! |---|---|---|
-//! | `prima_round_stage_seconds{stage}` | histogram | per-stage wall time (`filter`, `mine`, `prune`, `propose`, `coverage`) |
+//! | `prima_round_stage_seconds{stage}` | histogram | per-stage wall time (`federate`, `ground`, `filter`, `mine`, `prune`, `propose`, `coverage`) |
 //! | `prima_rounds_total` | counter | refinement rounds run |
 //! | `prima_round_deferred_total` | counter | rounds that refused to mine below the completeness floor |
 //! | `prima_round_patterns_useful_total` | counter | patterns surviving Prune |
@@ -28,8 +28,24 @@ use prima_obs::{
 /// The histogram family holding per-stage round timings.
 pub const STAGE_METRIC: &str = "prima_round_stage_seconds";
 
-/// Pipeline stages recorded into [`STAGE_METRIC`], in execution order.
-pub const STAGES: [&str; 5] = ["filter", "mine", "prune", "propose", "coverage"];
+/// Pipeline stages recorded into [`STAGE_METRIC`], in execution order:
+/// consolidate the federated trail, intern it by access shape, the three
+/// refinement stages, propose to review, and both coverage passes.
+pub const STAGES: [&str; 7] = [
+    "federate", "ground", "filter", "mine", "prune", "propose", "coverage",
+];
+
+/// A round stage, indexing [`STAGES`] and the stage histograms.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Stage {
+    Federate,
+    Ground,
+    Filter,
+    Mine,
+    Prune,
+    Propose,
+    Coverage,
+}
 
 /// The refinement loop's service-level objective: at most this fraction
 /// of rounds may run (or defer) with the trail's completeness lower
@@ -60,7 +76,7 @@ pub struct SystemObs {
     pub(crate) completeness_lower: Gauge,
     pub(crate) completeness_upper: Gauge,
     /// Stage histograms, indexed like [`STAGES`].
-    pub(crate) stages: [Histogram; 5],
+    stages: [Histogram; 7],
 }
 
 impl SystemObs {
@@ -119,13 +135,7 @@ impl SystemObs {
                 "prima_coverage_completeness_upper",
                 "Upper bound on the true coverage given unreachable entries.",
             ),
-            stages: [
-                stage("filter"),
-                stage("mine"),
-                stage("prune"),
-                stage("propose"),
-                stage("coverage"),
-            ],
+            stages: STAGES.map(stage),
             flight: tracer.flight(),
             slo: {
                 let slo = if registry.is_enabled() {
@@ -178,6 +188,11 @@ impl SystemObs {
         self.flight.dump(trigger, trace_id);
     }
 
+    /// The histogram of one round stage.
+    pub(crate) fn stage(&self, stage: Stage) -> &Histogram {
+        &self.stages[stage as usize]
+    }
+
     /// Per-stage latency profile of every round so far.
     pub fn pipeline_report(&self) -> PipelineReport {
         PipelineReport::gather(&self.registry, STAGE_METRIC)
@@ -213,6 +228,22 @@ mod tests {
         let report = obs.pipeline_report();
         assert_eq!(report.stages.len(), STAGES.len());
         assert!(report.all_stages_observed());
+    }
+
+    #[test]
+    fn stage_variants_index_their_names() {
+        let stages = [
+            Stage::Federate,
+            Stage::Ground,
+            Stage::Filter,
+            Stage::Mine,
+            Stage::Prune,
+            Stage::Propose,
+            Stage::Coverage,
+        ];
+        for stage in stages {
+            assert_eq!(STAGES[stage as usize], format!("{stage:?}").to_lowercase());
+        }
     }
 
     #[test]

@@ -3,17 +3,17 @@
 use prima_analyze::SafetyGate;
 use prima_audit::{
     AuditEntry, AuditFederation, AuditStore, FederationError, FederationHealth, LogSource,
-    NoViolations, ResilientFederation,
+    NoViolations, ResilientFederation, ShapeTrail,
 };
 use prima_mining::{Miner, MiningError, SqlMiner};
 use prima_model::{
-    CompletenessBound, CoverageEngine, CoverageReport, Diagnostic, EntryCoverageReport, ModelError,
-    Policy, Strategy,
+    entry_ratio, CompiledPolicy, CompletenessBound, CoverageEngine, CoverageReport, Diagnostic,
+    EntryCoverageReport, ModelError, Policy, Strategy,
 };
 use prima_refine::{refinement_with, RefinementConfig, ReviewQueue};
 use prima_vocab::Vocabulary;
 
-use crate::observe::SystemObs;
+use crate::observe::{Stage, SystemObs};
 
 /// How refinement candidates are decided.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -374,11 +374,14 @@ impl PrimaSystem {
     }
 
     /// Set-based coverage (Definition 9) of the current policy with
-    /// respect to the consolidated audit trail, using the lazy engine.
+    /// respect to the consolidated audit trail's distinct shapes, using the
+    /// lazy engine. An entry with a blank attribute has no shape and fails
+    /// the computation with [`ModelError::EmptyTerm`].
     pub fn coverage(&self) -> Result<CoverageReport, ModelError> {
+        let shapes = ShapeTrail::of(&self.all_entries()).map_err(|_| ModelError::EmptyTerm)?;
         let trail = Policy::from_ground_rules(
             prima_model::StoreTag::AuditLog,
-            ground_rules(&self.all_entries()),
+            shapes.shapes().iter().cloned(),
         );
         CoverageEngine::new(Strategy::Lazy).coverage(&self.policy, &trail, &self.vocab)
     }
@@ -386,10 +389,21 @@ impl PrimaSystem {
     /// Entry-weighted coverage (the Section 5 computation) over the
     /// consolidated trail. `uncovered_indices` index the trail
     /// [`Self::run_round`] sees: local and resilient entries merged in
-    /// timestamp order.
+    /// timestamp order. An entry that projects to no ground rule (a blank
+    /// attribute) counts as uncovered.
     pub fn entry_coverage(&self) -> EntryCoverageReport {
-        let grounds = ground_rules(&self.all_entries());
-        CoverageEngine::default().entry_coverage(&self.policy, &grounds, &self.vocab)
+        self.entry_coverage_over(&self.all_entries())
+    }
+
+    fn entry_coverage_over(&self, entries: &[AuditEntry]) -> EntryCoverageReport {
+        let trail = ShapeTrail::lossy(entries);
+        EntryCoverageReport::weigh(&self.verdicts(&trail), trail.shape_ids())
+    }
+
+    /// One verdict per distinct shape of `trail` under the current policy
+    /// revision, compiled once for the call.
+    fn verdicts(&self, trail: &ShapeTrail) -> Vec<bool> {
+        CompiledPolicy::new(&self.policy, &self.vocab).verdicts(trail.shapes())
     }
 
     /// Entry-weighted coverage annotated with its completeness bound:
@@ -405,8 +419,12 @@ impl PrimaSystem {
     }
 
     /// Runs one refinement round over the consolidated trail.
+    ///
+    /// # Errors
+    /// [`MiningError::Trail`] when a trail entry projects to no ground
+    /// rule; otherwise whatever the miner reports.
     pub fn run_round(&mut self, mode: ReviewMode) -> Result<RoundRecord, MiningError> {
-        let entries = self.all_entries();
+        let entries = self.round_entries(None);
         self.run_round_over(entries, mode)
     }
 
@@ -418,12 +436,22 @@ impl PrimaSystem {
         window: prima_audit::TrainingWindow,
         mode: ReviewMode,
     ) -> Result<RoundRecord, MiningError> {
-        let entries: Vec<AuditEntry> = self
-            .all_entries()
-            .into_iter()
-            .filter(|e| window.contains(e.time))
-            .collect();
+        let entries = self.round_entries(Some(window));
         self.run_round_over(entries, mode)
+    }
+
+    /// The consolidated trail a round runs over, optionally cut to a
+    /// training window, timed as the round's `federate` stage.
+    fn round_entries(&self, window: Option<prima_audit::TrainingWindow>) -> Vec<AuditEntry> {
+        let start = std::time::Instant::now();
+        let mut entries = self.all_entries();
+        if let Some(window) = window {
+            entries.retain(|e| window.contains(e.time));
+        }
+        self.obs
+            .stage(Stage::Federate)
+            .observe_duration(start.elapsed());
+        entries
     }
 
     fn run_round_over(
@@ -442,11 +470,13 @@ impl PrimaSystem {
             .root_span("round.run")
             .with_field("round", round)
             .with_field("entries", entries.len());
-        let rules = ground_rules(&entries);
+        let ground_start = std::time::Instant::now();
+        let trail = ShapeTrail::of(&entries)?;
+        self.obs
+            .stage(Stage::Ground)
+            .observe_duration(ground_start.elapsed());
         let coverage_start = std::time::Instant::now();
-        let before = CoverageEngine::default()
-            .entry_coverage(&self.policy, &rules, &self.vocab)
-            .ratio();
+        let before = entry_ratio(trail.covered_entries(&self.verdicts(&trail)), trail.len());
         let before_elapsed = coverage_start.elapsed();
 
         let health = self.federation_health();
@@ -490,9 +520,15 @@ impl PrimaSystem {
                 // The refine pipeline hands back its own stage clocks, so
                 // the histograms see the true per-stage split rather than
                 // one lump.
-                self.obs.stages[0].observe_duration(report.filter_duration);
-                self.obs.stages[1].observe_duration(report.mine_duration);
-                self.obs.stages[2].observe_duration(report.prune_duration);
+                self.obs
+                    .stage(Stage::Filter)
+                    .observe_duration(report.filter_duration);
+                self.obs
+                    .stage(Stage::Mine)
+                    .observe_duration(report.mine_duration);
+                self.obs
+                    .stage(Stage::Prune)
+                    .observe_duration(report.prune_duration);
                 let propose_span = self.obs.tracer().span("round.propose");
                 let propose_start = std::time::Instant::now();
                 let enqueued = self.review.propose(report.useful_patterns.clone(), round);
@@ -514,7 +550,9 @@ impl PrimaSystem {
                     }
                     ReviewMode::Manual => 0,
                 };
-                self.obs.stages[3].observe_duration(propose_start.elapsed());
+                self.obs
+                    .stage(Stage::Propose)
+                    .observe_duration(propose_start.elapsed());
                 drop(propose_span.with_field("enqueued", enqueued));
                 self.obs
                     .patterns_useful_total
@@ -531,14 +569,15 @@ impl PrimaSystem {
 
         let after_span = self.obs.tracer().span("round.coverage");
         let after_start = std::time::Instant::now();
-        let after_report =
-            CoverageEngine::default().entry_coverage(&self.policy, &rules, &self.vocab);
+        let covered_after = trail.covered_entries(&self.verdicts(&trail));
         // The coverage stage is both passes over the trail (before and
         // after the policy change), so the histogram sees their sum.
-        self.obs.stages[4].observe_duration(before_elapsed + after_start.elapsed());
+        self.obs
+            .stage(Stage::Coverage)
+            .observe_duration(before_elapsed + after_start.elapsed());
         drop(after_span);
-        let after = after_report.ratio();
-        let bound = health.bound_for(after_report.covered_entries, after_report.total_entries);
+        let after = entry_ratio(covered_after, trail.len());
+        let bound = health.bound_for(covered_after, trail.len());
 
         self.obs.rounds_total.inc();
         self.obs.coverage_ratio.set(after);
@@ -604,19 +643,6 @@ impl PrimaSystem {
         self.review = review;
         self.history = history;
     }
-}
-
-/// One ground rule per entry, in trail order. Every entry projects: the
-/// audit store refuses blank attributes at append, and the resilient
-/// federation quarantines unprojectable remote records.
-fn ground_rules(entries: &[AuditEntry]) -> Vec<prima_model::GroundRule> {
-    entries
-        .iter()
-        .map(|e| {
-            e.to_ground_rule()
-                .expect("stores and quarantine admit only projectable entries")
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -1059,6 +1085,9 @@ mod tests {
             report.all_stages_observed(),
             "every stage observed at least once: {report}"
         );
+        for stage in ["federate", "ground", "coverage"] {
+            assert_eq!(report.stage(stage).unwrap().count, 1, "{stage}");
+        }
         assert_eq!(sys.obs().rounds_total.get(), 1);
         assert_eq!(sys.obs().rules_added_total.get(), 1);
         let coverage = sys.obs().coverage_ratio.get();
@@ -1231,5 +1260,78 @@ mod tests {
         assert_eq!(record.audit_entries, 10);
         assert!((record.entry_coverage_before - 0.3).abs() < 1e-9);
         assert!((record.entry_coverage_after - 0.8).abs() < 1e-9);
+    }
+
+    #[test]
+    fn case_variants_are_one_shape_and_two_entries() {
+        let store = AuditStore::new("main");
+        store
+            .append_all(&[
+                AuditEntry::regular(1, "tim", "Referral", "Treatment", "Nurse"),
+                AuditEntry::regular(2, "ann", " referral ", "treatment", "nurse"),
+            ])
+            .unwrap();
+        let mut sys = PrimaSystem::new(figure_1(), figure_3_policy_store());
+        sys.attach_store(store).unwrap();
+        let set = sys.coverage().unwrap();
+        assert_eq!((set.overlap, set.target_cardinality), (1, 1));
+        let entries = sys.entry_coverage();
+        assert_eq!((entries.covered_entries, entries.total_entries), (2, 2));
+        assert!(entries.uncovered_indices.is_empty());
+    }
+
+    #[test]
+    fn paper_examples_stay_exact() {
+        let mut figure_3 = PrimaSystem::new(figure_1(), figure_3_policy_store());
+        let store = AuditStore::new("figure-3");
+        store
+            .append_all(&prima_workload::fixtures::figure_3_trail())
+            .unwrap();
+        figure_3.attach_store(store).unwrap();
+        let set = figure_3.coverage().unwrap();
+        assert_eq!((set.overlap, set.target_cardinality), (3, 6));
+        assert_eq!(set.percent(), 50.0);
+
+        let mut sys = system_with_table_1();
+        let record = sys.run_round(ReviewMode::AutoAccept).unwrap();
+        assert_eq!(record.entry_coverage_before, 0.3);
+        assert_eq!(record.entry_coverage_after, 0.8);
+        let mined: Vec<String> = sys
+            .review()
+            .candidates()
+            .iter()
+            .map(|c| c.pattern.compact(&["data", "purpose", "authorized"]))
+            .collect();
+        assert_eq!(mined, vec!["referral:registration:nurse"]);
+        assert_eq!(sys.entry_coverage().ratio(), 0.8);
+    }
+
+    #[test]
+    fn blank_attribute_fails_the_round_and_is_uncovered_in_coverage() {
+        // Stores refuse blank attributes, so build the trail directly, as
+        // a source that skipped those checks would hand it over.
+        let mut sys = system_with_table_1();
+        let mut entries = table_1();
+        entries.insert(
+            4,
+            AuditEntry::exception(11, "eve", "referral", "   ", "nurse"),
+        );
+
+        let err = sys
+            .run_round_over(entries.clone(), ReviewMode::AutoAccept)
+            .unwrap_err();
+        assert_eq!(
+            err,
+            MiningError::Trail(prima_audit::TrailError {
+                index: 4,
+                attribute: "purpose"
+            })
+        );
+        assert!(sys.history().is_empty(), "a failed round records nothing");
+        assert_eq!(sys.policy().cardinality(), 3, "policy untouched");
+
+        let report = sys.entry_coverage_over(&entries);
+        assert_eq!((report.covered_entries, report.total_entries), (3, 11));
+        assert!(report.uncovered_indices.contains(&4));
     }
 }

@@ -6,6 +6,7 @@
 //! Informally: how much of the *real* workflow (`P_y = P_AL`) is sanctioned
 //! by the *ideal* workflow (`P_x = P_PS`).
 
+use crate::compiled::CompiledPolicy;
 use crate::error::ModelError;
 use crate::ground::GroundRule;
 use crate::policy::Policy;
@@ -23,9 +24,9 @@ pub enum Strategy {
     MaterializeHash,
     /// Materialize both ranges, intersect by sort-merge (ablation partner).
     MaterializeSortMerge,
-    /// Never materialize `Range(P_x)`: test each ground rule of
-    /// `Range(P_y)` against the composite rules of `P_x` by per-attribute
-    /// subsumption. Immune to policy-store range explosion.
+    /// Never materialize `Range(P_x)`: decide each ground rule of
+    /// `Range(P_y)` against `P_x` compiled into a [`CompiledPolicy`]
+    /// bitset table. Immune to policy-store range explosion.
     Lazy,
 }
 
@@ -159,8 +160,8 @@ impl CoverageEngine {
                 Ok(split_report(&range_y, |g| overlap_set.contains(g)))
             }
             Strategy::Lazy => {
-                let index = RuleIndex::new(px);
-                Ok(split_report(&range_y, |g| index.covers(g, vocab)))
+                let mut compiled = CompiledPolicy::new(px, vocab);
+                Ok(split_report(&range_y, |g| compiled.covers(g)))
             }
         }
     }
@@ -176,7 +177,10 @@ impl CoverageEngine {
     }
 }
 
-fn split_report<F: Fn(&GroundRule) -> bool>(range_y: &RangeSet, is_covered: F) -> CoverageReport {
+fn split_report<F: FnMut(&GroundRule) -> bool>(
+    range_y: &RangeSet,
+    mut is_covered: F,
+) -> CoverageReport {
     let mut covered = Vec::new();
     let mut uncovered = Vec::new();
     for g in range_y.iter() {
@@ -218,13 +222,27 @@ pub struct EntryCoverageReport {
 }
 
 impl EntryCoverageReport {
+    /// Weighs per-shape verdicts by a trail interned by shape: entry `i`
+    /// carries shape `shape_ids[i]` and is covered iff `verdicts` holds
+    /// `true` for it. An id without a verdict (an entry that projects to
+    /// no shape) counts as uncovered.
+    pub fn weigh(verdicts: &[bool], shape_ids: &[u32]) -> Self {
+        let uncovered_indices: Vec<usize> = shape_ids
+            .iter()
+            .enumerate()
+            .filter(|&(_, &id)| !verdicts.get(id as usize).copied().unwrap_or(false))
+            .map(|(i, _)| i)
+            .collect();
+        Self {
+            covered_entries: shape_ids.len() - uncovered_indices.len(),
+            total_entries: shape_ids.len(),
+            uncovered_indices,
+        }
+    }
+
     /// `covered ÷ total`, defined as 1 for an empty trail.
     pub fn ratio(&self) -> f64 {
-        if self.total_entries == 0 {
-            1.0
-        } else {
-            self.covered_entries as f64 / self.total_entries as f64
-        }
+        entry_ratio(self.covered_entries, self.total_entries)
     }
 
     /// The ratio as a percentage.
@@ -233,41 +251,48 @@ impl EntryCoverageReport {
     }
 }
 
+/// Entry-weighted coverage `covered ÷ total`, defined as 1 for an empty
+/// trail (Definition 10 holds vacuously).
+pub fn entry_ratio(covered: usize, total: usize) -> f64 {
+    if total == 0 {
+        1.0
+    } else {
+        covered as f64 / total as f64
+    }
+}
+
 impl CoverageEngine {
     /// Computes entry-weighted coverage of `entries` by `px` (always via
-    /// the lazy subsumption test — no range materialization needed).
+    /// the compiled table — no range materialization needed).
+    ///
+    /// Audit trails are highly repetitive (the same few access shapes
+    /// repeated thousands of times), so the entries are interned by shape,
+    /// each distinct shape is decided once, and the verdicts are weighed
+    /// back onto the entries ([`EntryCoverageReport::weigh`]).
     pub fn entry_coverage(
         &self,
         px: &Policy,
         entries: &[GroundRule],
         vocab: &Vocabulary,
     ) -> EntryCoverageReport {
-        let index = RuleIndex::new(px);
-        // Audit trails are highly repetitive (the same few access shapes
-        // repeated thousands of times), so memoize the verdict per distinct
-        // ground rule instead of re-running subsumption per entry.
-        let mut verdicts: HashMap<&GroundRule, bool> = HashMap::new();
-        let mut covered = 0usize;
-        let mut uncovered_indices = Vec::new();
-        for (i, g) in entries.iter().enumerate() {
-            let hit = *verdicts.entry(g).or_insert_with(|| index.covers(g, vocab));
-            if hit {
-                covered += 1;
-            } else {
-                uncovered_indices.push(i);
-            }
-        }
-        EntryCoverageReport {
-            covered_entries: covered,
-            total_entries: entries.len(),
-            uncovered_indices,
-        }
+        let mut ids: HashMap<&GroundRule, u32> = HashMap::new();
+        let mut shapes: Vec<&GroundRule> = Vec::new();
+        let shape_ids: Vec<u32> = entries
+            .iter()
+            .map(|g| {
+                *ids.entry(g).or_insert_with(|| {
+                    shapes.push(g);
+                    u32::try_from(shapes.len() - 1).expect("fewer than 2^32 distinct shapes")
+                })
+            })
+            .collect();
+        let verdicts = CompiledPolicy::new(px, vocab).verdicts(&shapes);
+        EntryCoverageReport::weigh(&verdicts, &shape_ids)
     }
 }
 
-/// The single membership test both the borrowed [`RuleIndex`] and the
-/// owned [`PolicyMatcher`] reduce to, so batch and streaming coverage
-/// provably share subsumption semantics.
+/// The membership test of [`PolicyMatcher`]: some rule of the signature's
+/// bucket holds `g` in its expansion.
 fn rules_cover<R: std::borrow::Borrow<Rule>>(
     rules: Option<&Vec<R>>,
     g: &GroundRule,
@@ -281,37 +306,16 @@ fn rules_cover<R: std::borrow::Borrow<Rule>>(
     }
 }
 
-/// Index of a policy's rules keyed by attribute signature, so the lazy
-/// membership test only probes rules that could possibly match.
-struct RuleIndex<'a> {
-    by_signature: HashMap<Vec<&'a str>, Vec<&'a Rule>>,
-}
-
-impl<'a> RuleIndex<'a> {
-    fn new(policy: &'a Policy) -> Self {
-        let mut by_signature: HashMap<Vec<&'a str>, Vec<&'a Rule>> = HashMap::new();
-        for rule in policy.rules() {
-            let sig: Vec<&str> = rule.terms().iter().map(|t| t.attr.as_str()).collect();
-            by_signature.entry(sig).or_default().push(rule);
-        }
-        Self { by_signature }
-    }
-
-    fn covers(&self, g: &GroundRule, vocab: &Vocabulary) -> bool {
-        let sig: Vec<&str> = g.attrs().collect();
-        rules_cover(self.by_signature.get(&sig), g, vocab)
-    }
-}
-
 /// An owned, thread-shareable version of the lazy membership test: the
 /// policy's rules indexed by attribute signature, bundled with the
 /// vocabulary the subsumption check runs under.
 ///
-/// This is the unit the streaming pipeline distributes to its shard
-/// workers: it answers exactly the same question as
-/// [`CoverageEngine::entry_coverage`]'s internal index (both reduce to
-/// the same [`Rule::expansion_contains`] probe), so online verdicts match
-/// batch verdicts rule for rule.
+/// This is the unit the streaming pipeline and the decision service
+/// distribute to their workers. It answers exactly the same question as
+/// the batch engine's [`CompiledPolicy`] (both reduce to
+/// [`Rule::expansion_contains`]; `tests/differential.rs` checks the two
+/// against each other), so online verdicts match batch verdicts rule for
+/// rule.
 #[derive(Debug, Clone)]
 pub struct PolicyMatcher {
     by_signature: HashMap<Vec<String>, Vec<Rule>>,

@@ -20,14 +20,15 @@
 //!
 //! Two coverage strategies are provided (an ablation called out in
 //! `DESIGN.md` §6): the paper-faithful **materializing** engine that builds
-//! both `Range` sets explicitly, and a **lazy** engine that checks ground
-//! rules against composite rules by per-attribute subsumption without ever
-//! materializing the policy-store range. Both produce identical reports
-//! (property-tested in `tests/`).
+//! both `Range` sets explicitly, and a **lazy** engine that decides ground
+//! rules against the policy compiled into a per-term bitset table
+//! ([`CompiledPolicy`]) without ever materializing the policy-store range.
+//! Both produce identical reports (property-tested in `tests/`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod compiled;
 pub mod completeness;
 pub mod coverage;
 pub mod diag;
@@ -42,9 +43,11 @@ pub mod samples;
 pub mod simplify;
 pub mod term;
 
+pub use compiled::CompiledPolicy;
 pub use completeness::CompletenessBound;
 pub use coverage::{
-    compute_coverage, CoverageEngine, CoverageReport, EntryCoverageReport, PolicyMatcher, Strategy,
+    compute_coverage, entry_ratio, CoverageEngine, CoverageReport, EntryCoverageReport,
+    PolicyMatcher, Strategy,
 };
 pub use diag::{DiagCode, DiagLocation, Diagnostic, Severity};
 pub use error::ModelError;

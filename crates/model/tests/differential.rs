@@ -1,0 +1,134 @@
+//! Differential tests for the batch coverage path: the compiled bitset
+//! table ([`CompiledPolicy`]), the signature-bucket [`PolicyMatcher`] the
+//! live paths use, and brute-force ground expansion must answer "is this
+//! access covered?" identically.
+//!
+//! Each case draws a random small vocabulary (a forest per attribute) and
+//! a random policy whose rules mix cardinalities and use internal-node,
+//! out-of-vocabulary and case/whitespace-variant values; the probed
+//! shapes draw from the same values.
+
+use prima_model::{
+    CompiledPolicy, CoverageEngine, GroundRule, Policy, PolicyMatcher, Rule, RuleTerm, StoreTag,
+};
+use prima_vocab::Vocabulary;
+use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::seq::SliceRandom;
+use rand::{Rng, SeedableRng};
+
+const ATTRS: [&str; 3] = ["data", "purpose", "authorized"];
+
+/// A random world: the vocabulary and, per attribute, how many concepts
+/// it holds (named `{attr}-0` … `{attr}-{n-1}`).
+struct World {
+    vocab: Vocabulary,
+    sizes: [usize; 3],
+}
+
+fn world(rng: &mut StdRng) -> World {
+    let mut builder = Vocabulary::builder();
+    let mut sizes = [0; 3];
+    for (a, attr) in ATTRS.iter().enumerate() {
+        builder = builder.attribute(attr);
+        sizes[a] = rng.gen_range(1..=7);
+        for i in 0..sizes[a] {
+            let name = format!("{attr}-{i}");
+            builder = if i == 0 || rng.gen_bool(0.25) {
+                builder.root(&name)
+            } else {
+                let parent = format!("{attr}-{}", rng.gen_range(0..i));
+                builder.child(&parent, &name)
+            };
+        }
+    }
+    World {
+        vocab: builder.build().expect("generated forests are well-formed"),
+        sizes,
+    }
+}
+
+/// A value for attribute `a`: usually a concept (leaf or internal), else
+/// an out-of-vocabulary name or a case/whitespace variant of a concept.
+fn value(rng: &mut StdRng, world: &World, a: usize) -> String {
+    let attr = ATTRS[a];
+    let concept = rng.gen_range(0..world.sizes[a]);
+    match rng.gen_range(0..10) {
+        0 => format!("{attr}-oov-{}", rng.gen_range(0..2)),
+        1 => format!(" {}_{concept} ", attr.to_uppercase()),
+        _ => format!("{attr}-{concept}"),
+    }
+}
+
+/// Terms over a random subset of one to three attributes.
+fn terms(rng: &mut StdRng, world: &World) -> Vec<RuleTerm> {
+    let mut attrs = [0, 1, 2];
+    attrs.shuffle(rng);
+    let k = rng.gen_range(1..=3);
+    attrs[..k]
+        .iter()
+        .map(|&a| RuleTerm::new(ATTRS[a], &value(rng, world, a)).expect("non-empty"))
+        .collect()
+}
+
+fn policy(rng: &mut StdRng, world: &World) -> Policy {
+    let n = rng.gen_range(0..=12);
+    let rules = (0..n)
+        .map(|_| Rule::new(terms(rng, world)).expect("one term per attribute"))
+        .collect();
+    Policy::with_rules(StoreTag::PolicyStore, rules)
+}
+
+fn shape(rng: &mut StdRng, world: &World) -> GroundRule {
+    GroundRule::new(terms(rng, world)).expect("one term per attribute")
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn compiled_matcher_and_expansion_agree(seed in any::<u64>()) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let world = world(&mut rng);
+        let policy = policy(&mut rng, &world);
+        let v = &world.vocab;
+        let mut compiled = CompiledPolicy::new(&policy, v);
+        let matcher = PolicyMatcher::new(&policy, v);
+        for _ in 0..40 {
+            let g = shape(&mut rng, &world);
+            let hit = compiled.covers(&g);
+            prop_assert_eq!(hit, matcher.covers(&g), "matcher on {} under {}", g, seed);
+            // Ground expansions only ever hold ground rules, so membership
+            // is the oracle for shapes whose every value is ground.
+            if Rule::from_ground(&g).is_ground(v) {
+                let expanded = policy
+                    .rules()
+                    .iter()
+                    .any(|r| r.ground_expansion(v).any(|x| x == g));
+                prop_assert_eq!(hit, expanded, "expansion on {} under {}", g, seed);
+            }
+        }
+    }
+
+    #[test]
+    fn entry_coverage_matches_per_entry_matcher(seed in any::<u64>()) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let world = world(&mut rng);
+        let policy = policy(&mut rng, &world);
+        let pool: Vec<GroundRule> = (0..rng.gen_range(1..=8))
+            .map(|_| shape(&mut rng, &world))
+            .collect();
+        let trail: Vec<GroundRule> = (0..rng.gen_range(0..=60))
+            .map(|_| pool.choose(&mut rng).expect("non-empty pool").clone())
+            .collect();
+
+        let report = CoverageEngine::default().entry_coverage(&policy, &trail, &world.vocab);
+        let matcher = PolicyMatcher::new(&policy, &world.vocab);
+        let uncovered: Vec<usize> = (0..trail.len())
+            .filter(|&i| !matcher.covers(&trail[i]))
+            .collect();
+        prop_assert_eq!(report.total_entries, trail.len());
+        prop_assert_eq!(report.covered_entries, trail.len() - uncovered.len());
+        prop_assert_eq!(report.uncovered_indices, uncovered);
+    }
+}
