@@ -16,11 +16,6 @@ pub struct AnalyzeConfig {
     /// for policies written in the extended `rule k=v` DSL form, where
     /// arbitrary attribute schemas are legitimate.
     pub audit_schema: Option<Vec<String>>,
-    /// Maximum ancestor-combination product per rule before the shadowing
-    /// pass falls back from the hash-indexed lookup to a pairwise scan of
-    /// the rule's signature group. Guards pathological deep taxonomies;
-    /// the indexed path handles every realistic vocabulary.
-    pub shadow_chain_cap: usize,
 }
 
 impl Default for AnalyzeConfig {
@@ -28,7 +23,6 @@ impl Default for AnalyzeConfig {
         Self {
             expansion_budget: 100_000,
             audit_schema: Some(default_audit_schema()),
-            shadow_chain_cap: 4096,
         }
     }
 }

@@ -111,9 +111,7 @@ impl<'a> Analyzer<'a> {
         self.obs.runs_total.inc();
         let mut diags = Vec::new();
         diags.extend(self.timed(0, || lint_policy(policy, self.vocab)));
-        diags.extend(self.timed(1, || {
-            shadow::shadowing_pass(policy, self.vocab, self.config.shadow_chain_cap)
-        }));
+        diags.extend(self.timed(1, || shadow::shadowing_pass(policy, self.vocab)));
         diags.extend(self.timed(2, || {
             vacuity::vacuity_pass(policy, self.vocab, &self.config)
         }));

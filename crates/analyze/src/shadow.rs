@@ -1,148 +1,28 @@
 //! `PA001` — shadowing/redundancy: a rule fully subsumed by another rule
 //! of the same policy.
 //!
-//! This generalizes `prima_model::simplify::rule_subsumes` from pairwise
-//! cleanup to whole-policy analysis without the O(n²) scan: rules are
-//! grouped by attribute-set signature, and within a group a rule's
-//! potential subsumers are enumerated as the Cartesian product of its
-//! values' **ancestor chains** (self → taxonomy root) and found by hash
-//! lookup. Rule `B` subsumes rule `A` iff, per attribute, `B`'s value is
-//! an ancestor of (or equal to) `A`'s value — so every subsumer of `A`
-//! *is* one of those ancestor combinations. Chain lengths are bounded by
-//! taxonomy height, making the product small (≤ `height^#R`); a
-//! configurable cap falls back to the pairwise scan for pathological
-//! depths.
+//! The naive check is `O(n²)` calls of `prima_model::rule_subsumes`.
+//! Instead the policy is compiled once into a [`CompiledPolicy`], whose
+//! term rows are closed over the taxonomy's ancestors, and each rule asks
+//! it for its subsumers: one AND of its own term rows. The flagged rule
+//! points at its lowest other subsumer; an identical rule counts only when
+//! it comes earlier. `prima_model::simplify_policy` removes exactly the
+//! rules this pass flags.
 
 use prima_model::diag::{DiagCode, DiagLocation, Diagnostic};
-use prima_model::{rule_subsumes, Policy, Rule};
+use prima_model::{CompiledPolicy, Policy, Rule};
 use prima_vocab::Vocabulary;
-use std::collections::HashMap;
 
 /// Runs the shadowing pass over one policy.
-pub fn shadowing_pass(policy: &Policy, vocab: &Vocabulary, chain_cap: usize) -> Vec<Diagnostic> {
+pub fn shadowing_pass(policy: &Policy, vocab: &Vocabulary) -> Vec<Diagnostic> {
     let rules = policy.rules();
-    // Group rule indexes by attribute-set signature.
-    let mut groups: HashMap<Vec<&str>, Vec<usize>> = HashMap::new();
-    for (i, rule) in rules.iter().enumerate() {
-        let sig: Vec<&str> = rule.terms().iter().map(|t| t.attr.as_str()).collect();
-        groups.entry(sig).or_default().push(i);
-    }
-
-    let mut diags = Vec::new();
-    for indexes in groups.values() {
-        if indexes.len() < 2 {
-            continue;
-        }
-        shadow_group(policy, rules, indexes, vocab, chain_cap, &mut diags);
-    }
-    // Deterministic order regardless of hash iteration.
-    diags.sort_by_key(|d| d.location.rule_index);
-    diags
-}
-
-/// The exact value tuple of a rule (terms are attribute-sorted).
-fn value_tuple(rule: &Rule) -> Vec<String> {
-    rule.terms().iter().map(|t| t.value.clone()).collect()
-}
-
-fn shadow_group(
-    policy: &Policy,
-    rules: &[Rule],
-    indexes: &[usize],
-    vocab: &Vocabulary,
-    chain_cap: usize,
-    diags: &mut Vec<Diagnostic>,
-) {
-    // Exact value tuple → smallest rule index carrying it.
-    let mut by_tuple: HashMap<Vec<String>, usize> = HashMap::new();
-    for &i in indexes {
-        by_tuple.entry(value_tuple(&rules[i])).or_insert(i);
-    }
-
-    for &i in indexes {
-        let rule = &rules[i];
-        let own = value_tuple(rule);
-        // Ancestor chain per term, canonical names, self first.
-        let chains: Vec<Vec<String>> = rule
-            .terms()
-            .iter()
-            .map(|t| vocab.ancestor_values(&t.attr, &t.value))
-            .collect();
-        let product: usize = chains
-            .iter()
-            .map(Vec::len)
-            .try_fold(1usize, |acc, len| acc.checked_mul(len))
-            .unwrap_or(usize::MAX);
-
-        let subsumer = if product <= chain_cap {
-            find_subsumer_indexed(i, &own, &chains, &by_tuple)
-        } else {
-            find_subsumer_pairwise(i, rule, indexes, rules, vocab)
-        };
-
-        if let Some(j) = subsumer {
-            diags.push(shadow_diagnostic(policy, rules, i, j));
-        }
-    }
-}
-
-/// Hash-indexed subsumer search: enumerate ancestor combinations of
-/// rule `i`'s values and look each tuple up. The identical tuple counts
-/// only when a *different* (earlier) rule carries it — an exact
-/// duplicate.
-fn find_subsumer_indexed(
-    i: usize,
-    own: &[String],
-    chains: &[Vec<String>],
-    by_tuple: &HashMap<Vec<String>, usize>,
-) -> Option<usize> {
-    let mut best: Option<usize> = None;
-    let mut cursor = vec![0usize; chains.len()];
-    loop {
-        let tuple: Vec<String> = cursor
-            .iter()
-            .zip(chains)
-            .map(|(&c, chain)| chain[c].clone())
-            .collect();
-        if let Some(&j) = by_tuple.get(&tuple) {
-            let hit = if tuple == own { j < i } else { j != i };
-            if hit && best.is_none_or(|b| j < b) {
-                best = Some(j);
-            }
-        }
-        // Advance odometer.
-        let mut pos = chains.len();
-        loop {
-            if pos == 0 {
-                return best;
-            }
-            pos -= 1;
-            cursor[pos] += 1;
-            if cursor[pos] < chains[pos].len() {
-                break;
-            }
-            cursor[pos] = 0;
-        }
-    }
-}
-
-/// Fallback for rules whose ancestor-combination product exceeds the
-/// cap: scan the signature group pairwise.
-fn find_subsumer_pairwise(
-    i: usize,
-    rule: &Rule,
-    indexes: &[usize],
-    rules: &[Rule],
-    vocab: &Vocabulary,
-) -> Option<usize> {
-    indexes
-        .iter()
-        .copied()
-        .filter(|&j| j != i)
-        .filter(|&j| rule_subsumes(&rules[j], rule, vocab))
-        // Mutual subsumption means identical canonical tuples; keep only
-        // the earlier rule as the survivor, exactly like the indexed path.
-        .find(|&j| !rule_subsumes(rule, &rules[j], vocab) || j < i)
+    let mut table = CompiledPolicy::new(policy, vocab);
+    (0..rules.len())
+        .filter_map(|i| {
+            let by = table.shadowed_by(i)?;
+            Some(shadow_diagnostic(policy, rules, i, by))
+        })
+        .collect()
 }
 
 /// Builds the `PA001` diagnostic with a hierarchy-aware witness: per
@@ -192,7 +72,7 @@ mod tests {
             Rule::of(&[("data", "referral"), ("authorized", "nurse")]),
             Rule::of(&[("data", "psychiatry"), ("authorized", "physician")]),
         ]);
-        assert!(shadowing_pass(&p, &v, 4096).is_empty());
+        assert!(shadowing_pass(&p, &v).is_empty());
     }
 
     #[test]
@@ -202,7 +82,7 @@ mod tests {
             Rule::of(&[("data", "medical"), ("authorized", "medical-staff")]),
             Rule::of(&[("data", "referral"), ("authorized", "nurse")]),
         ]);
-        let diags = shadowing_pass(&p, &v, 4096);
+        let diags = shadowing_pass(&p, &v);
         assert_eq!(diags.len(), 1);
         assert_eq!(diags[0].code, DiagCode::ShadowedRule);
         assert_eq!(diags[0].location.rule_index, Some(1));
@@ -216,7 +96,7 @@ mod tests {
         let v = figure_1();
         let r = Rule::of(&[("data", "referral"), ("authorized", "nurse")]);
         let p = Policy::with_rules(StoreTag::PolicyStore, vec![r.clone(), r]);
-        let diags = shadowing_pass(&p, &v, 4096);
+        let diags = shadowing_pass(&p, &v);
         assert_eq!(diags.len(), 1);
         assert_eq!(diags[0].location.rule_index, Some(1));
         assert!(diags[0].witness.as_deref().unwrap().contains("identical"));
@@ -229,21 +109,7 @@ mod tests {
             Rule::of(&[("data", "medical")]),
             Rule::of(&[("data", "referral"), ("authorized", "nurse")]),
         ]);
-        assert!(shadowing_pass(&p, &v, 4096).is_empty());
-    }
-
-    #[test]
-    fn fallback_pairwise_agrees_with_indexed() {
-        let v = figure_1();
-        let p = ps(vec![
-            Rule::of(&[("data", "medical"), ("authorized", "medical-staff")]),
-            Rule::of(&[("data", "referral"), ("authorized", "nurse")]),
-            Rule::of(&[("data", "demographic"), ("authorized", "clerk")]),
-        ]);
-        let indexed = shadowing_pass(&p, &v, 4096);
-        let pairwise = shadowing_pass(&p, &v, 0); // cap 0 forces fallback
-        assert_eq!(indexed, pairwise);
-        assert_eq!(indexed.len(), 1);
+        assert!(shadowing_pass(&p, &v).is_empty());
     }
 
     #[test]
@@ -254,7 +120,7 @@ mod tests {
             Rule::of(&[("data", "free-text-blob")]),
             Rule::of(&[("data", "other-blob")]),
         ]);
-        let diags = shadowing_pass(&p, &v, 4096);
+        let diags = shadowing_pass(&p, &v);
         assert_eq!(diags.len(), 1);
         assert_eq!(diags[0].location.rule_index, Some(1));
     }

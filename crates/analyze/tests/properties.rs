@@ -1,10 +1,10 @@
 //! Property-based checks that the analyzer's indexed verdicts agree with
-//! brute-force ground-expansion comparison, plus the perf smoke test the
-//! indexed shadowing pass exists for.
+//! brute-force ground-expansion comparison and with policy compaction,
+//! plus the perf smoke test the indexed shadowing pass exists for.
 
 use prima_analyze::{AnalyzeConfig, Analyzer};
 use prima_model::diag::DiagCode;
-use prima_model::simplify::rule_subsumes;
+use prima_model::simplify::{rule_subsumes, simplify_policy};
 use prima_model::{Policy, Rule, RuleTerm, StoreTag};
 use prima_vocab::samples::figure_1;
 use prima_vocab::synthetic::{synthetic_vocabulary, SyntheticSpec};
@@ -65,6 +65,29 @@ fn brute_force_shadowed(policy: &Policy, i: usize, v: &Vocabulary) -> bool {
     })
 }
 
+/// Indices of the rules `PA001` flags.
+fn shadowed_indices(diags: &[prima_model::Diagnostic]) -> Vec<usize> {
+    diags
+        .iter()
+        .filter(|d| d.code == DiagCode::ShadowedRule)
+        .filter_map(|d| d.location.rule_index)
+        .collect()
+}
+
+/// Indices of the rules `simplify_policy` removes. Survivors keep their
+/// order and the first of identical copies survives, so the leftmost
+/// embedding of the compacted policy in the original is the right one.
+fn compacted_away(policy: &Policy, v: &Vocabulary) -> Vec<usize> {
+    let out = simplify_policy(policy, v);
+    let mut kept = out.policy.rules().iter().peekable();
+    let removed: Vec<usize> = (0..policy.rules().len())
+        .filter(|&i| kept.next_if(|&k| *k == policy.rules()[i]).is_none())
+        .collect();
+    assert!(kept.next().is_none(), "survivors are a subsequence");
+    assert_eq!(removed.len(), out.removed.len());
+    removed
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
@@ -116,7 +139,7 @@ proptest! {
     }
 
     /// Same agreement on a deeper synthetic taxonomy (longer ancestor
-    /// chains exercise the odometer enumeration).
+    /// chains exercise the rows' closure over ancestors).
     #[test]
     fn shadow_verdicts_match_brute_force_on_synthetic(
         p in arb_policy(
@@ -142,6 +165,15 @@ proptest! {
                 "rule {} of {:?}", i, p
             );
         }
+    }
+
+    /// `PA001` and compaction give one answer: the rules the pass flags
+    /// are exactly the rules `simplify_policy` removes.
+    #[test]
+    fn shadow_verdicts_are_the_rules_compaction_removes(p in arb_policy(&figure_1(), 8)) {
+        let v = figure_1();
+        let diags = Analyzer::new(&v).analyze(&p);
+        prop_assert_eq!(shadowed_indices(&diags), compacted_away(&p, &v), "{:?}", p);
     }
 
     /// Vacuity agrees with the ground truth: over the standard audit
@@ -184,8 +216,8 @@ proptest! {
 }
 
 /// Perf smoke: a 10k-rule synthetic policy runs the full intra-policy
-/// pass stack in under a second. The indexed shadowing pass is what makes
-/// this hold — the pairwise fallback is quadratic in the rule count.
+/// pass stack in under a second. The compiled subsumer table is what
+/// makes this hold — a pairwise scan is quadratic in the rule count.
 #[test]
 fn ten_thousand_rules_analyze_in_under_a_second() {
     let spec = SyntheticSpec {
@@ -227,4 +259,5 @@ fn ten_thousand_rules_analyze_in_under_a_second() {
         diags.iter().any(|d| d.code == DiagCode::ShadowedRule),
         "expected shadowing among 10k strided rules"
     );
+    assert_eq!(shadowed_indices(&diags), compacted_away(&policy, &v));
 }

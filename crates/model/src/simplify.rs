@@ -7,6 +7,7 @@
 //! removes any rule whose ground expansion is contained in another rule's
 //! expansion, leaving a minimal equivalent policy.
 
+use crate::compiled::CompiledPolicy;
 use crate::policy::Policy;
 use crate::rule::Rule;
 use prima_vocab::Vocabulary;
@@ -24,6 +25,9 @@ pub struct SimplifyOutcome {
 /// True iff `broad` subsumes `narrow`: same attribute set and every value
 /// of `broad` subsumes the corresponding value of `narrow` — i.e.
 /// `expansion(narrow) ⊆ expansion(broad)`.
+///
+/// This is the pairwise reference; [`CompiledPolicy::subsumers`] answers
+/// the same question against a whole policy at once.
 pub fn rule_subsumes(broad: &Rule, narrow: &Rule, vocab: &Vocabulary) -> bool {
     if broad.cardinality() != narrow.cardinality() {
         return false;
@@ -38,44 +42,41 @@ pub fn rule_subsumes(broad: &Rule, narrow: &Rule, vocab: &Vocabulary) -> bool {
 /// Removes every rule subsumed by another rule of the policy. Exact
 /// duplicates keep their first occurrence. Order of surviving rules is
 /// preserved.
+///
+/// A rule goes exactly when the analyzer's `PA001` flags it
+/// ([`CompiledPolicy::shadowed_by`]), and it is reported against its
+/// lowest-index surviving subsumer. Some maximal subsumer of a dropped
+/// rule always survives, so no rule is left without one.
 pub fn simplify_policy(policy: &Policy, vocab: &Vocabulary) -> SimplifyOutcome {
     let rules = policy.rules();
-    let mut keep: Vec<bool> = vec![true; rules.len()];
-    for i in 0..rules.len() {
-        if !keep[i] {
-            continue;
-        }
-        for j in 0..rules.len() {
-            if i == j || !keep[j] {
-                continue;
+    let mut table = CompiledPolicy::new(policy, vocab);
+    let keep: Vec<bool> = (0..rules.len())
+        .map(|i| table.shadowed_by(i).is_none())
+        .collect();
+    let survivor: Vec<Option<usize>> = rules
+        .iter()
+        .zip(&keep)
+        .map(|(rule, &kept)| {
+            if kept {
+                None
+            } else {
+                table.subsumers(rule.terms()).iter().find(|&i| keep[i])
             }
-            // Drop j if i subsumes it. For exact duplicates, the earlier
-            // index wins (strictly later duplicates are dropped).
-            if rule_subsumes(&rules[i], &rules[j], vocab) && (rules[i] != rules[j] || i < j) {
-                keep[j] = false;
-            }
-        }
-    }
+        })
+        .collect();
     let mut compacted = Policy::new(policy.tag().clone());
-    let mut survivor_index = std::collections::HashMap::new();
-    for (i, rule) in rules.iter().enumerate() {
-        if keep[i] {
-            survivor_index.insert(i, compacted.cardinality());
+    let mut position = Vec::with_capacity(rules.len());
+    for (rule, by) in rules.iter().zip(&survivor) {
+        position.push(compacted.cardinality());
+        if by.is_none() {
             compacted.push(rule.clone());
         }
     }
-    let mut removed = Vec::new();
-    for (j, rule) in rules.iter().enumerate() {
-        if keep[j] {
-            continue;
-        }
-        let by = (0..rules.len())
-            .find(|&i| {
-                keep[i] && rule_subsumes(&rules[i], rule, vocab) && (rules[i] != *rule || i < j)
-            })
-            .expect("a dropped rule has a surviving subsumer");
-        removed.push((rule.clone(), survivor_index[&by]));
-    }
+    let removed = rules
+        .iter()
+        .zip(&survivor)
+        .filter_map(|(rule, by)| Some((rule.clone(), position[(*by)?])))
+        .collect();
     SimplifyOutcome {
         policy: compacted,
         removed,

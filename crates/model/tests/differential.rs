@@ -1,7 +1,9 @@
 //! Differential tests for the batch coverage path: the compiled bitset
 //! table ([`CompiledPolicy`]), the signature-bucket [`PolicyMatcher`] the
 //! live paths use, and brute-force ground expansion must answer "is this
-//! access covered?" identically.
+//! access covered?" identically. The table's rule-vs-rule answer (its
+//! subsumer sets, and the compaction built on them) must equal pairwise
+//! [`rule_subsumes`].
 //!
 //! Each case draws a random small vocabulary (a forest per attribute) and
 //! a random policy whose rules mix cardinalities and use internal-node,
@@ -9,7 +11,8 @@
 //! shapes draw from the same values.
 
 use prima_model::{
-    CompiledPolicy, CoverageEngine, GroundRule, Policy, PolicyMatcher, Rule, RuleTerm, StoreTag,
+    rule_subsumes, simplify_policy, CompiledPolicy, CoverageEngine, GroundRule, Policy,
+    PolicyMatcher, Rule, RuleTerm, StoreTag,
 };
 use prima_vocab::Vocabulary;
 use proptest::prelude::*;
@@ -130,5 +133,54 @@ proptest! {
         prop_assert_eq!(report.total_entries, trail.len());
         prop_assert_eq!(report.covered_entries, trail.len() - uncovered.len());
         prop_assert_eq!(report.uncovered_indices, uncovered);
+    }
+
+    #[test]
+    fn subsumers_and_compaction_match_pairwise_subsumption(seed in any::<u64>()) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let world = world(&mut rng);
+        let policy = policy(&mut rng, &world);
+        let v = &world.vocab;
+        let rules = policy.rules();
+        let mut compiled = CompiledPolicy::new(&policy, v);
+        for (i, rule) in rules.iter().enumerate() {
+            let table: Vec<usize> = compiled
+                .subsumers(rule.terms())
+                .iter()
+                .filter(|&j| j != i)
+                .collect();
+            let pairwise: Vec<usize> = (0..rules.len())
+                .filter(|&j| j != i && rule_subsumes(&rules[j], rule, v))
+                .collect();
+            prop_assert_eq!(table, pairwise, "subsumers of rule {} under {}", i, seed);
+        }
+
+        // Brute force: a rule goes iff another rule subsumes it strictly,
+        // or is an identical earlier copy; it is reported against the
+        // lowest-index survivor that subsumes it.
+        let dropped: Vec<bool> = (0..rules.len())
+            .map(|i| {
+                (0..rules.len()).any(|j| {
+                    j != i
+                        && rule_subsumes(&rules[j], &rules[i], v)
+                        && (!rule_subsumes(&rules[i], &rules[j], v) || j < i)
+                })
+            })
+            .collect();
+        let survivors: Vec<usize> = (0..rules.len()).filter(|&i| !dropped[i]).collect();
+        let expected_removed: Vec<(Rule, usize)> = (0..rules.len())
+            .filter(|&i| dropped[i])
+            .map(|i| {
+                let by = survivors
+                    .iter()
+                    .position(|&j| rule_subsumes(&rules[j], &rules[i], v))
+                    .expect("some survivor subsumes a dropped rule");
+                (rules[i].clone(), by)
+            })
+            .collect();
+        let out = simplify_policy(&policy, v);
+        let kept: Vec<Rule> = survivors.iter().map(|&i| rules[i].clone()).collect();
+        prop_assert_eq!(out.policy.rules(), &kept[..], "survivors under {}", seed);
+        prop_assert_eq!(out.removed, expected_removed, "removed under {}", seed);
     }
 }

@@ -4,13 +4,15 @@
 //! The pseudocode takes the "set complement" of the two ranges:
 //! `usefulPatterns = Range(Patterns) \ Range(P_PS)`. Materializing
 //! `Range(P_PS)` can explode for broad composite policies, so the
-//! implementation uses the formal model's lazy membership test — a pattern
-//! is pruned iff some policy rule's expansion contains it — which is
-//! definitionally the same set (property-checked against the materialized
-//! complement in the tests).
+//! implementation compiles the policy store once into a
+//! [`CompiledPolicy`] and asks it whether each pattern is covered: a
+//! pattern is pruned iff some policy rule subsumes it, the same query
+//! batch coverage, compaction and the analyzer's shadowing pass ask. That
+//! is definitionally the same set as the complement (property-checked
+//! against [`prune_materialized`] in the tests).
 
 use prima_mining::Pattern;
-use prima_model::{Policy, RangeSet};
+use prima_model::{CompiledPolicy, Policy, RangeSet};
 use prima_vocab::Vocabulary;
 
 /// The result of pruning, keeping the evidence of what was already covered.
@@ -25,14 +27,10 @@ pub struct PruneOutcome {
     pub already_covered: Vec<Pattern>,
 }
 
-/// Algorithm 6 via lazy membership.
+/// Algorithm 6 via the compiled policy store's membership test.
 pub fn prune(patterns: Vec<Pattern>, policy_store: &Policy, vocab: &Vocabulary) -> PruneOutcome {
-    let (already_covered, useful) = patterns.into_iter().partition(|p| {
-        policy_store
-            .rules()
-            .iter()
-            .any(|r| r.expansion_contains(&p.rule, vocab))
-    });
+    let mut table = CompiledPolicy::new(policy_store, vocab);
+    let (already_covered, useful) = patterns.into_iter().partition(|p| table.covers(&p.rule));
     PruneOutcome {
         useful,
         already_covered,

@@ -121,23 +121,6 @@ impl Vocabulary {
         }
     }
 
-    /// The ancestor chain of `(attr, value)` as canonical concept names,
-    /// from the value itself up to its taxonomy root. An out-of-vocabulary
-    /// value has only itself as ancestor (it subsumes nothing and nothing
-    /// subsumes it except the identical string).
-    pub fn ancestor_values(&self, attr: &str, value: &str) -> Vec<String> {
-        match self.resolve(attr, value) {
-            Some(id) => {
-                let t = self.attribute(attr).expect("resolved via same attribute");
-                t.ancestors(id)
-                    .into_iter()
-                    .map(|a| t.name(a).to_string())
-                    .collect()
-            }
-            None => vec![normalize(value)],
-        }
-    }
-
     /// True iff every ground value of `(attr, narrow)` is derivable from
     /// `(attr, broad)` — the subsumption direction needed by the lazy
     /// coverage engine.

@@ -48,6 +48,15 @@ fn shadowed_fixture_flags_both_narrow_rules() {
         diags.iter().all(|d| d.code == DiagCode::ShadowedRule),
         "nothing but PA001: {diags:?}"
     );
+    // Both name the umbrella rule 1, the lowest subsumer, not rule 2 (the
+    // identical copy of rule 3).
+    for d in &diags {
+        assert!(d.message.contains("subsumed by rule 1 "), "{d:?}");
+        let witness = d.witness.as_deref().expect("PA001 carries a witness");
+        assert!(witness.starts_with("rule 1: "), "{witness}");
+        assert!(witness.contains("nurse ⊑ medical-staff"), "{witness}");
+        assert!(witness.contains("referral ⊑ medical"), "{witness}");
+    }
 }
 
 #[test]
