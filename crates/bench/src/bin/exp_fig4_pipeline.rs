@@ -1,101 +1,44 @@
 //! E5 — Figure 4: end-to-end cost of one PRIMA round, decomposed per
 //! architecture component, as the trail grows.
 //!
-//! Components timed: audit federation (consolidated view), grounding
-//! (interning the trail by access shape), coverage measurement
-//! (entry-weighted, each distinct shape decided once against the compiled
-//! policy), Filter, extractPatterns (SQL miner), and Prune. Expected
-//! shape: every stage is near-linear in the trail; coverage costs almost
-//! nothing because it follows the distinct shapes, not the entries.
+//! Each row is one instrumented auto-accept round over a four-site
+//! federated trail, run by the same function as `prima-bench --suite
+//! pipeline`. The stage columns are the totals of the system's own
+//! profile (`PrimaSystem::pipeline_report()`): federate, ground, filter,
+//! mine, prune, propose and coverage. `staged` is the share of the
+//! round's wall time those stages account for. Expected shape: every
+//! stage is near-linear in the trail, and coverage costs little because
+//! it follows the distinct access shapes, not the entries.
 
-use prima_audit::ShapeTrail;
-use prima_bench::{banner, render_table, timed};
-use prima_model::{CompiledPolicy, EntryCoverageReport};
-use prima_refine::{refinement, ReviewQueue};
-use prima_workload::sim::{entries, split_sites, SimConfig};
-use prima_workload::Scenario;
+use prima_bench::suite::pipeline::run_pipeline;
+use prima_bench::{banner, render_table};
+use prima_core::observe::STAGES;
 
 fn main() {
-    let scenario = Scenario::community_hospital();
-    let sim = scenario.simulator();
-
-    banner("Figure 4 (measured): per-component cost of a PRIMA round");
+    banner("Figure 4 (measured): per-stage cost of a PRIMA round");
     let mut rows = Vec::new();
     for n in [1_000usize, 5_000, 20_000, 50_000, 100_000] {
-        let config = SimConfig {
-            seed: 11,
-            n_entries: n,
-            ..SimConfig::default()
-        };
-        let trail = entries(&sim.generate(&config));
-
-        // Audit Management: federate 4 sites into the consolidated view.
-        let labeled: Vec<_> = trail
-            .iter()
-            .map(|e| prima_workload::sim::LabeledEntry {
-                entry: e.clone(),
-                label: prima_workload::EntryLabel::Sanctioned,
-            })
-            .collect();
-        let sites = split_sites(&labeled, 4);
-        let mut federation = prima_audit::AuditFederation::new();
-        for s in sites {
-            federation.register(s).expect("unique source name");
-        }
-        let (consolidated, t_fed) = timed(|| federation.consolidated_entries());
-
-        // Grounding: each distinct access shape once.
-        let (shapes, t_ground) = timed(|| ShapeTrail::of(&consolidated).expect("well-formed"));
-
-        // Coverage measurement, weighed back onto the entries.
-        let (cov, t_cov) = timed(|| {
-            let verdicts =
-                CompiledPolicy::new(&scenario.policy, &scenario.vocab).verdicts(shapes.shapes());
-            EntryCoverageReport::weigh(&verdicts, shapes.shape_ids())
-        });
-
-        // Refinement pipeline (Filter + extractPatterns + Prune timed
-        // together, then re-timed stage by stage inside `refinement`).
-        let (report, t_refine) =
-            timed(|| refinement(&scenario.policy, &consolidated, &scenario.vocab).expect("mines"));
-
-        // Review application.
-        let mut queue = ReviewQueue::new();
-        queue.propose(report.useful_patterns.clone(), 1);
-        let mut policy = scenario.policy.clone();
-        let (_, t_apply) = timed(|| {
-            queue.accept_all_pending();
-            queue.apply_accepted(&mut policy)
-        });
-
-        rows.push(vec![
-            n.to_string(),
-            format!("{t_fed:.1}"),
-            format!("{t_ground:.1}"),
-            format!("{t_cov:.2}"),
-            shapes.shapes().len().to_string(),
-            format!("{t_refine:.1}"),
-            format!("{t_apply:.3}"),
-            format!("{:.1}%", cov.percent()),
-            report.useful_patterns.len().to_string(),
-        ]);
+        let round = run_pipeline(n);
+        assert!(round.all_stages_observed, "every stage observed at {n}");
+        let share = round.staged_share();
+        assert!(share <= 1.0, "stages exceed the round at {n}: {share}");
+        let mut row = vec![n.to_string(), format!("{:.2}", round.round_seconds * 1e3)];
+        row.extend(
+            STAGES
+                .iter()
+                .map(|stage| format!("{:.2}", round.stage_seconds(stage) * 1e3)),
+        );
+        row.push(format!("{:.0}%", share * 100.0));
+        row.push(format!("{:.1}%", round.coverage_after * 100.0));
+        rows.push(row);
     }
+    let mut headers = vec!["entries".to_string(), "round (ms)".to_string()];
+    headers.extend(STAGES.iter().map(|stage| format!("{stage} (ms)")));
+    headers.extend(["staged".to_string(), "coverage after".to_string()]);
+    let headers: Vec<&str> = headers.iter().map(String::as_str).collect();
+    println!("{}", render_table(&headers, &rows));
     println!(
-        "{}",
-        render_table(
-            &[
-                "entries",
-                "federate (ms)",
-                "ground (ms)",
-                "coverage (ms)",
-                "shapes",
-                "filter+mine+prune (ms)",
-                "apply (ms)",
-                "coverage",
-                "useful patterns"
-            ],
-            &rows
-        )
+        "shape: every stage is near-linear in trail size, and a 100k-entry round completes \
+         in well under a second."
     );
-    println!("shape: every component is near-linear in trail size and none dominates; a 100k-entry round completes in well under a second.");
 }

@@ -6,12 +6,23 @@
 //! size, materialization time, and the lazy engine's time for the same
 //! coverage query — the ablation that justifies the lazy engine's
 //! existence.
+//!
+//! A second table is the strategy ablation of DESIGN.md §6 on simulated
+//! community-hospital trails: materialize-hash vs materialize-sort-merge
+//! vs lazy set coverage, plus entry-weighted coverage. The binary asserts
+//! that the three strategies return the same report.
 
-use prima_bench::{banner, render_table, timed};
+use prima_bench::{banner, render_table, standard_trail, timed};
 use prima_model::{CoverageEngine, Policy, Rule, StoreTag, Strategy};
 use prima_vocab::synthetic::{synthetic_vocabulary, SyntheticSpec};
+use prima_workload::Scenario;
 
 fn main() {
+    fan_out_sweep();
+    strategy_ablation();
+}
+
+fn fan_out_sweep() {
     banner("E9: range explosion — materializing vs lazy coverage");
     let mut rows = Vec::new();
     for fan_out in [2usize, 3, 4, 5, 6] {
@@ -80,5 +91,64 @@ fn main() {
     println!(
         "shape: materialization time tracks |Range| = (fan_out^3)^3 and hits the safety \
          budget at fan-out 6; the lazy engine is flat (three subsumption walks per probe)."
+    );
+}
+
+fn strategy_ablation() {
+    banner("E9: coverage strategies on simulated community-hospital trails");
+    let scenario = Scenario::community_hospital();
+    let mut rows = Vec::new();
+    for n in [1_000usize, 10_000] {
+        let rules: Vec<_> = standard_trail(n, 5)
+            .iter()
+            .map(|e| e.to_ground_rule().expect("well-formed"))
+            .collect();
+        let al = Policy::from_ground_rules(StoreTag::AuditLog, rules.iter().cloned());
+        let mut reports = Vec::new();
+        let mut row = vec![n.to_string()];
+        for strategy in [
+            Strategy::MaterializeHash,
+            Strategy::MaterializeSortMerge,
+            Strategy::Lazy,
+        ] {
+            let engine = CoverageEngine::new(strategy);
+            let (report, ms) = timed(|| engine.coverage(&scenario.policy, &al, &scenario.vocab));
+            reports.push(report.expect("the scenario's range fits the budget"));
+            row.push(format!("{ms:.2}"));
+        }
+        assert!(
+            reports.windows(2).all(|w| w[0] == w[1]),
+            "strategies disagree at {n} entries"
+        );
+        let (entry, ms) = timed(|| {
+            CoverageEngine::default().entry_coverage(&scenario.policy, &rules, &scenario.vocab)
+        });
+        row.extend([
+            format!("{ms:.2}"),
+            reports[0].target_cardinality.to_string(),
+            format!("{:.1}%", reports[0].percent()),
+            format!("{:.1}%", entry.percent()),
+        ]);
+        rows.push(row);
+    }
+    println!(
+        "{}",
+        render_table(
+            &[
+                "entries",
+                "hash (ms)",
+                "sort-merge (ms)",
+                "lazy (ms)",
+                "entry-weighted (ms)",
+                "|Range(P_AL)|",
+                "set coverage",
+                "entry coverage"
+            ],
+            &rows
+        )
+    );
+    println!(
+        "shape: the three set strategies return identical reports; entry-weighted \
+         coverage interns the trail by shape and decides each distinct shape once."
     );
 }

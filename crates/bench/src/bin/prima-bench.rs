@@ -9,7 +9,7 @@
 //! error.
 
 use prima_bench::suite::{run_suite, SUITES};
-use std::path::PathBuf;
+use std::path::Path;
 use std::process::ExitCode;
 
 fn usage(problem: &str) -> ExitCode {
@@ -24,11 +24,20 @@ fn main() -> ExitCode {
     let (mut suite, mut smoke, mut out) = (None, false, None);
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--suite" => suite = args.next(),
-            "--smoke" => smoke = true,
-            "--out" => out = args.next().map(PathBuf::from),
+        let slot = match arg.as_str() {
+            "--smoke" => {
+                smoke = true;
+                continue;
+            }
+            "--suite" => &mut suite,
+            "--out" => &mut out,
             _ => return usage(&format!("unknown argument '{arg}'")),
+        };
+        // A flag never stands in for a value: `--out --smoke` is a typo,
+        // not a file named `--smoke`.
+        match args.next().filter(|value| !value.starts_with("--")) {
+            Some(value) => *slot = Some(value),
+            None => return usage(&format!("{arg} needs a value")),
         }
     }
     let Some(name) = suite else {
@@ -37,7 +46,7 @@ fn main() -> ExitCode {
     let Some(report) = run_suite(&name, smoke) else {
         return usage(&format!("unknown suite '{name}'"));
     };
-    match report.finish(out.as_deref()) {
+    match report.finish(out.as_deref().map(Path::new)) {
         Ok(status) => ExitCode::from(status),
         Err(e) => {
             eprintln!("prima-bench: cannot write the report: {e}");

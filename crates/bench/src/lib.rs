@@ -12,12 +12,11 @@
 //! | `exp_fig5_hdb_overhead` | Figure 5 — AE/CA correctness and overhead |
 //! | `exp_sensitivity` | §5 remark — miner threshold sensitivity (E7) |
 //! | `exp_miner_comparison` | §5 future work — SQL miner vs Apriori (E8) |
+//! | `exp_range_explosion` | Algorithm 1 — range explosion and the coverage-strategy ablation (E9) |
+//! | `exp_evolving_practice` | refinement as an ongoing process under practice drift (E10) |
+//! | `exp_tree_records` | hierarchical records — XML parsing and subtree redaction cost |
 //!
-//! Criterion benches (`cargo bench -p prima-bench`) cover the
-//! machine-measured side: `bench_coverage` (E2/E9 + the
-//! materialize-vs-lazy and hash-vs-sort-merge ablations), `bench_mining`
-//! (E8), `bench_refinement` (E3), `bench_hdb` (E6), and `bench_pipeline`
-//! (E5).
+//! Each binary asserts the figure it reproduces and prints its table.
 //!
 //! The load suites ([`suite`]: `pipeline`, `stream`, `serve`, `surge`)
 //! carry acceptance gates and run through one binary,
@@ -26,7 +25,7 @@
 //! and exits 1 when a gate fails.
 //!
 //! This library also holds the shared glue: wall-clock timing, aligned
-//! table rendering, and the standard workloads the binaries and benches
+//! table rendering, and the standard workloads the binaries and suites
 //! share.
 
 #![forbid(unsafe_code)]

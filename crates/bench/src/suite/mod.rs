@@ -22,7 +22,7 @@ pub fn run_suite(name: &str, smoke: bool) -> Option<BenchReport> {
         }
     }
     Some(match name {
-        "pipeline" => pipeline::run_pipeline().report(),
+        "pipeline" => pipeline::run_pipeline(pipeline::TRAIL_ENTRIES).report(),
         "stream" => {
             stream::run_stream_bench(preset(smoke, stream::StreamBenchConfig::smoke)).report()
         }

@@ -132,15 +132,18 @@ impl ActiveEnforcement {
 
     /// Does the policy store sanction `(category, purpose, role)`?
     pub fn policy_allows(&self, category: &str, purpose: &str, role: &str) -> bool {
-        let probe = match GroundRule::new(vec![
-            RuleTerm::new("data", category).unwrap_or_else(|_| RuleTerm::of("data", "invalid")),
-            RuleTerm::new("purpose", purpose)
-                .unwrap_or_else(|_| RuleTerm::of("purpose", "invalid")),
-            RuleTerm::new("authorized", role)
-                .unwrap_or_else(|_| RuleTerm::of("authorized", "invalid")),
-        ]) {
-            Ok(g) => g,
-            Err(_) => return false,
+        // A blank field fails closed: no rule can sanction it.
+        let probe = [
+            ("data", category),
+            ("purpose", purpose),
+            ("authorized", role),
+        ]
+        .into_iter()
+        .map(|(attr, value)| RuleTerm::new(attr, value))
+        .collect::<Result<Vec<_>, _>>()
+        .and_then(GroundRule::new);
+        let Ok(probe) = probe else {
+            return false;
         };
         self.policy
             .rules()
@@ -516,5 +519,21 @@ mod tests {
         ]));
         ae.set_policy(p);
         assert!(ae.policy_allows("referral", "registration", "nurse"));
+    }
+
+    #[test]
+    fn blank_field_fails_closed_even_against_an_invalid_rule() {
+        let mut ae = ae(ConsentRegistry::new());
+        let mut p = ae.policy().clone();
+        p.push(Rule::of(&[
+            ("data", "referral"),
+            ("purpose", "invalid"),
+            ("authorized", "nurse"),
+        ]));
+        ae.set_policy(p);
+        assert!(ae.policy_allows("referral", "invalid", "nurse"));
+        assert!(!ae.policy_allows("referral", "   ", "nurse"));
+        assert!(!ae.policy_allows("", "treatment", "nurse"));
+        assert!(!ae.policy_allows("referral", "treatment", ""));
     }
 }

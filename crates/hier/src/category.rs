@@ -39,9 +39,10 @@ impl PathCategoryMap {
     /// among equal specificity, the *last* registered wins (so later,
     /// site-specific mappings override earlier defaults).
     pub fn category_of(&self, path: &[&str]) -> Option<&str> {
+        let path: Vec<String> = path.iter().map(|name| normalize(name)).collect();
         let mut best: Option<(usize, usize)> = None; // (specificity, index)
         for (i, (pat, _)) in self.entries.iter().enumerate() {
-            if pat.matches(path) {
+            if pat.matches_normalized(&path) {
                 let spec = pat.specificity();
                 if best.is_none_or(|(bs, bi)| spec > bs || (spec == bs && i > bi)) {
                     best = Some((spec, i));

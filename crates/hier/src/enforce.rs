@@ -71,13 +71,17 @@ impl TreeEnforcement {
     }
 
     fn allows(&self, category: &str, purpose: &str, role: &str) -> bool {
-        let Ok(probe) = GroundRule::new(vec![
-            RuleTerm::new("data", category).unwrap_or_else(|_| RuleTerm::of("data", "invalid")),
-            RuleTerm::new("purpose", purpose)
-                .unwrap_or_else(|_| RuleTerm::of("purpose", "invalid")),
-            RuleTerm::new("authorized", role)
-                .unwrap_or_else(|_| RuleTerm::of("authorized", "invalid")),
-        ]) else {
+        // A blank field fails closed: no rule can sanction it.
+        let probe = [
+            ("data", category),
+            ("purpose", purpose),
+            ("authorized", role),
+        ]
+        .into_iter()
+        .map(|(attr, value)| RuleTerm::new(attr, value))
+        .collect::<Result<Vec<_>, _>>()
+        .and_then(GroundRule::new);
+        let Ok(probe) = probe else {
             return false;
         };
         self.policy
@@ -96,36 +100,26 @@ impl TreeEnforcement {
         purpose: &str,
         mode: TreeAccessMode,
     ) -> RedactionOutcome {
-        let mut view = Document::new(&doc.node(doc.root()).name);
-        if let Some(t) = &doc.node(doc.root()).text {
-            // Root text carries no category of its own; treat the root as
-            // structural scaffolding (always present, never payload).
-            let _ = t;
-        }
-        let mut served: BTreeSet<String> = BTreeSet::new();
-        let mut redacted: BTreeSet<String> = BTreeSet::new();
-        let mut redacted_nodes = 0usize;
-
-        let view_root = view.root();
-        self.walk(
-            doc,
-            doc.root(),
-            &mut view,
-            view_root,
+        // The root is structural scaffolding: always present, never
+        // payload, with no category of its own.
+        let mut walk = Walk {
             role,
             purpose,
             mode,
-            &mut served,
-            &mut redacted,
-            &mut redacted_nodes,
-        );
+            view: Document::new(&doc.node(doc.root()).name),
+            served: BTreeSet::new(),
+            redacted: BTreeSet::new(),
+            redacted_nodes: 0,
+        };
+        let view_root = walk.view.root();
+        self.walk(doc, doc.root(), view_root, None, &mut walk);
 
         let status = match mode {
             TreeAccessMode::Chosen => AccessStatus::Regular,
             TreeAccessMode::BreakTheGlass => AccessStatus::Exception,
         };
         let mut audit_entries = Vec::new();
-        for cat in &served {
+        for cat in &walk.served {
             audit_entries.push(AuditEntry {
                 time,
                 op: Op::Allow,
@@ -136,7 +130,7 @@ impl TreeEnforcement {
                 status,
             });
         }
-        for cat in &redacted {
+        for cat in &walk.redacted {
             audit_entries.push(AuditEntry {
                 time,
                 op: Op::Disallow,
@@ -149,72 +143,78 @@ impl TreeEnforcement {
         }
 
         RedactionOutcome {
-            view,
-            redacted_nodes,
-            served_categories: served.into_iter().collect(),
-            redacted_categories: redacted.into_iter().collect(),
+            view: walk.view,
+            redacted_nodes: walk.redacted_nodes,
+            served_categories: walk.served.into_iter().collect(),
+            redacted_categories: walk.redacted.into_iter().collect(),
             audit_entries,
         }
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn walk(
-        &self,
+    /// Copies the sanctioned part of `node`'s children into the view
+    /// under `view_parent`. `inherited` is the category of `node`'s
+    /// nearest mapped ancestor: a child takes its own most specific
+    /// mapping, else that one, so a region nested inside a sanctioned one
+    /// is still decided on its own category.
+    fn walk<'a>(
+        &'a self,
         doc: &Document,
         node: NodeId,
-        view: &mut Document,
         view_parent: NodeId,
-        role: &str,
-        purpose: &str,
-        mode: TreeAccessMode,
-        served: &mut BTreeSet<String>,
-        redacted: &mut BTreeSet<String>,
-        redacted_nodes: &mut usize,
+        inherited: Option<&'a str>,
+        w: &mut Walk<'_>,
     ) {
         for &child in &doc.node(node).children {
-            let path = doc.segments_of(child);
-            match self.categories.category_of(&path) {
+            let (src, path) = (doc.node(child), doc.segments_of(child));
+            match self.categories.category_of(&path).or(inherited) {
                 Some(cat) => {
-                    let allowed =
-                        mode == TreeAccessMode::BreakTheGlass || self.allows(cat, purpose, role);
+                    // `inherited` is only ever a category already allowed.
+                    let allowed = Some(cat) == inherited
+                        || w.mode == TreeAccessMode::BreakTheGlass
+                        || self.allows(cat, w.purpose, w.role);
                     if allowed {
-                        served.insert(cat.to_string());
-                        doc.copy_subtree_into(child, view, view_parent);
+                        w.served.insert(cat.to_string());
+                        let copy = match &src.text {
+                            Some(text) => w.view.add_text_child(view_parent, &src.name, text),
+                            None => w.view.add_child(view_parent, &src.name),
+                        };
+                        self.walk(doc, child, copy, Some(cat), w);
                     } else {
-                        redacted.insert(cat.to_string());
-                        *redacted_nodes += doc.descendants(child).len();
+                        w.redacted.insert(cat.to_string());
+                        w.redacted_nodes += doc.descendants(child).len();
+                    }
+                }
+                None if src.children.is_empty() && src.text.is_some() => {
+                    // An unmapped *leaf with payload* fails closed.
+                    let unmapped = format!("unmapped:{}", doc.path_of(child));
+                    if w.mode == TreeAccessMode::BreakTheGlass {
+                        w.served.insert(unmapped);
+                        doc.copy_subtree_into(child, &mut w.view, view_parent);
+                    } else {
+                        w.redacted.insert(unmapped);
+                        w.redacted_nodes += 1;
                     }
                 }
                 None => {
-                    if doc.node(child).children.is_empty() && doc.node(child).text.is_some() {
-                        // An unmapped *leaf with payload* fails closed.
-                        if mode == TreeAccessMode::BreakTheGlass {
-                            served.insert(format!("unmapped:{}", doc.path_of(child)));
-                            doc.copy_subtree_into(child, view, view_parent);
-                        } else {
-                            redacted.insert(format!("unmapped:{}", doc.path_of(child)));
-                            *redacted_nodes += 1;
-                        }
-                    } else {
-                        // Structural node: keep the shell, recurse.
-                        let shell = view.add_child(view_parent, &doc.node(child).name);
-                        self.walk(
-                            doc,
-                            child,
-                            view,
-                            shell,
-                            role,
-                            purpose,
-                            mode,
-                            served,
-                            redacted,
-                            redacted_nodes,
-                        );
-                    }
+                    // Structural node: keep the shell, recurse.
+                    let shell = w.view.add_child(view_parent, &src.name);
+                    self.walk(doc, child, shell, None, w);
                 }
             }
         }
     }
+}
+
+/// One request's walk: what it asks, the view built so far, and the
+/// categories it served and redacted.
+struct Walk<'r> {
+    role: &'r str,
+    purpose: &'r str,
+    mode: TreeAccessMode,
+    view: Document,
+    served: BTreeSet<String>,
+    redacted: BTreeSet<String>,
+    redacted_nodes: usize,
 }
 
 #[cfg(test)]
@@ -395,5 +395,45 @@ mod tests {
             report.useful_patterns[0].compact(&["data", "purpose", "authorized"]),
             "referral:registration:nurse"
         );
+    }
+
+    #[test]
+    fn blank_purpose_fails_closed_even_against_an_invalid_rule() {
+        let policy = Policy::with_rules(
+            StoreTag::PolicyStore,
+            vec![Rule::of(&[
+                ("data", "referral"),
+                ("purpose", "invalid"),
+                ("authorized", "nurse"),
+            ])],
+        );
+        let e = TreeEnforcement::new(policy, figure_1(), categories());
+        assert!(e.allows("referral", "invalid", "nurse"));
+        let out = e.enforce(&doc(), 1, "tim", "nurse", "   ", TreeAccessMode::Chosen);
+        assert_eq!(out.served_categories, Vec::<String>::new());
+        assert!(out.redacted_categories.contains(&"referral".to_string()));
+    }
+
+    #[test]
+    fn a_region_nested_in_a_sanctioned_one_keeps_its_own_category() {
+        let mut m = PathCategoryMap::new();
+        m.map("/patient/record/**", "general-care").unwrap();
+        m.map("/patient/record/mental-health/**", "psychiatry")
+            .unwrap();
+        let mut e = enforcement();
+        e.categories = m;
+        let view = |mode| e.enforce(&doc(), 1, "tim", "nurse", "treatment", mode);
+        let out = view(TreeAccessMode::Chosen);
+        let xml = out.view.to_xml();
+        assert!(xml.contains("cardiology"), "general care served:\n{xml}");
+        assert!(!xml.contains("session notes"), "psychiatry leaked:\n{xml}");
+        assert_eq!(out.served_categories, vec!["general-care"]);
+        assert!(out.redacted_categories.contains(&"psychiatry".to_string()));
+        assert_eq!(out.view.len() + out.redacted_nodes, doc().len());
+
+        // Break-the-glass still serves it, and audits it as psychiatry.
+        let btg = view(TreeAccessMode::BreakTheGlass);
+        assert!(btg.view.to_xml().contains("session notes"));
+        assert!(btg.served_categories.contains(&"psychiatry".to_string()));
     }
 }

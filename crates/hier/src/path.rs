@@ -102,6 +102,15 @@ impl PathPattern {
     /// Does the pattern match a node whose root-to-node element names are
     /// `path`?
     pub fn matches(&self, path: &[&str]) -> bool {
+        let path: Vec<String> = path
+            .iter()
+            .map(|name| prima_vocab::normalize(name))
+            .collect();
+        self.matches_normalized(&path)
+    }
+
+    /// [`Self::matches`] over element names already normalized.
+    pub(crate) fn matches_normalized(&self, path: &[String]) -> bool {
         let has_subtree = matches!(self.segments.last(), Some(Segment::Subtree));
         let fixed = if has_subtree {
             &self.segments[..self.segments.len() - 1]
@@ -119,7 +128,7 @@ impl PathPattern {
         for (seg, name) in fixed.iter().zip(path) {
             match seg {
                 Segment::Name(n) => {
-                    if n != &prima_vocab::normalize(name) {
+                    if n != name {
                         return false;
                     }
                 }

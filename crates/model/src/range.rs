@@ -109,7 +109,7 @@ impl RangeSet {
     }
 
     /// Sort-merge intersection (ablation partner of [`RangeSet::intersect`];
-    /// identical result, different cost profile — see `bench_coverage`).
+    /// identical result, different cost profile — see `exp_range_explosion`).
     pub fn intersect_sorted(&self, other: &RangeSet) -> RangeSet {
         let mut a: Vec<&GroundRule> = self.rules.iter().collect();
         let mut b: Vec<&GroundRule> = other.rules.iter().collect();
