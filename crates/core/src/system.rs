@@ -312,7 +312,7 @@ impl PrimaSystem {
     /// window, then pushes the (possibly refined) policy back into the
     /// engine so its shards re-label their verdicts under the new epoch.
     ///
-    /// Returns `None` when the stream has no windowed stats yet (window
+    /// Returns `None` when the stream has no training window yet (window
     /// tracking off or no events ingested): there is nothing to train
     /// on, and running an unwindowed round here would silently violate
     /// the "train on the latest period" contract.
@@ -325,7 +325,7 @@ impl PrimaSystem {
         let Some(window) = snapshot.window else {
             return Ok(None);
         };
-        let record = self.run_round_windowed(window.window, mode)?;
+        let record = self.run_round_windowed(window, mode)?;
         engine.refresh_policy(&self.policy);
         Ok(Some(record))
     }

@@ -33,7 +33,10 @@ pub fn filter(entries: &[AuditEntry]) -> Vec<AuditEntry> {
 }
 
 /// Algorithm 3 plus violation separation.
-pub fn filter_with<C: AccessClassifier>(entries: &[AuditEntry], classifier: &C) -> FilterOutcome {
+pub fn filter_with<C: AccessClassifier + ?Sized>(
+    entries: &[AuditEntry],
+    classifier: &C,
+) -> FilterOutcome {
     let mut practice = Vec::new();
     let mut suspected_violations = Vec::new();
     let mut dropped = 0usize;

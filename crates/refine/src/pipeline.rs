@@ -17,7 +17,7 @@ pub struct RefinementConfig<'a> {
     pub miner: &'a dyn Miner,
     /// Violation/practice separation (defaults to the Section 5 assumption
     /// that no exceptions are violations).
-    pub classifier: &'a dyn AccessClassifierObj,
+    pub classifier: &'a dyn AccessClassifier,
     /// The refinement-safety gate. When set, every pattern surviving
     /// Prune is additionally checked against the gate's umbrella
     /// envelope; widening patterns are diverted out of `useful_patterns`
@@ -29,7 +29,7 @@ pub struct RefinementConfig<'a> {
 impl<'a> RefinementConfig<'a> {
     /// A config with the given miner and classifier and no safety gate —
     /// the paper-faithful Algorithm 2.
-    pub fn new(miner: &'a dyn Miner, classifier: &'a dyn AccessClassifierObj) -> Self {
+    pub fn new(miner: &'a dyn Miner, classifier: &'a dyn AccessClassifier) -> Self {
         Self {
             miner,
             classifier,
@@ -41,27 +41,6 @@ impl<'a> RefinementConfig<'a> {
     pub fn with_gate(mut self, gate: &'a SafetyGate) -> Self {
         self.gate = Some(gate);
         self
-    }
-}
-
-/// Object-safe wrapper over [`AccessClassifier`] so configs can hold
-/// heterogeneous classifiers.
-pub trait AccessClassifierObj {
-    /// See [`AccessClassifier::is_violation`].
-    fn is_violation_obj(&self, entry: &AuditEntry) -> bool;
-}
-
-impl<C: AccessClassifier> AccessClassifierObj for C {
-    fn is_violation_obj(&self, entry: &AuditEntry) -> bool {
-        self.is_violation(entry)
-    }
-}
-
-struct ObjAdapter<'a>(&'a dyn AccessClassifierObj);
-
-impl AccessClassifier for ObjAdapter<'_> {
-    fn is_violation(&self, entry: &AuditEntry) -> bool {
-        self.0.is_violation_obj(entry)
     }
 }
 
@@ -147,7 +126,7 @@ pub fn refinement_with(
         practice,
         suspected_violations,
         dropped,
-    } = filter_with(audit_entries, &ObjAdapter(config.classifier));
+    } = filter_with(audit_entries, config.classifier);
     let filter_duration = stage_start.elapsed();
 
     // Line 2: Patterns ← extractPatterns(Practice, V).

@@ -35,10 +35,13 @@ pub struct DecisionKey {
     pub consent: Consent,
 }
 
-/// One cached verdict, stamped with the epoch that computed it.
+/// One cached verdict, stamped with the epoch that computed it and
+/// carrying the policy revision it was computed under, so a hit replies
+/// with the pair an uncached decision would have produced.
 #[derive(Debug, Clone, Copy)]
 struct Entry {
     stamp: u64,
+    revision: u64,
     verdict: Verdict,
 }
 
@@ -108,19 +111,20 @@ impl ShardedDecisionCache {
         &self.shards[(h.finish() as usize) & (self.shards.len() - 1)]
     }
 
-    /// Looks the key up. Hits only when the entry was stamped with the
+    /// Looks the key up, returning the verdict and the policy revision
+    /// that computed it. Hits only when the entry was stamped with the
     /// current epoch; a stale entry is evicted in place and counts as a
     /// miss, so one epoch advance can never serve a pre-refinement
     /// verdict.
-    pub fn lookup(&self, key: &DecisionKey) -> Option<Verdict> {
+    pub fn lookup(&self, key: &DecisionKey) -> Option<(Verdict, u64)> {
         let now = self.epoch.load(Ordering::Acquire);
         let mut shard = self.shard_of(key).lock();
         match shard.get(key) {
             Some(e) if e.stamp == now => {
-                let verdict = e.verdict;
+                let hit = (e.verdict, e.revision);
                 drop(shard);
                 self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(verdict)
+                Some(hit)
             }
             Some(_) => {
                 // Lazy eviction: the entry predates the current policy.
@@ -138,17 +142,23 @@ impl ShardedDecisionCache {
     }
 
     /// Installs a verdict stamped with the epoch of the policy snapshot
-    /// that computed it. If that snapshot is already obsolete (an install
-    /// raced in between), the entry is dropped rather than inserted — it
-    /// would never hit, and inserting it could shadow a fresher entry.
-    pub fn insert(&self, key: DecisionKey, stamp: u64, verdict: Verdict) {
+    /// that computed it, together with that snapshot's revision. If the
+    /// snapshot is already obsolete (an install raced in between), the
+    /// entry is dropped rather than inserted — it would never hit, and
+    /// inserting it could shadow a fresher entry.
+    pub fn insert(&self, key: DecisionKey, stamp: u64, revision: u64, verdict: Verdict) {
         if stamp != self.epoch.load(Ordering::Acquire) {
             return;
         }
+        let entry = Entry {
+            stamp,
+            revision,
+            verdict,
+        };
         let mut shard = self.shard_of(&key).lock();
-        let slot = shard.entry(key).or_insert(Entry { stamp, verdict });
+        let slot = shard.entry(key).or_insert(entry);
         if slot.stamp <= stamp {
-            *slot = Entry { stamp, verdict };
+            *slot = entry;
         }
     }
 
@@ -201,8 +211,8 @@ mod tests {
     fn insert_then_lookup_hits_within_an_epoch() {
         let cache = ShardedDecisionCache::new(8);
         assert_eq!(cache.lookup(&key("nurse")), None);
-        cache.insert(key("nurse"), 0, Verdict::Allow);
-        assert_eq!(cache.lookup(&key("nurse")), Some(Verdict::Allow));
+        cache.insert(key("nurse"), 0, 3, Verdict::Allow);
+        assert_eq!(cache.lookup(&key("nurse")), Some((Verdict::Allow, 3)));
         let s = cache.stats();
         assert_eq!((s.hits, s.misses), (1, 1));
         assert!((s.hit_rate() - 0.5).abs() < 1e-12);
@@ -212,7 +222,7 @@ mod tests {
     fn advancing_the_epoch_invalidates_everything_at_once() {
         let cache = ShardedDecisionCache::new(4);
         for r in ["nurse", "physician", "clerk"] {
-            cache.insert(key(r), 0, Verdict::Allow);
+            cache.insert(key(r), 0, 0, Verdict::Allow);
         }
         cache.advance(1);
         for r in ["nurse", "physician", "clerk"] {
@@ -228,7 +238,7 @@ mod tests {
         let cache = ShardedDecisionCache::new(4);
         cache.advance(5);
         // A worker computed under epoch 3, then an install raced ahead.
-        cache.insert(key("nurse"), 3, Verdict::Deny(DenyReason::PolicyDenied));
+        cache.insert(key("nurse"), 3, 3, Verdict::Deny(DenyReason::PolicyDenied));
         assert_eq!(cache.lookup(&key("nurse")), None);
     }
 

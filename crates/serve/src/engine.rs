@@ -313,9 +313,12 @@ impl DecisionEngine {
             consent,
         };
         if use_cache {
-            if let Some(verdict) = self.cache.lookup(&key) {
+            // The hit replies with the revision stored beside its
+            // verdict: an install landing after the lookup must not
+            // re-stamp a verdict the old policy computed.
+            if let Some((verdict, revision)) = self.cache.lookup(&key) {
                 self.obs.cache_hits.inc();
-                return self.reply(req, verdict, self.policy_revision(), true);
+                return self.reply(req, verdict, revision, true);
             }
             self.obs.cache_misses.inc();
         }
@@ -343,7 +346,7 @@ impl DecisionEngine {
         // coherent entries still hit, but nothing new is admitted while
         // the policy plane is suspect.
         if use_cache && !self.is_degraded() && !self.installs_held() {
-            self.cache.insert(key, stamp, verdict);
+            self.cache.insert(key, stamp, revision, verdict);
         }
         self.reply(req, verdict, revision, false)
     }

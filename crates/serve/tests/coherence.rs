@@ -273,3 +273,63 @@ proptest! {
             c.state == CandidateState::Rejected));
     }
 }
+
+/// A cache hit racing a policy install must reply with the revision that
+/// computed its verdict. The installer alternates two policies whose
+/// verdicts on one request differ by revision parity (the physician's
+/// psychiatry read is allowed at odd revisions only), so any reply whose
+/// verdict and revision disagree on parity carries a verdict stamped
+/// with a revision that did not compute it.
+#[test]
+fn concurrent_hits_reply_with_the_revision_that_computed_them() {
+    use std::sync::atomic::{AtomicBool, Ordering};
+
+    const INSTALLS: u64 = 20_000;
+    let target = ("psychiatry", "treatment", "physician");
+    // Indexed by revision parity; each advances by two per install.
+    let mut policies = [base_policy(), base_policy()];
+    policies[1].push(Rule::from_ground(&ground(target)));
+    let engine = DecisionEngine::new(
+        &policies[0],
+        Arc::new(figure_1()),
+        None,
+        ServeObs::disabled(),
+    );
+    let done = AtomicBool::new(false);
+
+    let (wrong, replies, hits) = std::thread::scope(|s| {
+        let deciders: Vec<_> = (0..2)
+            .map(|_| {
+                s.spawn(|| {
+                    let req = DecisionRequest::new("p", target.2, target.0, target.1, "granted");
+                    let (mut wrong, mut replies, mut hits) = (0u64, 0u64, 0u64);
+                    while !done.load(Ordering::Acquire) {
+                        let reply = engine.decide(&req);
+                        replies += 1;
+                        hits += u64::from(reply.cached);
+                        wrong +=
+                            u64::from(reply.verdict.is_allow() != (reply.policy_revision % 2 == 1));
+                    }
+                    (wrong, replies, hits)
+                })
+            })
+            .collect();
+        for revision in 1..=INSTALLS {
+            let next = &mut policies[(revision % 2) as usize];
+            while next.revision() < revision {
+                next.touch();
+            }
+            assert!(engine.install_policy(next), "revision {revision} installs");
+        }
+        done.store(true, Ordering::Release);
+        deciders
+            .into_iter()
+            .map(|d| d.join().unwrap())
+            .fold((0, 0, 0), |acc, r| (acc.0 + r.0, acc.1 + r.1, acc.2 + r.2))
+    });
+    assert!(hits > 0, "the race needs cache hits ({replies} replies)");
+    assert_eq!(
+        wrong, 0,
+        "{wrong} of {replies} replies paired a verdict with the wrong revision"
+    );
+}

@@ -6,9 +6,11 @@
 //! message made that cost *per row*; an [`EntryBlock`] amortizes it (and
 //! the queue-depth accounting on the producer side) across
 //! `block_size` rows. Ground rules ride as `Arc<GroundRule>` so a block
-//! holds 16 bytes per entry beyond the shared rule allocations, and a
-//! run of identical consecutive shapes — the common case in an audit
-//! trail — is detectable in the worker by pointer comparison alone.
+//! holds one pointer (8 bytes) per entry beyond the shared rule
+//! allocations, and a run of identical consecutive shapes — the common
+//! case in an audit trail — is detectable in the worker by pointer
+//! comparison alone. Event time stays with the producer, which keeps the
+//! stream's watermark; shards never need it.
 //!
 //! Blocks are reusable: a worker that finishes a block hands the cleared
 //! backing buffer to a recycle channel the engine drains before
@@ -21,7 +23,7 @@ use std::sync::Arc;
 
 /// The backing storage of an [`EntryBlock`] — what travels back through
 /// the recycle channel once a worker has drained the block.
-pub type BlockStorage = Vec<(i64, Arc<GroundRule>)>;
+pub type BlockStorage = Vec<Arc<GroundRule>>;
 
 /// A sized buffer of grounded entries bound for one shard.
 #[derive(Debug, Default)]
@@ -73,8 +75,8 @@ impl EntryBlock {
     }
 
     /// Appends one grounded entry.
-    pub fn push(&mut self, time: i64, ground: Arc<GroundRule>) {
-        self.entries.push((time, ground));
+    pub fn push(&mut self, ground: Arc<GroundRule>) {
+        self.entries.push(ground);
     }
 
     /// Entries buffered so far.
@@ -88,7 +90,7 @@ impl EntryBlock {
     }
 
     /// The buffered entries, in ingestion order.
-    pub fn entries(&self) -> &[(i64, Arc<GroundRule>)] {
+    pub fn entries(&self) -> &[Arc<GroundRule>] {
         &self.entries
     }
 
@@ -116,17 +118,18 @@ mod tests {
     fn push_and_drain_preserve_order() {
         let mut b = EntryBlock::with_capacity(4);
         assert!(b.is_empty());
-        b.push(1, g("referral"));
-        b.push(2, g("psychiatry"));
+        let (referral, psych) = (g("referral"), g("psychiatry"));
+        b.push(Arc::clone(&referral));
+        b.push(Arc::clone(&psych));
         assert_eq!(b.len(), 2);
-        let times: Vec<i64> = b.entries().iter().map(|(t, _)| *t).collect();
-        assert_eq!(times, vec![1, 2]);
+        assert!(Arc::ptr_eq(&b.entries()[0], &referral));
+        assert!(Arc::ptr_eq(&b.entries()[1], &psych));
     }
 
     #[test]
     fn recycled_storage_keeps_capacity_loses_contents() {
         let mut b = EntryBlock::with_capacity(8);
-        b.push(1, g("referral"));
+        b.push(g("referral"));
         let storage = b.into_storage();
         assert!(storage.is_empty());
         assert!(storage.capacity() >= 8);
@@ -136,7 +139,7 @@ mod tests {
 
     #[test]
     fn from_entries_wraps_replay_chunks() {
-        let chunk = vec![(1, g("referral")), (2, g("referral"))];
+        let chunk = vec![g("referral"), g("referral")];
         let b = EntryBlock::from_entries(chunk);
         assert_eq!(b.len(), 2);
     }

@@ -33,9 +33,10 @@ pub struct StreamConfig {
     /// checkpoint, policy refresh, drain, shutdown) flush partial blocks
     /// first, so block size never changes what a snapshot observes.
     pub block_size: usize,
-    /// Sliding-window duration in seconds for per-pattern windowed
-    /// stats. `None` disables window tracking (snapshots then carry no
-    /// [`crate::WindowSnapshot`]).
+    /// Training-window duration in seconds. When set, each snapshot
+    /// carries the trailing `prima_audit::TrainingWindow` of this many
+    /// seconds ending at the latest accepted event time; `None` disables
+    /// window tracking (snapshots then carry no window).
     pub window_secs: Option<i64>,
     /// Fault-injection plan; [`FaultPlan::none`] in production.
     pub faults: FaultPlan,
@@ -89,8 +90,8 @@ impl StreamConfig {
         self
     }
 
-    /// Enables sliding-window stats over the trailing `secs` seconds of
-    /// event time.
+    /// Enables the trailing training window of `secs` seconds of event
+    /// time.
     pub fn window_secs(mut self, secs: i64) -> Self {
         self.window_secs = Some(secs.max(1));
         self

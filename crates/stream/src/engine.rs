@@ -34,9 +34,8 @@ use crate::fault::FaultPlan;
 use crate::obs::StreamObs;
 use crate::route::RouteMemo;
 use crate::shard::{run_shard, ShardCheckpoint, ShardMsg, ShardState};
-use crate::window::{merge_windows, WindowSnapshot};
 use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender};
-use prima_audit::{AuditEntry, AuditStore};
+use prima_audit::{AuditEntry, AuditStore, TrainingWindow};
 use prima_model::{CoverageReport, GroundRule, Policy, PolicyMatcher};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -76,9 +75,11 @@ pub struct StreamSnapshot {
     pub totals: StreamTotals,
     /// Aggregated hit/miss books of the shards' verdict lookups.
     pub cache: CacheStats,
-    /// Trailing-window per-pattern stats, when window tracking is on
-    /// and at least one event has been seen.
-    pub window: Option<WindowSnapshot>,
+    /// The trailing training window `[watermark − window_secs + 1,
+    /// watermark + 1)` over the latest accepted event time, ready for
+    /// `PrimaSystem::run_round_windowed`; `None` when window tracking is
+    /// off or nothing has been accepted.
+    pub window: Option<TrainingWindow>,
     /// Policy epoch the shards are on.
     pub epoch: u64,
     /// Entries processed by live shards.
@@ -113,6 +114,11 @@ pub struct StreamEngine {
     matcher: Arc<PolicyMatcher>,
     epoch: u64,
     window_secs: Option<i64>,
+    /// Latest event time among accepted entries — the stream's watermark
+    /// (`None` until the first acceptance). Every accepted entry also
+    /// reaches the sink, so the window derived from it covers exactly
+    /// what the sink holds.
+    watermark: Option<i64>,
     /// Channel capacity in *blocks* (config capacity ÷ block size).
     block_capacity: usize,
     block_size: usize,
@@ -126,11 +132,11 @@ pub struct StreamEngine {
     checkpoint_interval: Option<u64>,
     /// Latest checkpoint per shard (recovery mode only).
     checkpoints: Vec<Option<ShardCheckpoint>>,
-    /// Per-shard `(time, rule)` journal of entries shipped since the
-    /// shard's last checkpoint — exactly what a replacement worker must
+    /// Per-shard journal of entries shipped since the shard's last
+    /// checkpoint — exactly what a replacement worker must
     /// replay on top of the checkpoint to reach the present. Appended
     /// block-at-a-time, after the block's send succeeds.
-    journal: Vec<Vec<(i64, Arc<GroundRule>)>>,
+    journal: Vec<Vec<Arc<GroundRule>>>,
     since_checkpoint: Vec<u64>,
     recoveries: u64,
     sink: Option<AuditStore>,
@@ -150,28 +156,10 @@ impl StreamEngine {
         let block_size = config.block_size.max(1);
         let block_capacity = (config.channel_capacity / block_size).max(1);
         let (recycle_tx, recycle_rx) = bounded(config.shards * (block_capacity + 2));
-        let mut senders = Vec::with_capacity(config.shards);
-        let mut handles = Vec::with_capacity(config.shards);
-        for shard in 0..config.shards {
-            let (tx, rx) = bounded(block_capacity);
-            let m = Arc::clone(&matcher);
-            let window_secs = config.window_secs;
-            let faults = config.faults.clone();
-            let shard_obs = obs.shards[shard].clone();
-            let recycle = recycle_tx.clone();
-            let handle = std::thread::Builder::new()
-                .name(format!("prima-stream-{shard}"))
-                .spawn(move || {
-                    run_shard(shard, rx, m, window_secs, faults, None, shard_obs, recycle);
-                })
-                .expect("spawn shard worker");
-            senders.push(Some(tx));
-            handles.push(Some(handle));
-        }
         let shards = config.shards;
-        Self {
-            senders,
-            handles,
+        let mut engine = Self {
+            senders: vec![None; shards],
+            handles: (0..shards).map(|_| None).collect(),
             pending: (0..shards)
                 .map(|_| EntryBlock::with_capacity(block_size))
                 .collect(),
@@ -180,6 +168,7 @@ impl StreamEngine {
             matcher,
             epoch: 0,
             window_secs: config.window_secs,
+            watermark: None,
             block_capacity,
             block_size,
             recycle_tx,
@@ -195,7 +184,25 @@ impl StreamEngine {
             poisoned: 0,
             refused: 0,
             obs,
+        };
+        for shard in 0..shards {
+            engine.spawn_worker(shard, format!("prima-stream-{shard}"), None);
         }
+        engine
+    }
+
+    /// Spawns `shard`'s worker under the current matcher and fault plan,
+    /// seeded from `seed` (recovery) or fresh, and installs its channel.
+    fn spawn_worker(&mut self, shard: usize, name: String, seed: Option<ShardCheckpoint>) {
+        let (tx, rx) = bounded(self.block_capacity);
+        let (m, faults) = (Arc::clone(&self.matcher), self.faults.clone());
+        let (obs, recycle) = (self.obs.shards[shard].clone(), self.recycle_tx.clone());
+        let handle = std::thread::Builder::new()
+            .name(name)
+            .spawn(move || run_shard(shard, rx, m, faults, seed, obs, recycle))
+            .expect("spawn shard worker");
+        self.senders[shard] = Some(tx);
+        self.handles[shard] = Some(handle);
     }
 
     /// Attaches a durable sink: every accepted entry is also appended to
@@ -249,7 +256,8 @@ impl StreamEngine {
                 .expect("grounded entries pass the append check");
         }
         self.ingested += 1;
-        self.pending[shard].push(entry.time, ground);
+        self.watermark = Some(self.watermark.map_or(entry.time, |w| w.max(entry.time)));
+        self.pending[shard].push(ground);
         if self.pending[shard].len() >= self.block_size {
             self.flush_shard(shard);
         }
@@ -343,7 +351,7 @@ impl StreamEngine {
     }
 
     /// Post-delivery bookkeeping for one block of `entries` entries.
-    fn settle(&mut self, shard: usize, entries: u64, backup: Option<Vec<(i64, Arc<GroundRule>)>>) {
+    fn settle(&mut self, shard: usize, entries: u64, backup: Option<Vec<Arc<GroundRule>>>) {
         self.sent[shard] += entries;
         if let Some(journaled) = backup {
             self.journal[shard].extend(journaled);
@@ -456,18 +464,14 @@ impl StreamEngine {
             let _ = h.join();
         }
         self.faults.clear_shard(shard);
-        let (tx, rx) = bounded(self.block_capacity);
-        let m = Arc::clone(&self.matcher);
-        let window_secs = self.window_secs;
-        let faults = self.faults.clone();
         let seed = self.checkpoints[shard].clone();
         let seed_epoch = seed.as_ref().map_or(0, |c| c.epoch);
-        let shard_obs = self.obs.shards[shard].clone();
-        let recycle = self.recycle_tx.clone();
-        let handle = std::thread::Builder::new()
-            .name(format!("prima-stream-{shard}-r{}", self.recoveries))
-            .spawn(move || run_shard(shard, rx, m, window_secs, faults, seed, shard_obs, recycle))
-            .expect("respawn shard worker");
+        self.spawn_worker(
+            shard,
+            format!("prima-stream-{shard}-r{}", self.recoveries),
+            seed,
+        );
+        let tx = self.senders[shard].as_ref().expect("worker just spawned");
         // The checkpoint may predate a policy refresh the dead worker
         // never installed; re-broadcast the current matcher before the
         // replay so replayed entries classify under the live epoch.
@@ -480,8 +484,6 @@ impl StreamEngine {
         for chunk in self.journal[shard].chunks(self.block_size) {
             let _ = tx.send(ShardMsg::Block(EntryBlock::from_entries(chunk.to_vec())));
         }
-        self.senders[shard] = Some(tx);
-        self.handles[shard] = Some(handle);
         self.recoveries += 1;
         self.obs.recoveries.inc();
         self.obs
@@ -533,7 +535,6 @@ impl StreamEngine {
     /// from its checkpoint and replayed first, so the cut reflects every
     /// accepted entry.
     pub fn snapshot(&mut self) -> StreamSnapshot {
-        let window_duration = self.window_duration();
         let mut states = Vec::new();
         let mut health = Vec::with_capacity(self.senders.len());
         for shard in 0..self.senders.len() {
@@ -551,18 +552,13 @@ impl StreamEngine {
         let mut processed = 0u64;
         let mut epoch = self.epoch;
         let mut patterns = Vec::with_capacity(states.len());
-        let mut windows = Vec::with_capacity(states.len());
         for state in states {
             totals.merge(&state.totals);
             cache.merge(&state.cache);
             processed += state.processed;
             epoch = epoch.min(state.epoch);
             patterns.push(state.patterns);
-            if let Some(w) = state.window {
-                windows.push(w);
-            }
         }
-        let window = window_duration.and_then(|d| merge_windows(d, windows));
         // A dead shard's queue is forfeit: everything sent to it counts
         // as lost, alongside blocks it refused outright.
         let queue_lost: u64 = health
@@ -575,7 +571,7 @@ impl StreamEngine {
             coverage: merge_reports(patterns),
             totals,
             cache,
-            window,
+            window: self.window(),
             epoch,
             processed,
             health,
@@ -586,8 +582,15 @@ impl StreamEngine {
         }
     }
 
-    fn window_duration(&self) -> Option<i64> {
-        self.window_secs
+    /// The half-open trailing window `[watermark − window_secs + 1,
+    /// watermark + 1)`: the last `window_secs` seconds of event time,
+    /// inclusive of the watermark event.
+    fn window(&self) -> Option<TrainingWindow> {
+        let (secs, watermark) = (self.window_secs?, self.watermark?);
+        Some(TrainingWindow::new(
+            watermark.saturating_sub(secs).saturating_add(1),
+            watermark.saturating_add(1),
+        ))
     }
 
     /// Flushes pending blocks and waits until every live shard has
@@ -888,9 +891,33 @@ mod tests {
         eng.ingest(&entry(200, "psychiatry", "treatment", "nurse"));
         let snap = eng.shutdown();
         let w = snap.window.expect("window tracking on");
-        assert!(w.window.contains(200));
-        assert!(!w.window.contains(100), "outside the trailing window");
-        assert_eq!(w.total(), 1);
+        assert!(w.contains(200));
+        assert!(!w.contains(100), "outside the trailing window");
+    }
+
+    #[test]
+    fn window_reaches_the_newest_entry_the_sink_holds() {
+        // The entry at t=200 routes to a dead shard (recovery off): it is
+        // accepted into the sink, which the windowed round trains on, and
+        // then lost. The window must still end at it.
+        let shard_of = |e: &AuditEntry| crate::route::shard_of(&e.to_ground_rule().unwrap(), 2);
+        let first = entry(100, "referral", "treatment", "nurse");
+        let dead = 1 - shard_of(&first);
+        let second = (0..)
+            .map(|i| entry(200, &format!("record-{i}"), "treatment", "nurse"))
+            .find(|e| shard_of(e) == dead)
+            .unwrap();
+        let store = AuditStore::new("stream-sink");
+        let config = StreamConfig::with_shards(2)
+            .window_secs(10)
+            .faults(FaultPlan::dropped(dead));
+        let mut eng = engine(config).with_sink(store.clone());
+        assert_eq!(eng.ingest(&first), IngestOutcome::Accepted);
+        assert_eq!(eng.ingest(&second), IngestOutcome::Accepted);
+        let w = eng.shutdown().window.expect("window tracking on");
+        assert_eq!(store.len(), 2, "the sink holds both entries");
+        assert!(w.contains(200), "window {w:?} misses the newest entry");
+        assert!(!w.contains(100));
     }
 
     #[test]

@@ -14,9 +14,10 @@
 //! epoch-barrier [`StreamEngine::snapshot`] produces the same report,
 //! bit for bit, that `prima_model::compute_coverage` would compute over
 //! the accumulated trail — partial blocks are flushed before every
-//! barrier, so block size never changes what a snapshot observes — plus
-//! trailing-window per-pattern stats ready to feed
-//! `PrimaSystem::run_round_windowed`.
+//! barrier, so block size never changes what a snapshot observes — plus,
+//! when [`StreamConfig::window_secs`] is set, the trailing
+//! `prima_audit::TrainingWindow` over the producer's event-time
+//! watermark, ready to feed `PrimaSystem::run_round_windowed`.
 //!
 //! Fault tolerance is explicit and testable: poisoned entries (no ground
 //! rule) are counted and skipped, a dead shard degrades the pipeline
@@ -43,7 +44,6 @@ pub mod fault;
 pub mod obs;
 mod route;
 pub mod shard;
-pub mod window;
 
 pub use block::{BlockStorage, EntryBlock};
 pub use config::{StreamConfig, DEFAULT_BLOCK_SIZE};
@@ -52,4 +52,3 @@ pub use engine::{IngestOutcome, ShardHealth, StreamEngine, StreamSnapshot};
 pub use fault::FaultPlan;
 pub use obs::ShardObs;
 pub use shard::ShardCheckpoint;
-pub use window::{SlidingWindow, WindowSnapshot};

@@ -1,6 +1,6 @@
 //! Observability handles for the stream engine.
 //!
-//! [`StreamObs`] pre-registers every metric the engine touches so the
+//! `StreamObs` pre-registers every metric the engine touches so the
 //! ingest hot path never takes the registry mutex; per-shard handles
 //! ([`ShardObs`]) are cloned into the worker threads. All handles come
 //! from the registry in [`crate::StreamConfig`] — disabled by default,

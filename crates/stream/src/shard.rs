@@ -18,7 +18,6 @@ use crate::block::{BlockStorage, EntryBlock};
 use crate::counters::{CacheStats, CoverageCounters, PatternStats};
 use crate::fault::FaultPlan;
 use crate::obs::ShardObs;
-use crate::window::SlidingWindow;
 use crossbeam::channel::{Receiver, Sender};
 use prima_model::{GroundRule, PolicyMatcher};
 use std::sync::Arc;
@@ -26,8 +25,7 @@ use std::sync::Arc;
 /// Messages a shard worker consumes.
 #[derive(Debug)]
 pub enum ShardMsg {
-    /// A block of grounded entries: `(event time, ground rule)` pairs in
-    /// ingestion order.
+    /// A block of grounded entries in ingestion order.
     Block(EntryBlock),
     /// Epoch barrier: reply with a state snapshot on `reply`.
     Snapshot {
@@ -55,8 +53,8 @@ pub enum ShardMsg {
 }
 
 /// Everything needed to rebuild a shard worker mid-stream: counters
-/// (with their verdicts), hit/miss books, retained window events, epoch,
-/// and the processed count. The engine keeps the latest checkpoint per
+/// (with their verdicts), hit/miss books, epoch, and the processed
+/// count. The engine keeps the latest checkpoint per
 /// shard and seeds a replacement worker from it after a crash; replaying
 /// the journal of post-checkpoint entries then reproduces the lost state
 /// bit-for-bit (same counts, same verdicts, same hit/miss books).
@@ -66,8 +64,6 @@ pub struct ShardCheckpoint {
     pub patterns: Vec<(GroundRule, PatternStats)>,
     /// Hit/miss/invalidation counters.
     pub cache: CacheStats,
-    /// Retained trailing-window events, if window tracking is on.
-    pub window: Option<Vec<(i64, GroundRule)>>,
     /// Policy epoch the shard was on.
     pub epoch: u64,
     /// Entries processed up to the barrier.
@@ -77,16 +73,12 @@ pub struct ShardCheckpoint {
 /// One shard's state at a snapshot barrier.
 #[derive(Debug)]
 pub struct ShardState {
-    /// Shard index.
-    pub shard: usize,
     /// Per-pattern counters (disjoint across shards).
     pub patterns: Vec<(GroundRule, PatternStats)>,
     /// Entry-weighted totals.
     pub totals: crate::counters::StreamTotals,
     /// Hit/miss counters of the verdict lookups.
     pub cache: CacheStats,
-    /// Retained trailing-window events, if window tracking is on.
-    pub window: Option<Vec<(i64, GroundRule)>>,
     /// Policy epoch the shard is on.
     pub epoch: u64,
     /// Entries processed so far.
@@ -98,12 +90,10 @@ pub struct ShardState {
 /// respawn); `None` starts fresh at epoch 0. Drained block buffers are
 /// offered back on `recycle` (best-effort) so the engine can reuse the
 /// allocations.
-#[allow(clippy::too_many_arguments)]
 pub fn run_shard(
     shard: usize,
     rx: Receiver<ShardMsg>,
     mut matcher: Arc<PolicyMatcher>,
-    window_secs: Option<i64>,
     faults: FaultPlan,
     seed: Option<ShardCheckpoint>,
     obs: ShardObs,
@@ -117,31 +107,14 @@ pub fn run_shard(
     let slow = faults.slow_for(shard);
     let crash_after = faults.crash_after_for(shard);
 
-    let (mut stats, mut epoch, mut counters, mut window, mut processed) = match seed {
-        Some(ckpt) => {
-            let mut window = window_secs.map(SlidingWindow::new);
-            if let (Some(w), Some(events)) = (window.as_mut(), ckpt.window) {
-                // Replaying the retained events in order rebuilds the
-                // same deque and watermark the checkpoint captured.
-                for (time, g) in events {
-                    w.observe(time, &Arc::new(g));
-                }
-            }
-            (
-                ckpt.cache,
-                ckpt.epoch,
-                CoverageCounters::from_export(ckpt.patterns),
-                window,
-                ckpt.processed,
-            )
-        }
-        None => (
-            CacheStats::default(),
-            0,
-            CoverageCounters::new(),
-            window_secs.map(SlidingWindow::new),
-            0u64,
+    let (mut stats, mut epoch, mut counters, mut processed) = match seed {
+        Some(ckpt) => (
+            ckpt.cache,
+            ckpt.epoch,
+            CoverageCounters::from_export(ckpt.patterns),
+            ckpt.processed,
         ),
+        None => (CacheStats::default(), 0, CoverageCounters::new(), 0u64),
     };
     let mut processed_here = 0u64;
 
@@ -161,13 +134,13 @@ pub fn run_shard(
                 let mut crashed = false;
                 let mut i = 0;
                 while i < n {
-                    let ground = &entries[i].1;
+                    let ground = &entries[i];
                     // Extend the run while the next entry shares the
                     // same rule allocation. A value-equal rule under a
                     // different Arc just starts a new run, whose lookup
                     // is a hit — the books come out identical.
                     let mut j = i + 1;
-                    while j < n && Arc::ptr_eq(&entries[j].1, ground) {
+                    while j < n && Arc::ptr_eq(&entries[j], ground) {
                         j += 1;
                     }
                     if let Some(limit) = crash_after {
@@ -190,11 +163,6 @@ pub fn run_shard(
                     let run_misses = u64::from(probed);
                     hits += run - run_misses;
                     misses += run_misses;
-                    if let Some(w) = window.as_mut() {
-                        for (time, g) in &entries[i..j] {
-                            w.observe(*time, g);
-                        }
-                    }
                     processed += run;
                     processed_here += run;
                     done += run;
@@ -223,11 +191,9 @@ pub fn run_shard(
             }
             ShardMsg::Snapshot { reply } => {
                 let state = ShardState {
-                    shard,
                     patterns: counters.export(),
                     totals: counters.totals(),
                     cache: stats,
-                    window: window.as_ref().map(SlidingWindow::export),
                     epoch,
                     processed,
                 };
@@ -240,7 +206,6 @@ pub fn run_shard(
                 let ckpt = ShardCheckpoint {
                     patterns: counters.export(),
                     cache: stats,
-                    window: window.as_ref().map(SlidingWindow::export),
                     epoch,
                     processed,
                 };
@@ -290,43 +255,45 @@ mod tests {
         ]))
     }
 
-    fn block(entries: &[(i64, &Arc<GroundRule>)]) -> ShardMsg {
+    fn block(entries: &[&Arc<GroundRule>]) -> ShardMsg {
         let mut b = EntryBlock::with_capacity(entries.len());
-        for (t, g) in entries {
-            b.push(*t, Arc::clone(g));
+        for g in entries {
+            b.push(Arc::clone(g));
         }
         ShardMsg::Block(b)
     }
 
+    /// Shard 0's worker: its input sender, thread, and recycle channel.
     fn spawn_worker(
         faults: FaultPlan,
-        window_secs: Option<i64>,
         seed: Option<ShardCheckpoint>,
-    ) -> (Sender<ShardMsg>, std::thread::JoinHandle<()>) {
+    ) -> (
+        Sender<ShardMsg>,
+        std::thread::JoinHandle<()>,
+        Receiver<BlockStorage>,
+    ) {
         let (tx, rx) = bounded(16);
-        let (recycle_tx, _recycle_rx) = bounded(16);
+        let (recycle_tx, recycle_rx) = bounded(16);
         let handle = std::thread::spawn(move || {
             run_shard(
                 0,
                 rx,
                 matcher_for("referral"),
-                window_secs,
                 faults,
                 seed,
                 ShardObs::disabled(),
                 recycle_tx,
             );
         });
-        (tx, handle)
+        (tx, handle, recycle_rx)
     }
 
     #[test]
     fn worker_classifies_and_snapshots() {
-        let (tx, handle) = spawn_worker(FaultPlan::none(), Some(60), None);
+        let (tx, handle, _) = spawn_worker(FaultPlan::none(), None);
         let referral = g("referral");
         let psych = g("psychiatry");
-        tx.send(block(&[(10, &referral), (11, &referral), (12, &psych)]))
-            .unwrap();
+        tx.send(block(&[&referral, &referral, &psych])).unwrap();
         let (reply_tx, reply_rx) = bounded(1);
         tx.send(ShardMsg::Snapshot { reply: reply_tx }).unwrap();
         let state = reply_rx.recv().unwrap();
@@ -335,7 +302,6 @@ mod tests {
         assert_eq!(state.totals.total_entries, 3);
         assert_eq!(state.cache.hits, 1);
         assert_eq!(state.cache.misses, 2);
-        assert_eq!(state.window.unwrap().len(), 3);
         tx.send(ShardMsg::Shutdown).unwrap();
         handle.join().unwrap();
     }
@@ -345,12 +311,11 @@ mod tests {
         // Same rule via two Arc allocations: the run detector sees two
         // runs, but the second lookup is a hit — the hit/miss books are
         // exactly what per-entry lookups would have recorded.
-        let (tx, handle) = spawn_worker(FaultPlan::none(), None, None);
+        let (tx, handle, _) = spawn_worker(FaultPlan::none(), None);
         let a = g("referral");
         let b = g("referral");
         assert!(!Arc::ptr_eq(&a, &b));
-        tx.send(block(&[(1, &a), (2, &a), (3, &b), (4, &b)]))
-            .unwrap();
+        tx.send(block(&[&a, &a, &b, &b])).unwrap();
         let (reply_tx, reply_rx) = bounded(1);
         tx.send(ShardMsg::Snapshot { reply: reply_tx }).unwrap();
         let state = reply_rx.recv().unwrap();
@@ -364,9 +329,9 @@ mod tests {
 
     #[test]
     fn policy_update_relabels_history() {
-        let (tx, handle) = spawn_worker(FaultPlan::none(), None, None);
+        let (tx, handle, _) = spawn_worker(FaultPlan::none(), None);
         let psych = g("psychiatry");
-        tx.send(block(&[(1, &psych)])).unwrap();
+        tx.send(block(&[&psych])).unwrap();
         tx.send(ShardMsg::UpdatePolicy {
             epoch: 1,
             matcher: matcher_for("psychiatry"),
@@ -383,20 +348,7 @@ mod tests {
 
     #[test]
     fn dropped_shard_exits_immediately() {
-        let (tx, rx) = bounded::<ShardMsg>(4);
-        let (recycle_tx, _recycle_rx) = bounded(4);
-        let handle = std::thread::spawn(move || {
-            run_shard(
-                2,
-                rx,
-                matcher_for("referral"),
-                None,
-                FaultPlan::dropped(2),
-                None,
-                ShardObs::disabled(),
-                recycle_tx,
-            );
-        });
+        let (tx, handle, _) = spawn_worker(FaultPlan::dropped(0), None);
         handle.join().unwrap();
         // Receiver is gone: sends fail with a disconnect.
         assert!(tx.send(ShardMsg::Shutdown).is_err());
@@ -406,38 +358,18 @@ mod tests {
     fn crash_after_fires_mid_block_and_abandons_the_rest() {
         // 5 entries in one block, crash after 2: the worker must die
         // part-way through the block without processing entries 3–5.
-        let (tx, handle) = spawn_worker(FaultPlan::none().with_crash_after(0, 2), None, None);
+        let (tx, handle, _) = spawn_worker(FaultPlan::none().with_crash_after(0, 2), None);
         let referral = g("referral");
-        tx.send(block(&[
-            (0, &referral),
-            (1, &referral),
-            (2, &referral),
-            (3, &referral),
-            (4, &referral),
-        ]))
-        .unwrap();
+        tx.send(block(&[&referral; 5])).unwrap();
         handle.join().unwrap();
         assert!(tx.send(ShardMsg::Shutdown).is_err(), "worker is dead");
     }
 
     #[test]
     fn drained_blocks_come_back_on_the_recycle_channel() {
-        let (tx, rx) = bounded(16);
-        let (recycle_tx, recycle_rx) = bounded::<BlockStorage>(16);
-        let handle = std::thread::spawn(move || {
-            run_shard(
-                0,
-                rx,
-                matcher_for("referral"),
-                None,
-                FaultPlan::none(),
-                None,
-                ShardObs::disabled(),
-                recycle_tx,
-            );
-        });
+        let (tx, handle, recycle_rx) = spawn_worker(FaultPlan::none(), None);
         let referral = g("referral");
-        tx.send(block(&[(1, &referral), (2, &referral)])).unwrap();
+        tx.send(block(&[&referral, &referral])).unwrap();
         tx.send(ShardMsg::Shutdown).unwrap();
         handle.join().unwrap();
         let storage = recycle_rx.try_recv().expect("buffer recycled");
@@ -449,13 +381,12 @@ mod tests {
     fn checkpoint_roundtrip_restores_state_bit_for_bit() {
         // Run a shard, checkpoint it, kill it, seed a replacement from
         // the checkpoint: the replacement's snapshot must match what the
-        // original would have reported — counters, cache books, window,
-        // and processed count.
-        let (tx, handle) = spawn_worker(FaultPlan::none(), Some(60), None);
+        // original would have reported — counters, cache books, and
+        // processed count.
+        let (tx, handle, _) = spawn_worker(FaultPlan::none(), None);
         let referral = g("referral");
         let psych = g("psychiatry");
-        tx.send(block(&[(10, &referral), (11, &referral), (12, &psych)]))
-            .unwrap();
+        tx.send(block(&[&referral, &referral, &psych])).unwrap();
         let (ck_tx, ck_rx) = bounded(1);
         tx.send(ShardMsg::Checkpoint { reply: ck_tx }).unwrap();
         let ckpt = ck_rx.recv().unwrap();
@@ -463,7 +394,7 @@ mod tests {
         tx.send(ShardMsg::Shutdown).unwrap();
         handle.join().unwrap();
 
-        let (tx2, handle2) = spawn_worker(FaultPlan::none(), Some(60), Some(ckpt));
+        let (tx2, handle2, _) = spawn_worker(FaultPlan::none(), Some(ckpt));
         let (reply_tx, reply_rx) = bounded(1);
         tx2.send(ShardMsg::Snapshot { reply: reply_tx }).unwrap();
         let state = reply_rx.recv().unwrap();
@@ -472,10 +403,9 @@ mod tests {
         assert_eq!(state.totals.total_entries, 3);
         assert_eq!(state.cache.hits, 1, "hit/miss books survive recovery");
         assert_eq!(state.cache.misses, 2);
-        assert_eq!(state.window.as_ref().unwrap().len(), 3);
         // A replayed shape is a hit, as it would have been — even though
         // the restored counters hold a different Arc allocation.
-        tx2.send(block(&[(13, &g("referral"))])).unwrap();
+        tx2.send(block(&[&g("referral")])).unwrap();
         let (reply_tx, reply_rx) = bounded(1);
         tx2.send(ShardMsg::Snapshot { reply: reply_tx }).unwrap();
         assert_eq!(reply_rx.recv().unwrap().cache.hits, 2);

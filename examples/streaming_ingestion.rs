@@ -21,7 +21,7 @@ fn main() {
     let mut prima = PrimaSystem::new(scenario.vocab.clone(), scenario.policy.clone());
 
     // 2. Attach a streaming engine: 4 hash-partitioned shard workers,
-    //    a one-hour sliding window feeding windowed refinement.
+    //    a one-hour training window feeding windowed refinement.
     let mut live = prima.attach_stream(StreamConfig::default().window_secs(3600));
 
     // 3. A live event source (never exhausts) standing in for the wire.
