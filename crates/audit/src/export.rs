@@ -2,7 +2,6 @@
 //! cross-run fixtures).
 
 use crate::entry::AuditEntry;
-use crate::store::AuditStore;
 use std::io::{self, BufRead, Write};
 
 /// Writes one JSON object per line.
@@ -30,19 +29,6 @@ pub fn import_jsonl<R: BufRead>(input: R) -> io::Result<Vec<AuditEntry>> {
     Ok(out)
 }
 
-/// Exports a whole store.
-pub fn export_store<W: Write>(store: &AuditStore, out: W) -> io::Result<()> {
-    export_jsonl(&store.entries(), out)
-}
-
-/// Imports entries into a (usually fresh) store.
-pub fn import_into_store<R: BufRead>(input: R, store: &AuditStore) -> io::Result<usize> {
-    let entries = import_jsonl(input)?;
-    store
-        .append_all(&entries)
-        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -67,18 +53,5 @@ mod tests {
         let back = import_jsonl(good.as_bytes()).unwrap();
         assert_eq!(back.len(), 1);
         assert!(import_jsonl("not json\n".as_bytes()).is_err());
-    }
-
-    #[test]
-    fn store_roundtrip() {
-        let s = AuditStore::new("a");
-        s.append(&AuditEntry::regular(7, "u", "d", "p", "a"))
-            .unwrap();
-        let mut buf = Vec::new();
-        export_store(&s, &mut buf).unwrap();
-        let s2 = AuditStore::new("b");
-        let n = import_into_store(buf.as_slice(), &s2).unwrap();
-        assert_eq!(n, 1);
-        assert_eq!(s2.entries(), s.entries());
     }
 }

@@ -4,8 +4,8 @@
 //! federation technology in the PRIMA Audit Management component to create a
 //! virtual view of all the audit trails." This module plays that role: it
 //! registers any number of per-site [`AuditStore`]s and materializes a
-//! consolidated view — either as entries (for the refinement pipeline) or as
-//! a relational table with a provenance column (for ad-hoc analytics).
+//! consolidated view — either as entries (Algorithm 2's input) or as a
+//! relational table with a provenance column (for ad-hoc analytics).
 
 use crate::entry::AuditEntry;
 use crate::schema::audit_schema;
@@ -79,24 +79,15 @@ impl AuditFederation {
         self.sources.iter().map(AuditStore::len).sum()
     }
 
-    /// All entries, tagged with their source name.
-    pub fn entries_with_provenance(&self) -> Vec<(String, AuditEntry)> {
-        let mut out = Vec::with_capacity(self.total_len());
-        for s in &self.sources {
-            for e in s.entries() {
-                out.push((s.name().to_string(), e));
-            }
-        }
-        out
-    }
-
-    /// All entries, merged and sorted by timestamp (stable: ties keep
-    /// source order). This is the "consistent consolidated view" the
-    /// refinement pipeline consumes.
+    /// All entries, rebuilt from each store's columns, merged and sorted
+    /// by timestamp (stable: ties keep source order, then append order).
+    /// This is the "consistent consolidated view" of Algorithm 2's input;
+    /// a refinement round reads the same trail as per-source
+    /// [`crate::Tally`]s instead.
     pub fn consolidated_entries(&self) -> Vec<AuditEntry> {
         let mut out = Vec::with_capacity(self.total_len());
         for s in &self.sources {
-            out.extend_from_slice(&s.read());
+            out.extend(s.entries());
         }
         out.sort_by_key(|e| e.time);
         out
@@ -118,14 +109,6 @@ impl AuditFederation {
             }
         }
         Ok(table)
-    }
-
-    /// Exception-based entries across all sources, in timestamp order.
-    pub fn exception_entries(&self) -> Vec<AuditEntry> {
-        self.consolidated_entries()
-            .into_iter()
-            .filter(AuditEntry::is_exception)
-            .collect()
     }
 }
 
@@ -177,15 +160,6 @@ mod tests {
     }
 
     #[test]
-    fn provenance_is_preserved() {
-        let f = federation();
-        let tagged = f.entries_with_provenance();
-        assert_eq!(tagged.len(), 3);
-        assert!(tagged.iter().any(|(s, _)| s == "icu"));
-        assert!(tagged.iter().any(|(s, _)| s == "billing-office"));
-    }
-
-    #[test]
     fn consolidated_table_has_site_column() {
         let f = federation();
         let t = f.consolidated_table().unwrap();
@@ -193,13 +167,6 @@ mod tests {
         assert_eq!(t.schema().index_of(COL_SITE), Some(0));
         assert_eq!(t.len(), 3);
         assert_eq!(t.schema().arity(), 8);
-    }
-
-    #[test]
-    fn exception_views_agree() {
-        let f = federation();
-        let times: Vec<i64> = f.exception_entries().iter().map(|e| e.time).collect();
-        assert_eq!(times, vec![1, 3], "time-sorted across sources");
     }
 
     #[test]

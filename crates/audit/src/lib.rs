@@ -13,17 +13,21 @@
 //! * [`AuditEntry`] — the typed entry, with conversion to the relational
 //!   row form the analytics queries run on, and projection to the
 //!   `(data, purpose, authorized)` ground rule the formal model uses;
-//! * [`AuditStore`] — a thread-safe, append-only audit trail of typed
-//!   entries that refuses entries with blank attributes ([`AppendError`]);
-//!   relational tables are built from entries only when a query needs one;
+//! * [`AuditStore`] — a thread-safe, append-only audit trail kept as
+//!   columns interned at append time (users, raw access triples and their
+//!   ground rules), refusing entries with blank attributes
+//!   ([`AppendError`]); relational tables are built from entries only
+//!   when a query needs one;
 //! * [`federation`] — the role DB2 Information Integrator plays in the
 //!   paper's first instantiation: a consolidated virtual view over many
 //!   per-site audit trails, with provenance;
 //! * [`classify`] — hooks for separating *violations* from *informal
 //!   practice* among exception entries, which the paper flags as necessary
 //!   before patterns are proposed as policy;
-//! * [`shape`] — [`ShapeTrail`], a trail interned by access shape, so
-//!   coverage grounds and decides each distinct shape once;
+//! * [`tally`] — [`Tally`], a trail reduced to per-raw-triple counts and
+//!   practice users, which a refinement round reads instead of entries,
+//!   and [`ShapeTimeline`], the `(time, shape)` rows per-entry coverage
+//!   reads;
 //! * [`export`] — JSON-lines export/import for experiment artifacts;
 //! * [`source`] / [`resilience`] — the fault-tolerant side of federation:
 //!   a [`LogSource`] abstraction over fallible per-site fetches, retried
@@ -40,16 +44,17 @@ pub mod entry;
 pub mod export;
 pub mod federation;
 pub mod health;
+mod intern;
 pub mod obs;
 pub mod quarantine;
 pub mod resilience;
 pub mod retention;
 pub mod retry;
 pub mod schema;
-pub mod shape;
 pub mod source;
 pub mod stats;
 pub mod store;
+pub mod tally;
 
 pub use classify::{AccessClassifier, DenyPairClassifier, NoViolations};
 pub use entry::{AccessStatus, AuditEntry, Op};
@@ -61,9 +66,9 @@ pub use resilience::ResilientFederation;
 pub use retention::TrainingWindow;
 pub use retry::{BreakerConfig, BreakerState, CircuitBreaker, RetryPolicy};
 pub use schema::audit_schema;
-pub use shape::{ShapeTrail, TrailError, NO_SHAPE};
 pub use source::{
     FaultySource, FetchResponse, LogSource, RawRecord, SourceError, SourceFaults, StoreSource,
 };
 pub use stats::{glass_breakers, trail_stats, TrailObserver, TrailStats};
 pub use store::{AppendError, AuditStore};
+pub use tally::{Group, ShapeTimeline, Tally, TrailError, NO_SHAPE};

@@ -228,6 +228,13 @@ impl ResilientFederation {
         out
     }
 
+    /// Each source's latest good entries, in registration order and, within
+    /// a source, fetch order — the slices [`Self::consolidated_entries`]
+    /// merges, without copying them.
+    pub fn cached_entries(&self) -> impl Iterator<Item = &[AuditEntry]> + '_ {
+        self.slots.iter().map(|s| s.cache.as_slice())
+    }
+
     /// One ground rule per consolidated entry, in timestamp order.
     pub fn ground_rules(&self) -> Vec<GroundRule> {
         self.consolidated_entries()

@@ -1,15 +1,10 @@
-//! Training windows and retention.
+//! Training windows.
 //!
 //! Section 4.3: "we assume that there is a training period, where a
 //! reasonable amount of information is collected in the audit log. This
 //! training period is totally dependent on the particular healthcare
 //! entity deploying the system." Refinement therefore runs over a *window*
-//! of the trail, and old epochs are compacted away rather than deleted
-//! in place (stores are append-only by design).
-
-use crate::entry::AuditEntry;
-use crate::store::AuditStore;
-use std::collections::BTreeMap;
+//! of the trail; a store scan reads only the rows inside it.
 
 /// A half-open time window `[start, end)` over audit timestamps.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -44,58 +39,9 @@ impl TrainingWindow {
     }
 }
 
-/// The entries of `store` falling inside `window`, in append order.
-pub fn entries_in_window(store: &AuditStore, window: TrainingWindow) -> Vec<AuditEntry> {
-    store
-        .entries()
-        .into_iter()
-        .filter(|e| window.contains(e.time))
-        .collect()
-}
-
-/// Builds a compacted replacement store holding only entries with
-/// `time >= keep_after`. Returns the new store and how many entries were
-/// compacted away.
-pub fn compact(store: &AuditStore, keep_after: i64) -> (AuditStore, usize) {
-    let kept: Vec<AuditEntry> = store
-        .entries()
-        .into_iter()
-        .filter(|e| e.time >= keep_after)
-        .collect();
-    let dropped = store.len() - kept.len();
-    let fresh = AuditStore::new(store.name());
-    fresh
-        .append_all(&kept)
-        .expect("entries from a valid store re-validate");
-    (fresh, dropped)
-}
-
-/// Partitions a store's entries into fixed-length epochs
-/// (`epoch = time / epoch_secs`), preserving order within each epoch.
-/// Useful for per-period coverage series and staged retention.
-pub fn partition_by_epoch(store: &AuditStore, epoch_secs: i64) -> BTreeMap<i64, Vec<AuditEntry>> {
-    assert!(epoch_secs > 0, "epoch length must be positive");
-    let mut out: BTreeMap<i64, Vec<AuditEntry>> = BTreeMap::new();
-    for e in store.entries() {
-        out.entry(e.time.div_euclid(epoch_secs))
-            .or_default()
-            .push(e);
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn store() -> AuditStore {
-        let s = AuditStore::new("main");
-        for t in [1i64, 5, 10, 15, 20, 99] {
-            s.append(&AuditEntry::regular(t, "u", "d", "p", "a"))
-                .unwrap();
-        }
-        s
-    }
 
     #[test]
     fn window_contains_half_open() {
@@ -123,45 +69,5 @@ mod tests {
     #[should_panic(expected = "window start")]
     fn inverted_window_panics() {
         TrainingWindow::new(10, 5);
-    }
-
-    #[test]
-    fn entries_in_window_filters() {
-        let s = store();
-        let w = TrainingWindow::new(5, 20);
-        let inside = entries_in_window(&s, w);
-        assert_eq!(
-            inside.iter().map(|e| e.time).collect::<Vec<_>>(),
-            vec![5, 10, 15]
-        );
-    }
-
-    #[test]
-    fn compact_drops_old_entries() {
-        let s = store();
-        let (fresh, dropped) = compact(&s, 10);
-        assert_eq!(dropped, 2);
-        assert_eq!(fresh.len(), 4);
-        assert_eq!(fresh.name(), "main");
-        assert!(fresh.entries().iter().all(|e| e.time >= 10));
-        // Original untouched (append-only semantics).
-        assert_eq!(s.len(), 6);
-    }
-
-    #[test]
-    fn partition_by_epoch_groups() {
-        let s = store();
-        let parts = partition_by_epoch(&s, 10);
-        assert_eq!(parts.len(), 4); // epochs 0, 1, 2, 9
-        assert_eq!(parts[&0].len(), 2); // t=1, t=5
-        assert_eq!(parts[&1].len(), 2); // t=10, t=15
-        assert_eq!(parts[&2].len(), 1); // t=20
-        assert_eq!(parts[&9].len(), 1); // t=99
-    }
-
-    #[test]
-    #[should_panic(expected = "epoch length")]
-    fn zero_epoch_panics() {
-        partition_by_epoch(&store(), 0);
     }
 }

@@ -67,8 +67,7 @@ fn main() {
             min_frequency: f.max(5),
             ..MinerConfig::default()
         });
-        let mut system =
-            PrimaSystem::new(scenario.vocab.clone(), policy.clone()).with_miner(Box::new(miner));
+        let mut system = PrimaSystem::new(scenario.vocab.clone(), policy.clone()).with_miner(miner);
         let store = AuditStore::new(&format!("round-{round}"));
         store.append_all(&trail).expect("simulated entries conform");
         system.attach_store(store).expect("unique source name");

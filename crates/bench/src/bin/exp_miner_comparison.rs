@@ -3,12 +3,15 @@
 //!
 //! Expected shape:
 //!
-//! * on full-width patterns the two miners agree exactly;
+//! * on full-width patterns the two miners agree exactly, and a round's
+//!   hash group-by over a store's tally (`SqlMiner::mine_tally`) returns
+//!   what the SQL returns;
 //! * Apriori additionally surfaces partial (pair-level) correlations the
 //!   fixed GROUP BY cannot see — "correlations between attribute pairs
 //!   that are not discovered by simple SQL queries";
 //! * Apriori pays for that with higher runtime, growing with the lattice.
 
+use prima_audit::{AuditStore, Tally};
 use prima_bench::{banner, render_table, timed};
 use prima_mining::{AprioriConfig, AprioriMiner, Miner, MinerConfig, SqlMiner};
 use prima_refine::extract::practice_table;
@@ -56,6 +59,14 @@ fn main() {
         });
 
         let (sql_patterns, t_sql) = timed(|| sql.mine(&table).expect("columns exist"));
+        let store = AuditStore::new("e8");
+        store
+            .append_all(&trail)
+            .expect("simulated entries are projectable");
+        let (tally_patterns, t_tally) = timed(|| {
+            sql.mine_tally(&Tally::merge([store.tally(None)]))
+                .expect("default attributes")
+        });
         let (ap_patterns, t_ap) = timed(|| apriori.mine(&table).expect("columns exist"));
         let (itemsets, t_lattice) =
             timed(|| apriori.frequent_itemsets(&table).expect("columns exist"));
@@ -65,6 +76,10 @@ fn main() {
             sql_patterns, ap_patterns,
             "miners must agree on full-width patterns"
         );
+        assert_eq!(
+            sql_patterns, tally_patterns,
+            "the round's group-by must return what the SQL returns"
+        );
 
         rows.push(vec![
             n.to_string(),
@@ -73,6 +88,7 @@ fn main() {
             ap_patterns.len().to_string(),
             partial.to_string(),
             format!("{t_sql:.1}"),
+            format!("{t_tally:.2}"),
             format!("{t_ap:.1}"),
             format!("{t_lattice:.1}"),
         ]);
@@ -87,6 +103,7 @@ fn main() {
                 "apriori full-width",
                 "apriori partial itemsets",
                 "sql (ms)",
+                "scan + group-by (ms)",
                 "apriori full (ms)",
                 "apriori lattice (ms)"
             ],

@@ -99,9 +99,9 @@ fn main() {
         )
     );
     println!(
-        "shape: parsing is linear in the record; redaction resolves every node against \
-         every path pattern, and this map holds two per region, so it grows with nodes × \
-         patterns. The nurse's treatment view serves general-care and redacts every \
-         psychiatry subtree."
+        "shape: parsing is linear in the record; redaction walks each node's path down \
+         the map's pattern trie, so it tries only the patterns that can match and grows \
+         with the nodes, although this map holds two patterns per region. The nurse's \
+         treatment view serves general-care and redacts every psychiatry subtree."
     );
 }

@@ -28,9 +28,25 @@ use prima_obs::{
 /// The histogram family holding per-stage round timings.
 pub const STAGE_METRIC: &str = "prima_round_stage_seconds";
 
-/// Pipeline stages recorded into [`STAGE_METRIC`], in execution order:
-/// consolidate the federated trail, intern it by access shape, the three
-/// refinement stages, propose to review, and both coverage passes.
+/// Pipeline stages recorded into [`STAGE_METRIC`], in execution order.
+/// A round reads the trail as tallies (`prima_audit::Tally`), never as
+/// entries:
+///
+/// * `federate` — one scan per source: each store's interned columns
+///   (only the rows inside a training window, when one is given) and each
+///   resilient source's last good fetch, counted per raw access triple
+///   with its practice entries and their users;
+/// * `ground` — merging those tallies into one key space: raw triples by
+///   their strings, shapes by ground rule, users by name (grounding
+///   itself happened once per distinct triple, at append);
+/// * `filter` — Algorithm 3 ran inside the scan, so this only sums the
+///   practice counts;
+/// * `mine` — Algorithm 5's `(A, f, c)` as a hash group-by over the tally;
+/// * `prune` — Prune and the safety gate over the mined patterns;
+/// * `propose` — enqueueing, and in auto-accept mode applying, the
+///   candidates;
+/// * `coverage` — both coverage passes: one compiled policy per revision
+///   decides each distinct shape, and the entry counts are summed.
 pub const STAGES: [&str; 7] = [
     "federate", "ground", "filter", "mine", "prune", "propose", "coverage",
 ];

@@ -2,16 +2,19 @@
 
 use prima_analyze::SafetyGate;
 use prima_audit::{
-    AuditEntry, AuditFederation, AuditStore, FederationError, FederationHealth, LogSource,
-    NoViolations, ResilientFederation, ShapeTrail,
+    AuditFederation, AuditStore, FederationError, FederationHealth, LogSource, ResilientFederation,
+    ShapeTimeline, Tally, TrailError, TrainingWindow,
 };
-use prima_mining::{Miner, MiningError, SqlMiner};
+use prima_mining::{MiningError, SqlMiner};
 use prima_model::{
     entry_ratio, CompiledPolicy, CompletenessBound, CoverageEngine, CoverageReport, Diagnostic,
-    EntryCoverageReport, ModelError, Policy, Strategy,
+    EntryCoverageReport, GroundRule, ModelError, Policy, Strategy,
 };
-use prima_refine::{refinement_with, RefinementConfig, ReviewQueue};
+use prima_refine::prune::PruneOutcome;
+use prima_refine::{prune_and_gate, ReviewQueue};
 use prima_vocab::Vocabulary;
+use std::sync::Arc;
+use std::time::Instant;
 
 use crate::observe::{Stage, SystemObs};
 
@@ -92,7 +95,9 @@ pub struct PrimaSystem {
     completeness_floor: f64,
     review: ReviewQueue,
     history: Vec<RoundRecord>,
-    miner: Box<dyn Miner + Send + Sync>,
+    /// Algorithm 5's `(A, f, c)`: a round runs it as a hash group-by
+    /// over the trail's tally ([`SqlMiner::mine_tally`]).
+    miner: SqlMiner,
     /// Refinement-safety gate: when set, mined candidates must be strictly
     /// subsumed by the gate's umbrella envelope or they are rejected with
     /// a `PA005` diagnostic instead of widening the policy.
@@ -116,15 +121,15 @@ impl PrimaSystem {
             completeness_floor: 0.0,
             review: ReviewQueue::new(),
             history: Vec::new(),
-            miner: Box::new(SqlMiner::default()),
+            miner: SqlMiner::default(),
             gate: None,
             last_gate_diagnostics: Vec::new(),
             obs: SystemObs::disabled(),
         }
     }
 
-    /// Replaces the miner (e.g. with the Apriori miner of experiment E8).
-    pub fn with_miner(mut self, miner: Box<dyn Miner + Send + Sync>) -> Self {
+    /// Replaces the miner's `(A, f, c)` configuration.
+    pub fn with_miner(mut self, miner: SqlMiner) -> Self {
         self.miner = miner;
         self
     }
@@ -360,17 +365,26 @@ impl PrimaSystem {
         &self.history
     }
 
-    /// The full consolidated trail: local federated stores plus the
-    /// latest synced view of the resilient sources, merged in timestamp
-    /// order (stable — local stores first within a tie, matching each
-    /// federation's own documented tie-break).
-    fn all_entries(&self) -> Vec<AuditEntry> {
-        let mut entries = self.federation.consolidated_entries();
-        if !self.resilient.is_empty() {
-            entries.extend(self.resilient.consolidated_entries());
-            entries.sort_by_key(|e| e.time);
+    /// One tally per source, each read in one scan: the local stores'
+    /// columns, then the resilient sources' last good fetches, only the
+    /// rows inside `window` when given.
+    fn source_tallies(&self, window: Option<TrainingWindow>) -> Result<Vec<Tally>, TrailError> {
+        let mut tallies: Vec<Tally> = self
+            .federation
+            .sources()
+            .iter()
+            .map(|store| store.tally(window))
+            .collect();
+        for entries in self.resilient.cached_entries() {
+            tallies.push(Tally::of_entries(entries, window)?);
         }
-        entries
+        Ok(tallies)
+    }
+
+    /// One verdict per shape under the current policy revision, compiled
+    /// once for the call.
+    fn verdicts(&self, shapes: &[Arc<GroundRule>]) -> Vec<bool> {
+        CompiledPolicy::new(&self.policy, &self.vocab).verdicts(shapes)
     }
 
     /// Set-based coverage (Definition 9) of the current policy with
@@ -378,32 +392,34 @@ impl PrimaSystem {
     /// lazy engine. An entry with a blank attribute has no shape and fails
     /// the computation with [`ModelError::EmptyTerm`].
     pub fn coverage(&self) -> Result<CoverageReport, ModelError> {
-        let shapes = ShapeTrail::of(&self.all_entries()).map_err(|_| ModelError::EmptyTerm)?;
+        let tallies = self
+            .source_tallies(None)
+            .map_err(|_| ModelError::EmptyTerm)?;
+        let tally = Tally::merge(tallies);
         let trail = Policy::from_ground_rules(
             prima_model::StoreTag::AuditLog,
-            shapes.shapes().iter().cloned(),
+            tally.shapes().iter().map(|shape| GroundRule::clone(shape)),
         );
         CoverageEngine::new(Strategy::Lazy).coverage(&self.policy, &trail, &self.vocab)
     }
 
     /// Entry-weighted coverage (the Section 5 computation) over the
-    /// consolidated trail. `uncovered_indices` index the trail
-    /// [`Self::run_round`] sees: local and resilient entries merged in
-    /// timestamp order. An entry that projects to no ground rule (a blank
+    /// consolidated trail. `uncovered_indices` index the trail in
+    /// timestamp order, stable across sources: local stores in
+    /// registration order, then the resilient sources, each in append
+    /// order (the order of [`AuditFederation::consolidated_entries`] for
+    /// the local part). An entry that projects to no ground rule (a blank
     /// attribute) counts as uncovered.
     pub fn entry_coverage(&self) -> EntryCoverageReport {
-        self.entry_coverage_over(&self.all_entries())
-    }
-
-    fn entry_coverage_over(&self, entries: &[AuditEntry]) -> EntryCoverageReport {
-        let trail = ShapeTrail::lossy(entries);
-        EntryCoverageReport::weigh(&self.verdicts(&trail), trail.shape_ids())
-    }
-
-    /// One verdict per distinct shape of `trail` under the current policy
-    /// revision, compiled once for the call.
-    fn verdicts(&self, trail: &ShapeTrail) -> Vec<bool> {
-        CompiledPolicy::new(&self.policy, &self.vocab).verdicts(trail.shapes())
+        let mut timeline = ShapeTimeline::new();
+        for store in self.federation.sources() {
+            store.extend_timeline(&mut timeline);
+        }
+        for entries in self.resilient.cached_entries() {
+            timeline.extend_entries(entries);
+        }
+        let verdicts = self.verdicts(timeline.shapes());
+        timeline.weigh(&verdicts)
     }
 
     /// Entry-weighted coverage annotated with its completeness bound:
@@ -424,8 +440,7 @@ impl PrimaSystem {
     /// [`MiningError::Trail`] when a trail entry projects to no ground
     /// rule; otherwise whatever the miner reports.
     pub fn run_round(&mut self, mode: ReviewMode) -> Result<RoundRecord, MiningError> {
-        let entries = self.round_entries(None);
-        self.run_round_over(entries, mode)
+        self.run_round_in(None, mode)
     }
 
     /// Runs one refinement round over only the entries inside the training
@@ -433,34 +448,39 @@ impl PrimaSystem {
     /// refinement runs "at regular intervals" over the latest period.
     pub fn run_round_windowed(
         &mut self,
-        window: prima_audit::TrainingWindow,
+        window: TrainingWindow,
         mode: ReviewMode,
     ) -> Result<RoundRecord, MiningError> {
-        let entries = self.round_entries(Some(window));
-        self.run_round_over(entries, mode)
+        self.run_round_in(Some(window), mode)
     }
 
-    /// The consolidated trail a round runs over, optionally cut to a
-    /// training window, timed as the round's `federate` stage.
-    fn round_entries(&self, window: Option<prima_audit::TrainingWindow>) -> Vec<AuditEntry> {
-        let start = std::time::Instant::now();
-        let mut entries = self.all_entries();
-        if let Some(window) = window {
-            entries.retain(|e| window.contains(e.time));
-        }
+    /// The trail a round reads, optionally cut to a training window: each
+    /// source scanned into its tally (the `federate` stage), then the
+    /// tallies merged into one key space (the `ground` stage).
+    fn round_tally(&self, window: Option<TrainingWindow>) -> Result<Tally, TrailError> {
+        let start = Instant::now();
+        let tallies = self.source_tallies(window);
         self.obs
             .stage(Stage::Federate)
             .observe_duration(start.elapsed());
-        entries
+        let tallies = tallies?;
+        let start = Instant::now();
+        let tally = Tally::merge(tallies);
+        self.obs
+            .stage(Stage::Ground)
+            .observe_duration(start.elapsed());
+        Ok(tally)
     }
 
-    fn run_round_over(
+    fn run_round_in(
         &mut self,
-        entries: Vec<AuditEntry>,
+        window: Option<TrainingWindow>,
         mode: ReviewMode,
     ) -> Result<RoundRecord, MiningError> {
         let round = self.history.len() + 1;
         self.last_gate_diagnostics.clear();
+        let tally = self.round_tally(window)?;
+        let entries = tally.total_entries();
         // A round is one trace: nested stage spans (refine, propose,
         // coverage) inherit this root thread-locally, and incident dumps
         // mark its trace in the flight-recorder replay.
@@ -469,14 +489,12 @@ impl PrimaSystem {
             .tracer()
             .root_span("round.run")
             .with_field("round", round)
-            .with_field("entries", entries.len());
-        let ground_start = std::time::Instant::now();
-        let trail = ShapeTrail::of(&entries)?;
-        self.obs
-            .stage(Stage::Ground)
-            .observe_duration(ground_start.elapsed());
-        let coverage_start = std::time::Instant::now();
-        let before = entry_ratio(trail.covered_entries(&self.verdicts(&trail)), trail.len());
+            .with_field("entries", entries);
+        let coverage_start = Instant::now();
+        let before = entry_ratio(
+            tally.covered_entries(&self.verdicts(tally.shapes())),
+            entries,
+        );
         let before_elapsed = coverage_start.elapsed();
 
         let health = self.federation_health();
@@ -502,36 +520,41 @@ impl PrimaSystem {
                 (0, 0, 0, 0, 0)
             } else {
                 let mine_span = self.obs.tracer().span("round.refine");
-                let classifier = NoViolations;
-                let mut config = RefinementConfig::new(&*self.miner, &classifier);
-                if let Some(gate) = self.gate.as_ref() {
-                    config = config.with_gate(gate);
-                }
-                let report = refinement_with(&self.policy, &entries, &self.vocab, &config)?;
+                // Algorithm 3 ran inside the scan: the tally already
+                // counts each triple's practice entries.
+                let filter_start = Instant::now();
+                let practice = tally.practice_entries();
+                self.obs
+                    .stage(Stage::Filter)
+                    .observe_duration(filter_start.elapsed());
+                let mine_start = Instant::now();
+                let raw_patterns = self.miner.mine_tally(&tally)?;
+                self.obs
+                    .stage(Stage::Mine)
+                    .observe_duration(mine_start.elapsed());
+                let prune_start = Instant::now();
+                let (PruneOutcome { useful, .. }, gate_rejected) = prune_and_gate(
+                    raw_patterns.clone(),
+                    &self.policy,
+                    &self.vocab,
+                    self.gate.as_ref(),
+                );
+                self.obs
+                    .stage(Stage::Prune)
+                    .observe_duration(prune_start.elapsed());
                 drop(
                     mine_span
-                        .with_field("practice", report.practice_entries)
-                        .with_field("patterns", report.raw_patterns.len()),
+                        .with_field("practice", practice)
+                        .with_field("patterns", raw_patterns.len()),
                 );
                 // Widening patterns the gate diverted never reach the
                 // review queue; keep their diagnostics for the caller.
                 self.last_gate_diagnostics
-                    .extend(report.gate_rejected.iter().map(|(_, d)| d.clone()));
-                // The refine pipeline hands back its own stage clocks, so
-                // the histograms see the true per-stage split rather than
-                // one lump.
-                self.obs
-                    .stage(Stage::Filter)
-                    .observe_duration(report.filter_duration);
-                self.obs
-                    .stage(Stage::Mine)
-                    .observe_duration(report.mine_duration);
-                self.obs
-                    .stage(Stage::Prune)
-                    .observe_duration(report.prune_duration);
+                    .extend(gate_rejected.into_iter().map(|(_, d)| d));
                 let propose_span = self.obs.tracer().span("round.propose");
-                let propose_start = std::time::Instant::now();
-                let enqueued = self.review.propose(report.useful_patterns.clone(), round);
+                let propose_start = Instant::now();
+                let useful_count = useful.len();
+                let enqueued = self.review.propose(useful, round);
                 let added = match mode {
                     ReviewMode::AutoAccept => {
                         self.review.accept_all_pending();
@@ -554,30 +577,22 @@ impl PrimaSystem {
                     .stage(Stage::Propose)
                     .observe_duration(propose_start.elapsed());
                 drop(propose_span.with_field("enqueued", enqueued));
-                self.obs
-                    .patterns_useful_total
-                    .add(report.useful_patterns.len() as u64);
+                self.obs.patterns_useful_total.add(useful_count as u64);
                 self.obs.rules_added_total.add(added as u64);
-                (
-                    report.practice_entries,
-                    report.raw_patterns.len(),
-                    report.useful_patterns.len(),
-                    enqueued,
-                    added,
-                )
+                (practice, raw_patterns.len(), useful_count, enqueued, added)
             };
 
         let after_span = self.obs.tracer().span("round.coverage");
-        let after_start = std::time::Instant::now();
-        let covered_after = trail.covered_entries(&self.verdicts(&trail));
-        // The coverage stage is both passes over the trail (before and
+        let after_start = Instant::now();
+        let covered_after = tally.covered_entries(&self.verdicts(tally.shapes()));
+        // The coverage stage is both passes over the tally (before and
         // after the policy change), so the histogram sees their sum.
         self.obs
             .stage(Stage::Coverage)
             .observe_duration(before_elapsed + after_start.elapsed());
         drop(after_span);
-        let after = entry_ratio(covered_after, trail.len());
-        let bound = health.bound_for(covered_after, trail.len());
+        let after = entry_ratio(covered_after, entries);
+        let bound = health.bound_for(covered_after, entries);
 
         self.obs.rounds_total.inc();
         self.obs.coverage_ratio.set(after);
@@ -602,7 +617,7 @@ impl PrimaSystem {
 
         let record = RoundRecord {
             round,
-            audit_entries: entries.len(),
+            audit_entries: entries,
             practice_entries,
             patterns_found,
             patterns_useful,
@@ -648,6 +663,7 @@ impl PrimaSystem {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use prima_audit::AuditEntry;
     use prima_model::samples::figure_3_policy_store;
     use prima_refine::CandidateState;
     use prima_vocab::samples::figure_1;
@@ -843,14 +859,14 @@ mod tests {
         let mut sys = system_with_table_1();
         // Window covering only t1..t5: the frequent pattern (t3, t7-t10)
         // has just one occurrence inside, so nothing is mined.
-        let early = prima_audit::TrainingWindow::new(1, 6);
+        let early = TrainingWindow::new(1, 6);
         let record = sys
             .run_round_windowed(early, ReviewMode::AutoAccept)
             .unwrap();
         assert_eq!(record.audit_entries, 5);
         assert_eq!(record.patterns_found, 0);
         // The full-trail window reproduces the Section 5 outcome.
-        let full = prima_audit::TrainingWindow::new(1, 11);
+        let full = TrainingWindow::new(1, 11);
         let record = sys
             .run_round_windowed(full, ReviewMode::AutoAccept)
             .unwrap();
@@ -902,7 +918,7 @@ mod tests {
             .map(|s| s.name())
             .collect();
         assert_eq!(names, ["stream-1", "stream-2", "stream-3"]);
-        assert_eq!(sys.all_entries().len(), 30);
+        assert_eq!(sys.entry_coverage().total_entries, 30);
     }
 
     #[test]
@@ -1227,13 +1243,15 @@ mod tests {
         remote
             .append_all(&[shape(2, "psychiatry"), shape(4, "referral")])
             .unwrap();
+        let mut trail = local.entries();
+        trail.extend(remote.entries());
+        trail.sort_by_key(|e| e.time);
         let mut sys = PrimaSystem::new(figure_1(), figure_3_policy_store());
         sys.attach_store(local).unwrap();
         sys.attach_source(Box::new(StoreSource::new(remote)))
             .unwrap();
         assert!(sys.sync_sources().all_healthy());
 
-        let trail = sys.all_entries();
         let times: Vec<i64> = trail.iter().map(|e| e.time).collect();
         assert_eq!(times, vec![1, 2, 3, 4, 5]);
         let report = sys.entry_coverage();
@@ -1307,31 +1325,64 @@ mod tests {
     }
 
     #[test]
-    fn blank_attribute_fails_the_round_and_is_uncovered_in_coverage() {
-        // Stores refuse blank attributes, so build the trail directly, as
-        // a source that skipped those checks would hand it over.
-        let mut sys = system_with_table_1();
+    fn blank_remote_record_is_quarantined_before_it_reaches_a_round() {
+        use prima_audit::{FetchResponse, RawRecord, SourceError};
+        /// A remote site that skips the append check.
+        #[derive(Debug)]
+        struct Unchecked(Vec<AuditEntry>);
+        impl LogSource for Unchecked {
+            fn name(&self) -> &str {
+                "remote"
+            }
+            fn fetch(&mut self) -> Result<FetchResponse, SourceError> {
+                Ok(FetchResponse {
+                    records: self.0.iter().cloned().map(RawRecord::Entry).collect(),
+                    expected: self.0.len(),
+                    latency: std::time::Duration::ZERO,
+                })
+            }
+        }
+        // It hands over a blank purpose. Consolidation parks it, so the
+        // round tallies only projectable entries and Table 1's
+        // 30 % → 80 % holds.
         let mut entries = table_1();
         entries.insert(
             4,
             AuditEntry::exception(11, "eve", "referral", "   ", "nurse"),
         );
+        let mut sys = PrimaSystem::new(figure_1(), figure_3_policy_store());
+        sys.attach_source(Box::new(Unchecked(entries))).unwrap();
+        assert_eq!(sys.sync_sources().sources[0].quarantined, 1);
+        let record = sys.run_round(ReviewMode::AutoAccept).unwrap();
+        assert_eq!(record.audit_entries, 10);
+        assert!((record.entry_coverage_before - 0.3).abs() < 1e-9);
+        assert!((record.entry_coverage_after - 0.8).abs() < 1e-9);
+    }
 
-        let err = sys
-            .run_round_over(entries.clone(), ReviewMode::AutoAccept)
-            .unwrap_err();
+    #[test]
+    fn unprojectable_entries_fail_the_tally_and_are_uncovered_in_coverage() {
+        // The entry builder a round uses for sources outside the stores
+        // fails closed; the coverage timeline counts the entry uncovered.
+        let mut entries = table_1();
+        entries.insert(
+            4,
+            AuditEntry::exception(11, "eve", "referral", "   ", "nurse"),
+        );
+        let err = MiningError::from(Tally::of_entries(&entries, None).unwrap_err());
         assert_eq!(
             err,
-            MiningError::Trail(prima_audit::TrailError {
+            MiningError::Trail(TrailError {
                 index: 4,
                 attribute: "purpose"
             })
         );
-        assert!(sys.history().is_empty(), "a failed round records nothing");
-        assert_eq!(sys.policy().cardinality(), 3, "policy untouched");
-
-        let report = sys.entry_coverage_over(&entries);
+        let sys = system_with_table_1();
+        let mut timeline = ShapeTimeline::new();
+        timeline.extend_entries(&entries);
+        let verdicts = sys.verdicts(timeline.shapes());
+        let report = timeline.weigh(&verdicts);
         assert_eq!((report.covered_entries, report.total_entries), (3, 11));
-        assert!(report.uncovered_indices.contains(&4));
+        // Weighed in time order, eve's entry (t11) comes last.
+        assert!(report.uncovered_indices.contains(&10));
     }
 }

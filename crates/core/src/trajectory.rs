@@ -128,8 +128,8 @@ pub fn run_trajectory(
             min_frequency: f,
             ..prima_mining::MinerConfig::default()
         });
-        let mut round_system = PrimaSystem::new(scenario.vocab.clone(), system.policy().clone())
-            .with_miner(Box::new(miner));
+        let mut round_system =
+            PrimaSystem::new(scenario.vocab.clone(), system.policy().clone()).with_miner(miner);
         let store = AuditStore::new(&format!("round-{round}"));
         store
             .append_all(&strip_labels(&trail))

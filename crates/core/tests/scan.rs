@@ -1,0 +1,159 @@
+//! A round's one scan over the stores' interned columns gives what
+//! Algorithm 2 gives over the consolidated entries: the same practice
+//! count, the same mined patterns in the same order, the same pruned
+//! proposals and the same coverage before and after.
+
+use prima_audit::{AccessStatus, AuditEntry, AuditStore, Op, Tally, TrainingWindow};
+use prima_core::{PrimaSystem, ReviewMode};
+use prima_mining::{Miner, MinerConfig, SqlMiner};
+use prima_model::samples::figure_3_policy_store;
+use prima_model::{CoverageEngine, GroundRule, Policy, PolicyMatcher, StoreTag};
+use prima_refine::extract::practice_table;
+use prima_refine::filter::filter;
+use prima_refine::prune::prune;
+use prima_refine::ReviewQueue;
+use prima_vocab::samples::figure_1;
+use proptest::prelude::*;
+
+/// Case and whitespace variants of a few concepts, plus a value the
+/// vocabulary does not know.
+const DATA: [&str; 5] = ["referral", "Referral", " referral ", "psychiatry", "x-ray"];
+const PURPOSE: [&str; 3] = ["registration", "Registration", "treatment"];
+const AUTHORIZED: [&str; 3] = ["nurse", "NURSE", "doctor"];
+/// Shared across stores, so one user can break the glass at two sites.
+const USERS: [&str; 4] = ["mark", "tim", "bob", "Mark"];
+
+/// One random entry: regular, exception, or a refused exception.
+fn arb_entry() -> impl Strategy<Value = AuditEntry> {
+    (
+        (0i64..30, 0..USERS.len()),
+        (0..DATA.len(), 0..PURPOSE.len(), 0..AUTHORIZED.len()),
+        0u8..4,
+    )
+        .prop_map(|((time, user), (d, p, a), kind)| {
+            let mut e = AuditEntry::regular(time, USERS[user], DATA[d], PURPOSE[p], AUTHORIZED[a]);
+            if kind > 0 {
+                e.status = AccessStatus::Exception;
+            }
+            if kind == 3 {
+                e.op = Op::Disallow;
+            }
+            e
+        })
+}
+
+/// 2–4 stores of up to 40 entries each.
+fn arb_sites() -> impl Strategy<Value = Vec<Vec<AuditEntry>>> {
+    collection::vec(collection::vec(arb_entry(), 0..40), 2..5)
+}
+
+fn patterns(queue: &ReviewQueue) -> Vec<prima_mining::Pattern> {
+    queue
+        .candidates()
+        .iter()
+        .map(|c| c.pattern.clone())
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    #[test]
+    fn the_scan_equals_the_entry_path(
+        sites in arb_sites(),
+        window in (0u8..2, 0i64..30, 0i64..30),
+        thresholds in (1usize..4, 0usize..2),
+    ) {
+        let (windowed, a, b) = window;
+        let window = (windowed == 1).then(|| TrainingWindow::new(a.min(b), a.max(b) + 1));
+        let miner = SqlMiner::new(MinerConfig {
+            min_frequency: thresholds.0,
+            min_distinct_users: thresholds.1,
+            ..MinerConfig::default()
+        });
+        let vocab = figure_1();
+        let policy_before = figure_3_policy_store();
+        let mut sys = PrimaSystem::new(vocab.clone(), policy_before.clone())
+            .with_miner(miner.clone());
+        let stores: Vec<AuditStore> = sites
+            .iter()
+            .enumerate()
+            .map(|(i, site)| {
+                let store = AuditStore::new(&format!("site-{i}"));
+                store.append_all(site).unwrap();
+                store
+            })
+            .collect();
+        for store in &stores {
+            sys.attach_store(store.clone()).unwrap();
+        }
+
+        // The entry path: Algorithm 2 over the consolidated entries.
+        let consolidated = sys.federation().consolidated_entries();
+        let entries: Vec<AuditEntry> = consolidated
+            .iter()
+            .filter(|e| window.is_none_or(|w| w.contains(e.time)))
+            .cloned()
+            .collect();
+        let practice = filter(&entries);
+        let raw = miner.mine(&practice_table(&practice)).unwrap();
+        let pruned = prune(raw.clone(), &policy_before, &vocab);
+        let rules: Vec<GroundRule> = entries
+            .iter()
+            .map(|e| e.to_ground_rule().unwrap())
+            .collect();
+        let before = CoverageEngine::default().entry_coverage(&policy_before, &rules, &vocab);
+
+        // The group-by over the merged column tallies.
+        let tally = Tally::merge(stores.iter().map(|s| s.tally(window)));
+        prop_assert_eq!(miner.mine_tally(&tally).unwrap(), raw.clone());
+
+        let record = match window {
+            Some(w) => sys.run_round_windowed(w, ReviewMode::AutoAccept),
+            None => sys.run_round(ReviewMode::AutoAccept),
+        }
+        .unwrap();
+        prop_assert_eq!(record.audit_entries, entries.len());
+        prop_assert_eq!(record.practice_entries, practice.len());
+        prop_assert_eq!(record.patterns_found, raw.len());
+        prop_assert_eq!(record.patterns_useful, pruned.useful.len());
+        prop_assert_eq!(record.entry_coverage_before, before.ratio());
+        let after = CoverageEngine::default().entry_coverage(sys.policy(), &rules, &vocab);
+        prop_assert_eq!(record.entry_coverage_after, after.ratio());
+
+        let mut queue = ReviewQueue::new();
+        queue.propose(pruned.useful, 1);
+        queue.accept_all_pending();
+        let mut policy_after = policy_before.clone();
+        queue.apply_accepted(&mut policy_after);
+        prop_assert_eq!(patterns(sys.review()), patterns(&queue));
+        prop_assert_eq!(sys.policy().cardinality(), policy_after.cardinality());
+
+        // The snapshot after the round: one matcher verdict per
+        // consolidated entry, in the same order.
+        let matcher = PolicyMatcher::new(sys.policy(), sys.vocab());
+        let uncovered: Vec<usize> = consolidated
+            .iter()
+            .enumerate()
+            .filter(|(_, e)| !matcher.covers(&e.to_ground_rule().unwrap()))
+            .map(|(i, _)| i)
+            .collect();
+        let snapshot = sys.entry_coverage();
+        prop_assert_eq!(snapshot.total_entries, consolidated.len());
+        prop_assert_eq!(snapshot.uncovered_indices, uncovered);
+
+        // Set coverage over the distinct shapes.
+        let shapes = Policy::from_ground_rules(
+            StoreTag::AuditLog,
+            consolidated.iter().map(|e| e.to_ground_rule().unwrap()),
+        );
+        let expected = CoverageEngine::new(prima_model::Strategy::Lazy)
+            .coverage(sys.policy(), &shapes, &vocab)
+            .unwrap();
+        let set = sys.coverage().unwrap();
+        prop_assert_eq!(
+            (set.overlap, set.target_cardinality),
+            (expected.overlap, expected.target_cardinality)
+        );
+    }
+}

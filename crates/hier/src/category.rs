@@ -3,12 +3,64 @@
 
 use crate::path::{PathError, PathPattern};
 use prima_vocab::normalize;
+use std::collections::HashMap;
 
 /// An ordered set of `(pattern, category)` mappings with
 /// most-specific-match-wins resolution.
+///
+/// Patterns are indexed in a trie over their segments: a named segment
+/// is a child keyed by its name, `*` one shared wildcard child. Resolving
+/// a node walks its path down the trie, so it tries only the patterns
+/// whose every segment can match, however many are registered.
 #[derive(Debug, Clone, Default)]
 pub struct PathCategoryMap {
     entries: Vec<(PathPattern, String)>,
+    index: Trie,
+}
+
+/// One trie node: the patterns whose segments before any `**` end here.
+#[derive(Debug, Clone, Default)]
+struct Trie {
+    named: HashMap<String, Trie>,
+    wild: Option<Box<Trie>>,
+    /// Positions in `entries` of patterns ending here: they match a path
+    /// that ends here.
+    exact: Vec<usize>,
+    /// Positions of patterns ending here in `**`: they match a path at
+    /// or below this node.
+    subtree: Vec<usize>,
+}
+
+impl Trie {
+    fn insert(&mut self, pattern: &PathPattern, position: usize) {
+        let mut node = self;
+        for step in pattern.fixed_names() {
+            node = match step {
+                Some(name) => node.named.entry(name.to_string()).or_default(),
+                None => node.wild.get_or_insert_with(Box::default),
+            };
+        }
+        if pattern.is_subtree() {
+            node.subtree.push(position);
+        } else {
+            node.exact.push(position);
+        }
+    }
+
+    /// Calls `found` with every pattern matching the rest of `path`.
+    fn matches(&self, path: &[String], found: &mut impl FnMut(usize)) {
+        self.subtree.iter().for_each(|&i| found(i));
+        let Some((first, rest)) = path.split_first() else {
+            self.exact.iter().for_each(|&i| found(i));
+            return;
+        };
+        if let Some(child) = self.named.get(first) {
+            child.matches(rest, found);
+        }
+        if let Some(child) = &self.wild {
+            child.matches(rest, found);
+        }
+    }
 }
 
 impl PathCategoryMap {
@@ -20,6 +72,7 @@ impl PathCategoryMap {
     /// Maps a pattern to a category.
     pub fn map(&mut self, pattern: &str, category: &str) -> Result<&mut Self, PathError> {
         let p = PathPattern::parse(pattern)?;
+        self.index.insert(&p, self.entries.len());
         self.entries.push((p, normalize(category)));
         Ok(self)
     }
@@ -41,14 +94,12 @@ impl PathCategoryMap {
     pub fn category_of(&self, path: &[&str]) -> Option<&str> {
         let path: Vec<String> = path.iter().map(|name| normalize(name)).collect();
         let mut best: Option<(usize, usize)> = None; // (specificity, index)
-        for (i, (pat, _)) in self.entries.iter().enumerate() {
-            if pat.matches_normalized(&path) {
-                let spec = pat.specificity();
-                if best.is_none_or(|(bs, bi)| spec > bs || (spec == bs && i > bi)) {
-                    best = Some((spec, i));
-                }
+        self.index.matches(&path, &mut |i| {
+            let spec = self.entries[i].0.specificity();
+            if best.is_none_or(|(bs, bi)| spec > bs || (spec == bs && i > bi)) {
+                best = Some((spec, i));
             }
-        }
+        });
         best.map(|(_, i)| self.entries[i].1.as_str())
     }
 }
@@ -113,6 +164,65 @@ mod tests {
         m.map("/a/b", "second").unwrap();
         assert_eq!(m.category_of(&["a", "b"]), Some("second"));
         assert_eq!(m.len(), 2);
+    }
+
+    #[test]
+    fn wildcard_first_patterns_compete_with_named_ones() {
+        let mut m = PathCategoryMap::new();
+        m.map("/**", "everything").unwrap();
+        m.map("/*/record", "record").unwrap();
+        m.map("/patient/*", "patient").unwrap();
+        assert_eq!(m.category_of(&[]), Some("everything"));
+        assert_eq!(m.category_of(&["other"]), Some("everything"));
+        assert_eq!(m.category_of(&["x", "record"]), Some("record"));
+        // Equal specificity (3 + 2 = 2 + 3): the later registration wins.
+        assert_eq!(m.category_of(&["patient", "record"]), Some("patient"));
+    }
+
+    /// Segments drawn from a tiny alphabet, so patterns collide and tie.
+    const SEGMENTS: [&str; 5] = ["a", "B", "c", "*", "**"];
+    const NAMES: [&str; 4] = ["a", "b", "c", "d"];
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// The index resolves every path to what a fold over every
+        /// registered pattern gives.
+        #[test]
+        fn index_equals_a_fold_over_every_pattern(
+            patterns in proptest::collection::vec(
+                proptest::collection::vec(0..SEGMENTS.len(), 1..4),
+                0..12,
+            ),
+            paths in proptest::collection::vec(
+                proptest::collection::vec(0..NAMES.len(), 0..4),
+                1..8,
+            ),
+        ) {
+            let mut m = PathCategoryMap::new();
+            let mut all = Vec::new();
+            for (i, segments) in patterns.iter().enumerate() {
+                let text: String = segments.iter().map(|&s| format!("/{}", SEGMENTS[s])).collect();
+                if let Ok(p) = PathPattern::parse(&text) {
+                    m.map(&text, &format!("c{i}")).unwrap();
+                    all.push((p, format!("c{i}")));
+                }
+            }
+            for names in &paths {
+                let path: Vec<&str> = names.iter().map(|&n| NAMES[n]).collect();
+                let folded = all
+                    .iter()
+                    .filter(|(p, _)| p.matches(&path))
+                    .fold(None::<(usize, &str)>, |best, (p, category)| {
+                        match best {
+                            Some((spec, _)) if spec > p.specificity() => best,
+                            _ => Some((p.specificity(), category.as_str())),
+                        }
+                    })
+                    .map(|(_, category)| category);
+                proptest::prop_assert_eq!(m.category_of(&path), folded);
+            }
+        }
     }
 
     #[test]

@@ -86,6 +86,21 @@ impl PathPattern {
         &self.source
     }
 
+    /// The segments before a trailing `**`, in order: the element name a
+    /// named segment requires, `None` for `*`.
+    pub(crate) fn fixed_names(&self) -> impl Iterator<Item = Option<&str>> {
+        self.segments.iter().filter_map(|s| match s {
+            Segment::Name(name) => Some(Some(name.as_str())),
+            Segment::Wild => Some(None),
+            Segment::Subtree => None,
+        })
+    }
+
+    /// True iff the pattern ends in `**`.
+    pub(crate) fn is_subtree(&self) -> bool {
+        matches!(self.segments.last(), Some(Segment::Subtree))
+    }
+
     /// Specificity for most-specific-wins resolution: named segments count
     /// 3, `*` counts 2, `**` counts 1 — longer, more-named patterns win.
     pub fn specificity(&self) -> usize {
@@ -110,7 +125,7 @@ impl PathPattern {
     }
 
     /// [`Self::matches`] over element names already normalized.
-    pub(crate) fn matches_normalized(&self, path: &[String]) -> bool {
+    fn matches_normalized(&self, path: &[String]) -> bool {
         let has_subtree = matches!(self.segments.last(), Some(Segment::Subtree));
         let fixed = if has_subtree {
             &self.segments[..self.segments.len() - 1]

@@ -18,8 +18,11 @@
 use crate::error::MiningError;
 use crate::pattern::{sort_patterns, Pattern};
 use crate::Miner;
+use prima_audit::schema::{COL_USER, PATTERN_ATTRIBUTES};
+use prima_audit::Tally;
 use prima_model::{GroundRule, RuleTerm};
 use prima_store::{Table, Value};
+use std::collections::{HashMap, HashSet};
 
 /// Configuration of the SQL group-by miner — the `(A, f, c)` triple of
 /// Algorithm 4.
@@ -105,6 +108,114 @@ impl SqlMiner {
             });
         }
         Ok(())
+    }
+}
+
+impl SqlMiner {
+    /// Algorithm 5's `(A, f, c)` as a hash group-by over a [`Tally`]: the
+    /// same patterns [`Miner::mine`] returns for the tally's practice
+    /// entries, in the same order.
+    ///
+    /// The tally is keyed by the *raw* logged strings, exactly what the
+    /// SQL groups on, so case variants stay separate groups here too; a
+    /// group's `COUNT(DISTINCT user)` counts user names across every
+    /// source the tally merged. The group-by reads only the columns a
+    /// tally keeps: an attribute outside `data`, `purpose` and
+    /// `authorized`, or a user column other than `user`, is refused with
+    /// [`MiningError::MissingAttribute`].
+    pub fn mine_tally(&self, tally: &Tally) -> Result<Vec<Pattern>, MiningError> {
+        if self.config.attributes.is_empty() {
+            return Err(MiningError::Config {
+                message: "attribute subset must be non-empty".into(),
+            });
+        }
+        let columns = self
+            .config
+            .attributes
+            .iter()
+            .map(|a| {
+                // The order of `prima_audit::Group::raw`.
+                PATTERN_ATTRIBUTES
+                    .iter()
+                    .position(|c| c == a)
+                    .ok_or_else(|| MiningError::MissingAttribute {
+                        attribute: a.clone(),
+                    })
+            })
+            .collect::<Result<Vec<usize>, _>>()?;
+        if self.config.user_column != COL_USER {
+            return Err(MiningError::MissingAttribute {
+                attribute: self.config.user_column.clone(),
+            });
+        }
+
+        // GROUP BY the projected raw strings; COUNT(*) sums the groups'
+        // practice counts. Tally groups are distinct raw triples, so a
+        // projection onto all three attributes keeps each its own row.
+        let whole_triple = PATTERN_ATTRIBUTES
+            .iter()
+            .all(|a| self.config.attributes.iter().any(|b| b == a));
+        let mut keys: HashMap<Vec<&str>, usize> = HashMap::new();
+        let mut support: Vec<usize> = Vec::new();
+        let mut rows: Vec<Vec<&str>> = Vec::new();
+        let mut row_of_group = vec![usize::MAX; tally.groups().len()];
+        for (group, g) in tally.groups().iter().enumerate() {
+            if g.practice == 0 {
+                continue;
+            }
+            let key: Vec<&str> = columns.iter().map(|&c| &*g.raw[c]).collect();
+            let found = if whole_triple {
+                None
+            } else {
+                keys.get(&key).copied()
+            };
+            let row = match found {
+                Some(row) => row,
+                None => {
+                    if !whole_triple {
+                        keys.insert(key.clone(), rows.len());
+                    }
+                    rows.push(key);
+                    support.push(0);
+                    rows.len() - 1
+                }
+            };
+            support[row] += g.practice;
+            row_of_group[group] = row;
+        }
+        // COUNT(DISTINCT user): the tally's (group, user) pairs are
+        // distinct, but a narrower projection can fold groups into a row.
+        let mut users = vec![0usize; rows.len()];
+        let mut seen: HashSet<(usize, u32)> = HashSet::new();
+        for &(group, user) in tally.practice_users() {
+            let row = row_of_group[group as usize];
+            if whole_triple || seen.insert((row, user)) {
+                users[row] += 1;
+            }
+        }
+
+        let mut patterns = Vec::new();
+        for ((values, support), users) in rows.iter().zip(support).zip(users) {
+            if support < self.config.min_frequency || users <= self.config.min_distinct_users {
+                continue;
+            }
+            let terms = self
+                .config
+                .attributes
+                .iter()
+                .zip(values)
+                .map(|(attr, value)| RuleTerm::new(attr, value))
+                .collect::<Result<Vec<_>, _>>()
+                .map_err(|e| MiningError::Malformed {
+                    message: e.to_string(),
+                })?;
+            let rule = GroundRule::new(terms).map_err(|e| MiningError::Malformed {
+                message: e.to_string(),
+            })?;
+            patterns.push(Pattern::new(rule, support, users));
+        }
+        sort_patterns(&mut patterns);
+        Ok(patterns)
     }
 }
 
@@ -266,6 +377,104 @@ mod tests {
         };
         let err = SqlMiner::new(config).mine(&practice()).unwrap_err();
         assert!(matches!(err, MiningError::Config { .. }));
+    }
+
+    fn tally(entries: &[AuditEntry]) -> Tally {
+        Tally::of_entries(entries, None).unwrap()
+    }
+
+    fn practice_entries() -> Vec<AuditEntry> {
+        vec![
+            AuditEntry::exception(3, "Mark", "Referral", "Registration", "Nurse"),
+            AuditEntry::exception(4, "Sarah", "Psychiatry", "Treatment", "Doctor"),
+            AuditEntry::exception(6, "Jason", "Prescription", "Billing", "Clerk"),
+            AuditEntry::exception(7, "Mark", "Referral", "Registration", "Nurse"),
+            AuditEntry::exception(8, "Tim", "Referral", "Registration", "Nurse"),
+            AuditEntry::exception(9, "Bob", "Referral", "Registration", "Nurse"),
+            AuditEntry::exception(10, "Mark", "Referral", "Registration", "Nurse"),
+        ]
+    }
+
+    #[test]
+    fn group_by_over_a_tally_equals_the_sql() {
+        let tally = tally(&practice_entries());
+        for config in [
+            MinerConfig::default(),
+            MinerConfig {
+                min_frequency: 1,
+                min_distinct_users: 0,
+                ..MinerConfig::default()
+            },
+            MinerConfig {
+                attributes: vec!["authorized".into(), "data".into()],
+                min_frequency: 1,
+                min_distinct_users: 0,
+                ..MinerConfig::default()
+            },
+        ] {
+            let miner = SqlMiner::new(config);
+            assert_eq!(
+                miner.mine_tally(&tally).unwrap(),
+                miner.mine(&practice()).unwrap()
+            );
+        }
+    }
+
+    #[test]
+    fn group_by_keeps_case_variants_apart_like_the_sql() {
+        let mut entries = practice_entries();
+        for (t, user) in [(11, "Ann"), (12, "Eve"), (13, "Ann")] {
+            entries.push(AuditEntry::exception(
+                t,
+                user,
+                "referral",
+                "registration",
+                "nurse",
+            ));
+        }
+        let mut table = Table::new("practice", audit_schema());
+        for e in &entries {
+            table.insert(e.to_row()).unwrap();
+        }
+        let miner = SqlMiner::new(MinerConfig {
+            min_frequency: 2,
+            ..MinerConfig::default()
+        });
+        let patterns = miner.mine_tally(&tally(&entries)).unwrap();
+        assert_eq!(patterns, miner.mine(&table).unwrap());
+        let supports: Vec<usize> = patterns.iter().map(|p| p.support).collect();
+        assert_eq!(supports, vec![5, 3], "two groups for one normalized rule");
+    }
+
+    #[test]
+    fn group_by_refuses_columns_a_tally_does_not_keep() {
+        let tally = tally(&practice_entries());
+        let time = SqlMiner::new(MinerConfig {
+            attributes: vec!["data".into(), "time".into()],
+            ..MinerConfig::default()
+        });
+        assert_eq!(
+            time.mine_tally(&tally).unwrap_err(),
+            MiningError::MissingAttribute {
+                attribute: "time".into()
+            }
+        );
+        let who = SqlMiner::new(MinerConfig {
+            user_column: "who".into(),
+            ..MinerConfig::default()
+        });
+        assert!(matches!(
+            who.mine_tally(&tally),
+            Err(MiningError::MissingAttribute { attribute }) if attribute == "who"
+        ));
+        let empty = SqlMiner::new(MinerConfig {
+            attributes: vec![],
+            ..MinerConfig::default()
+        });
+        assert!(matches!(
+            empty.mine_tally(&tally),
+            Err(MiningError::Config { .. })
+        ));
     }
 
     #[test]

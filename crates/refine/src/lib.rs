@@ -18,7 +18,8 @@
 //!   [`Miner`](prima_mining::Miner);
 //! * [`prune`] — removes patterns the policy store already covers;
 //! * [`pipeline`] — the composed `Refinement` function with a full
-//!   [`RefinementReport`];
+//!   [`RefinementReport`], and [`prune_and_gate`], the Prune-then-gate
+//!   tail a `PrimaSystem` round shares with it;
 //! * [`review`] — the human checkpoint the paper insists on ("human input
 //!   is prudent at this stage"): a queue of candidate rules that
 //!   stakeholders accept, reject, or send for investigation.
@@ -35,6 +36,7 @@ pub mod review;
 
 pub use generalize::{generalize, Generalization, GeneralizeOutcome};
 pub use pipeline::{
-    refinement, refinement_with, refinement_with_miner, RefinementConfig, RefinementReport,
+    prune_and_gate, refinement, refinement_with, refinement_with_miner, RefinementConfig,
+    RefinementReport,
 };
 pub use review::{Candidate, CandidateState, ReviewQueue};

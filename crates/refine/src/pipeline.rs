@@ -72,7 +72,7 @@ pub struct RefinementReport {
     pub filter_duration: std::time::Duration,
     /// Wall-clock duration of the mining stage (line 2).
     pub mine_duration: std::time::Duration,
-    /// Wall-clock duration of the Prune stage (line 3).
+    /// Wall-clock duration of the Prune stage (line 3) and the safety gate.
     pub prune_duration: std::time::Duration,
 }
 
@@ -134,30 +134,16 @@ pub fn refinement_with(
     let raw_patterns = extract_patterns(&practice, config.miner)?;
     let mine_duration = mine_start.elapsed();
 
-    // Line 3: usefulPatterns ← Prune(Patterns, P_PS, V).
+    // Line 3: usefulPatterns ← Prune(Patterns, P_PS, V), then the gate.
     let prune_start = std::time::Instant::now();
-    let PruneOutcome {
-        useful,
-        already_covered,
-    } = prune(raw_patterns.clone(), policy_store, vocab);
+    let (
+        PruneOutcome {
+            useful,
+            already_covered,
+        },
+        gate_rejected,
+    ) = prune_and_gate(raw_patterns.clone(), policy_store, vocab, config.gate);
     let prune_duration = prune_start.elapsed();
-
-    // Safety gate: divert privilege-widening patterns before proposal.
-    let (useful, gate_rejected) = match config.gate {
-        Some(gate) => {
-            let mut admitted = Vec::new();
-            let mut rejected = Vec::new();
-            for (i, p) in useful.into_iter().enumerate() {
-                let rule = Rule::from_ground(&p.rule);
-                match gate.check(i, &rule, vocab) {
-                    Ok(()) => admitted.push(p),
-                    Err(diag) => rejected.push((p, diag)),
-                }
-            }
-            (admitted, rejected)
-        }
-        None => (useful, Vec::new()),
-    };
 
     Ok(RefinementReport {
         input_entries: audit_entries.len(),
@@ -173,6 +159,32 @@ pub fn refinement_with(
         mine_duration,
         prune_duration,
     })
+}
+
+/// Algorithm 2's tail: Prune (line 3), then the refinement-safety gate,
+/// when one is set, diverts every privilege-widening survivor with its
+/// `PA005` diagnostic. The returned `useful` patterns are the ones to
+/// propose. [`refinement_with`] and a `PrimaSystem` round both end here.
+pub fn prune_and_gate(
+    patterns: Vec<Pattern>,
+    policy_store: &Policy,
+    vocab: &Vocabulary,
+    gate: Option<&SafetyGate>,
+) -> (PruneOutcome, Vec<(Pattern, Diagnostic)>) {
+    let mut outcome = prune(patterns, policy_store, vocab);
+    let Some(gate) = gate else {
+        return (outcome, Vec::new());
+    };
+    let mut rejected = Vec::new();
+    let mut admitted = Vec::with_capacity(outcome.useful.len());
+    for (i, p) in outcome.useful.into_iter().enumerate() {
+        match gate.check(i, &Rule::from_ground(&p.rule), vocab) {
+            Ok(()) => admitted.push(p),
+            Err(diag) => rejected.push((p, diag)),
+        }
+    }
+    outcome.useful = admitted;
+    (outcome, rejected)
 }
 
 #[cfg(test)]

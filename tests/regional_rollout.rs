@@ -27,8 +27,8 @@ fn staged_rollout_with_windows_and_snapshots() {
         min_frequency: 30,
         ..MinerConfig::default()
     });
-    let mut system = PrimaSystem::new(scenario.vocab.clone(), scenario.policy.clone())
-        .with_miner(Box::new(miner));
+    let mut system =
+        PrimaSystem::new(scenario.vocab.clone(), scenario.policy.clone()).with_miner(miner);
     for store in split_sites(&labeled, 4) {
         system.attach_store(store).expect("unique source name");
     }

@@ -107,8 +107,8 @@ fn violations_are_not_absorbed() {
         min_frequency: 100,
         ..MinerConfig::default()
     });
-    let mut system = PrimaSystem::new(scenario.vocab.clone(), scenario.policy.clone())
-        .with_miner(Box::new(miner));
+    let mut system =
+        PrimaSystem::new(scenario.vocab.clone(), scenario.policy.clone()).with_miner(miner);
     system
         .attach_store(prima::workload::sim::to_store(&labeled, "main"))
         .expect("unique source name");
