@@ -1,9 +1,10 @@
 //! Interning: each distinct value stored once, named by a dense `u32` id.
 //!
 //! The audit store interns users, raw `(data, purpose, authorized)`
-//! triples and ground rules at append time, and a round's tallies merge
-//! through the same tables, so a trail of any length is read as integer
-//! columns over a few thousand distinct values. The values come from the
+//! triples and ground rules at append time, and the federation's key
+//! space interns them once more across stores, so a trail of any length
+//! is read as integer columns over a few thousand distinct values. Ids
+//! are never taken back: an interner only grows. The values come from the
 //! logs, so their tables keep the default, collision-resistant hasher;
 //! only sets of the store's own integer ids use [`FxHasher`].
 
@@ -125,13 +126,6 @@ impl<K: ?Sized + Hash + Eq> Interner<K> {
         self.ids.insert(Arc::clone(&value), id);
         self.values.push(value);
         id
-    }
-
-    /// Forgets every value interned after the first `len`.
-    pub(crate) fn truncate(&mut self, len: usize) {
-        for value in self.values.drain(len.min(self.values.len())..) {
-            self.ids.remove(&value);
-        }
     }
 
     /// The interned values, indexed by id.

@@ -15,9 +15,9 @@
 //!   `(data, purpose, authorized)` ground rule the formal model uses;
 //! * [`AuditStore`] — a thread-safe, append-only audit trail kept as
 //!   columns interned at append time (users, raw access triples and their
-//!   ground rules), refusing entries with blank attributes
-//!   ([`AppendError`]); relational tables are built from entries only
-//!   when a query needs one;
+//!   ground rules) and a book of per-triple counts kept at append,
+//!   refusing entries with blank attributes ([`AppendError`]); relational
+//!   tables are built from entries only when a query needs one;
 //! * [`federation`] — the role DB2 Information Integrator plays in the
 //!   paper's first instantiation: a consolidated virtual view over many
 //!   per-site audit trails, with provenance;
@@ -26,8 +26,8 @@
 //!   before patterns are proposed as policy;
 //! * [`tally`] — [`Tally`], a trail reduced to per-raw-triple counts and
 //!   practice users, which a refinement round reads instead of entries,
-//!   and [`ShapeTimeline`], the `(time, shape)` rows per-entry coverage
-//!   reads;
+//!   and [`KeySpace`], the federation-wide ids a long-lived system joins
+//!   its sources' tallies through, with its verdicts per policy revision;
 //! * [`export`] — JSON-lines export/import for experiment artifacts;
 //! * [`source`] / [`resilience`] — the fault-tolerant side of federation:
 //!   a [`LogSource`] abstraction over fallible per-site fetches, retried
@@ -71,4 +71,4 @@ pub use source::{
 };
 pub use stats::{glass_breakers, trail_stats, TrailObserver, TrailStats};
 pub use store::{AppendError, AuditStore};
-pub use tally::{Group, ShapeTimeline, Tally, TrailError, NO_SHAPE};
+pub use tally::{Group, KeySpace, ReadCost, Tally, TrailError, NO_SHAPE};

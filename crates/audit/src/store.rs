@@ -1,11 +1,13 @@
-//! The append-only audit store, kept as interned columns.
+//! The append-only audit store, kept as interned columns and a book of
+//! counts.
 
 use crate::entry::{AccessStatus, AuditEntry, Op};
 use crate::intern::{next_id, FxHashSet, Interner};
 use crate::retention::TrainingWindow;
-use crate::tally::{Group, ShapeTimeline, Tally};
+use crate::tally::{Group, Tally, TallyRef};
 use parking_lot::{RwLock, RwLockReadGuard};
 use prima_model::{GroundRule, Policy, StoreTag};
+use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 
@@ -58,14 +60,24 @@ impl std::error::Error for AppendError {}
 /// * `flags: u8`, the entry's `op` and `status`;
 /// * `user: u32`, the id of the user name in this store;
 /// * `raw: u32`, the id of the raw `(data, purpose, authorized)` triple
-///   in this store, with `shape_of_raw` naming the triple's ground rule
-///   among the store's distinct ones (case and whitespace variants share
-///   one).
+///   in this store. Each raw id has a [`Group`] naming the triple's
+///   ground rule among the store's distinct ones (case and whitespace
+///   variants share one).
 ///
-/// A refinement round reads only these columns ([`Self::tally`],
-/// [`Self::extend_timeline`]); [`Self::entries`] rebuilds byte-identical
-/// entries for the callers that want them, and the relational `Table`
-/// that Algorithm 5's SQL runs on is built from entries on demand
+/// Append also keeps a *book*, so an unwindowed read scans no rows: per
+/// raw id, the entry count and the practice count (the group's
+/// `entries` and `practice`), and the distinct `(raw, user)` pairs of the
+/// practice entries, in first-seen order. [`Self::tally`] reads the book
+/// for the whole trail and scans the `time` column only for a training
+/// window. The book only ever grows: a sliding window would need to
+/// retract counts, which it does not do. Ids only grow too, since a
+/// refused batch is refused before anything is stored, so a reader that
+/// remembers how many ids it has seen (`crate::KeySpace`) reads only the
+/// new ones next time.
+///
+/// [`Self::entries`] rebuilds byte-identical entries for the callers
+/// that want them, and the relational `Table` that Algorithm 5's SQL runs
+/// on is built from entries on demand
 /// (`prima_refine::extract::practice_table`,
 /// [`crate::AuditFederation::consolidated_table`]).
 ///
@@ -103,99 +115,169 @@ pub(crate) fn flags_of(e: &AuditEntry) -> u8 {
 /// `0xFF`, so the key spells exactly one triple.
 const KEY_SEPARATOR: u8 = 0xFF;
 
-/// Row and table lengths of a [`Columns`], taken before a batch.
-#[derive(Debug, Clone, Copy)]
-struct Mark {
-    rows: usize,
-    users: usize,
-    raws: usize,
-    shapes: usize,
-}
-
-/// The stored trail: one row per entry, strings interned.
+/// The stored trail: one row per entry, strings interned, and the book.
 #[derive(Debug, Default)]
-struct Columns {
-    time: Vec<i64>,
+pub(crate) struct Columns {
+    pub(crate) time: Vec<i64>,
     flags: Vec<u8>,
     user: Vec<u32>,
-    raw: Vec<u32>,
+    pub(crate) raw: Vec<u32>,
     users: Interner<str>,
     /// Raw triples by their byte key (each string followed by
     /// [`KEY_SEPARATOR`]), so an append probes without allocating.
     raw_keys: Interner<[u8]>,
-    /// The raw strings of each triple, indexed like `raw_keys`.
-    raws: Vec<[Arc<str>; 3]>,
-    shape_of_raw: Vec<u32>,
+    /// The book, one group per raw id: the raw strings, the shape, and
+    /// the entry and practice counts kept at append.
+    pub(crate) groups: Vec<Group>,
     shapes: Interner<GroundRule>,
+    /// The book's distinct `(raw, user)` practice pairs, first-seen order.
+    pairs: Vec<(u32, u32)>,
+    /// `pairs`, keyed `raw << 32 | user`, for the append's probe.
+    pair_keys: FxHashSet<u64>,
+    /// Set once a row's time is below its predecessor's: until then the
+    /// rows are in time order.
+    pub(crate) out_of_order: bool,
     /// Scratch buffer for the byte key of the entry being appended.
     key: Vec<u8>,
 }
 
+/// Writes the byte key of `e`'s raw triple into `key`.
+fn raw_key(e: &AuditEntry, key: &mut Vec<u8>) {
+    key.clear();
+    for part in [&e.data, &e.purpose, &e.authorized] {
+        key.extend_from_slice(part.as_bytes());
+        key.push(KEY_SEPARATOR);
+    }
+}
+
+/// A batch checked and resolved against a store's tables, none of it
+/// stored yet: each row's time, flags, raw id and user id. Ids past the
+/// store's tables name the batch's new triples and users, in first-seen
+/// order, which is the order [`Columns::commit`] interns them in.
+struct Staged<'a> {
+    rows: Vec<(i64, u8, u32, u32)>,
+    /// The first entry carrying each new triple.
+    new_raws: Vec<&'a AuditEntry>,
+    new_users: Vec<&'a str>,
+}
+
 impl Columns {
-    /// Interns and stores one entry that passed the blank check.
+    /// Interns, stores and counts one entry that passed the blank check.
     fn push(&mut self, e: &AuditEntry) {
         let mut key = std::mem::take(&mut self.key);
-        key.clear();
-        for part in [&e.data, &e.purpose, &e.authorized] {
-            key.extend_from_slice(part.as_bytes());
-            key.push(KEY_SEPARATOR);
-        }
+        raw_key(e, &mut key);
         let raw = match self.raw_keys.get(&key) {
             Some(id) => id,
-            None => {
-                let rule = e
-                    .to_ground_rule()
-                    .expect("append refuses entries with blank attributes");
-                self.shape_of_raw.push(self.shapes.intern_owned(rule));
-                self.raws.push([
-                    e.data.as_str().into(),
-                    e.purpose.as_str().into(),
-                    e.authorized.as_str().into(),
-                ]);
-                self.raw_keys.intern(&key)
-            }
+            None => self.new_raw(e, &key),
         };
         self.key = key;
-        self.user.push(self.users.intern(&e.user));
-        self.raw.push(raw);
-        self.time.push(e.time);
-        self.flags.push(flags_of(e));
+        let user = self.users.intern(&e.user);
+        self.record(e.time, flags_of(e), raw, user);
     }
 
-    /// The lengths a refused batch rolls back to.
-    fn mark(&self) -> Mark {
-        Mark {
-            rows: self.len(),
-            users: self.users.len(),
-            raws: self.raws.len(),
-            shapes: self.shapes.len(),
+    /// Checks every entry of a batch and resolves its ids, storing
+    /// nothing: each entry's strings are read once, here.
+    fn stage<'a>(
+        &self,
+        entries: impl Iterator<Item = &'a AuditEntry>,
+    ) -> Result<Staged<'a>, AppendError> {
+        let mut staged = Staged {
+            rows: Vec::with_capacity(entries.size_hint().0),
+            new_raws: Vec::new(),
+            new_users: Vec::new(),
+        };
+        let mut new_keys: HashMap<Vec<u8>, u32> = HashMap::new();
+        let mut new_users: HashMap<&str, u32> = HashMap::new();
+        let mut key = Vec::new();
+        for (index, e) in entries.enumerate() {
+            AppendError::check(index, e)?;
+            raw_key(e, &mut key);
+            let raw = match self.raw_keys.get(&key) {
+                Some(id) => id,
+                None => match new_keys.get(&key) {
+                    Some(&id) => id,
+                    None => {
+                        let id = next_id(self.groups.len() + staged.new_raws.len());
+                        new_keys.insert(key.clone(), id);
+                        staged.new_raws.push(e);
+                        id
+                    }
+                },
+            };
+            let user = match self.users.get(&e.user) {
+                Some(id) => id,
+                None => *new_users.entry(&e.user).or_insert_with(|| {
+                    staged.new_users.push(&e.user);
+                    next_id(self.users.len() + staged.new_users.len() - 1)
+                }),
+            };
+            staged.rows.push((e.time, flags_of(e), raw, user));
+        }
+        Ok(staged)
+    }
+
+    /// Interns a staged batch's new triples and users, then stores and
+    /// counts its rows.
+    fn commit(&mut self, staged: Staged<'_>) {
+        let mut key = std::mem::take(&mut self.key);
+        for e in staged.new_raws {
+            raw_key(e, &mut key);
+            self.new_raw(e, &key);
+        }
+        self.key = key;
+        for user in staged.new_users {
+            self.users.intern(user);
+        }
+        self.time.reserve(staged.rows.len());
+        self.flags.reserve(staged.rows.len());
+        self.user.reserve(staged.rows.len());
+        self.raw.reserve(staged.rows.len());
+        for (time, flags, raw, user) in staged.rows {
+            self.record(time, flags, raw, user);
         }
     }
 
-    /// Drops every row and interned value added since `mark`.
-    fn truncate(&mut self, mark: Mark) {
-        self.time.truncate(mark.rows);
-        self.flags.truncate(mark.rows);
-        self.user.truncate(mark.rows);
-        self.raw.truncate(mark.rows);
-        self.users.truncate(mark.users);
-        self.raw_keys.truncate(mark.raws);
-        self.raws.truncate(mark.raws);
-        self.shape_of_raw.truncate(mark.raws);
-        self.shapes.truncate(mark.shapes);
+    /// Interns `e`'s raw triple, whose byte key is `key`, as a new group.
+    fn new_raw(&mut self, e: &AuditEntry, key: &[u8]) -> u32 {
+        let rule = e
+            .to_ground_rule()
+            .expect("append refuses entries with blank attributes");
+        self.groups.push(Group {
+            raw: [
+                e.data.as_str().into(),
+                e.purpose.as_str().into(),
+                e.authorized.as_str().into(),
+            ],
+            shape: self.shapes.intern_owned(rule),
+            entries: 0,
+            practice: 0,
+        });
+        self.raw_keys.intern(key)
     }
 
-    /// Makes room for `rows` more rows.
-    fn reserve(&mut self, rows: usize) {
-        self.time.reserve(rows);
-        self.flags.reserve(rows);
-        self.user.reserve(rows);
-        self.raw.reserve(rows);
+    /// Stores one row and counts it in the book.
+    fn record(&mut self, time: i64, flags: u8, raw: u32, user: u32) {
+        let group = &mut self.groups[raw as usize];
+        group.entries += 1;
+        if flags == PRACTICE {
+            group.practice += 1;
+            if self
+                .pair_keys
+                .insert(u64::from(raw) << 32 | u64::from(user))
+            {
+                self.pairs.push((raw, user));
+            }
+        }
+        self.out_of_order |= self.time.last().is_some_and(|&last| last > time);
+        self.time.push(time);
+        self.flags.push(flags);
+        self.user.push(user);
+        self.raw.push(raw);
     }
 
     /// Rebuilds row `i` as an entry.
     fn entry(&self, i: usize) -> AuditEntry {
-        let [data, purpose, authorized] = &self.raws[self.raw[i] as usize];
+        let [data, purpose, authorized] = &self.groups[self.raw[i] as usize].raw;
         let flags = self.flags[i];
         AuditEntry {
             time: self.time[i],
@@ -216,17 +298,60 @@ impl Columns {
         }
     }
 
-    fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.time.len()
     }
 
-    /// The rows inside `window` (every row without one).
-    fn rows(&self, window: Option<TrainingWindow>) -> impl Iterator<Item = usize> + '_ {
-        (0..self.len()).filter(move |&i| window.is_none_or(|w| w.contains(self.time[i])))
+    fn ground_rule(&self, i: usize) -> &Arc<GroundRule> {
+        &self.shapes.values()[self.groups[self.raw[i] as usize].shape as usize]
     }
 
-    fn ground_rule(&self, i: usize) -> &Arc<GroundRule> {
-        &self.shapes.values()[self.shape_of_raw[self.raw[i] as usize] as usize]
+    /// The whole trail's tally, read from the book: no row is scanned.
+    pub(crate) fn book(&self) -> TallyRef<'_> {
+        TallyRef {
+            groups: &self.groups,
+            shapes: self.shapes.values(),
+            users: self.users.values(),
+            practice_users: &self.pairs,
+        }
+    }
+
+    /// The tally of the rows inside `window`, in one scan of the `time`,
+    /// `flags`, `user` and `raw` columns. It keeps one group per raw id,
+    /// as the book does; a triple with no row in the window has zero
+    /// counts.
+    pub(crate) fn scan(&self, window: TrainingWindow) -> Tally {
+        let mut groups: Vec<Group> = self
+            .groups
+            .iter()
+            .map(|g| Group {
+                entries: 0,
+                practice: 0,
+                ..g.clone()
+            })
+            .collect();
+        let mut pairs: FxHashSet<u64> = FxHashSet::default();
+        for (i, &time) in self.time.iter().enumerate() {
+            if !window.contains(time) {
+                continue;
+            }
+            let raw = self.raw[i];
+            let group = &mut groups[raw as usize];
+            group.entries += 1;
+            if self.flags[i] == PRACTICE {
+                group.practice += 1;
+                pairs.insert(u64::from(raw) << 32 | u64::from(self.user[i]));
+            }
+        }
+        Tally {
+            groups,
+            shapes: self.shapes.values().to_vec(),
+            users: self.users.values().to_vec(),
+            practice_users: pairs
+                .into_iter()
+                .map(|pair| ((pair >> 32) as u32, pair as u32))
+                .collect(),
+        }
     }
 }
 
@@ -253,24 +378,18 @@ impl AuditStore {
     }
 
     /// Appends many entries under one lock acquisition. All or nothing:
-    /// if any entry has a blank attribute, the batch's rows and every
-    /// value it interned are rolled back.
+    /// the whole batch is checked, and its ids resolved, before any of it
+    /// is stored, so a batch with a blank attribute leaves the columns,
+    /// the interned values and the book untouched.
     pub fn append_all<'a, I: IntoIterator<Item = &'a AuditEntry>>(
         &self,
         entries: I,
     ) -> Result<usize, AppendError> {
-        let entries = entries.into_iter();
         let mut columns = self.columns.write();
-        let mark = columns.mark();
-        columns.reserve(entries.size_hint().0);
-        for (index, entry) in entries.enumerate() {
-            if let Err(e) = AppendError::check(index, entry) {
-                columns.truncate(mark);
-                return Err(e);
-            }
-            columns.push(entry);
-        }
-        Ok(columns.len() - mark.rows)
+        let staged = columns.stage(entries.into_iter())?;
+        let rows = staged.rows.len();
+        columns.commit(staged);
+        Ok(rows)
     }
 
     /// Number of entries.
@@ -283,7 +402,7 @@ impl AuditStore {
         self.len() == 0
     }
 
-    fn read(&self) -> RwLockReadGuard<'_, Columns> {
+    pub(crate) fn read(&self) -> RwLockReadGuard<'_, Columns> {
         self.columns.read()
     }
 
@@ -310,71 +429,20 @@ impl AuditStore {
             .collect()
     }
 
-    /// The rows inside `window` (every row without one) as a [`Tally`],
-    /// in one scan of the `time`, `flags`, `user` and `raw` columns.
+    /// The trail as a [`Tally`], one group per raw id: the book for the
+    /// whole trail (no row is scanned), or one scan of the rows inside
+    /// `window`.
     pub fn tally(&self, window: Option<TrainingWindow>) -> Tally {
         let columns = self.read();
-        let mut entries = vec![0usize; columns.raws.len()];
-        let mut practice = vec![0usize; columns.raws.len()];
-        let mut pairs: FxHashSet<u64> = FxHashSet::default();
-        for i in columns.rows(window) {
-            let raw = columns.raw[i] as usize;
-            entries[raw] += 1;
-            if columns.flags[i] == PRACTICE {
-                practice[raw] += 1;
-                pairs.insert((raw as u64) << 32 | u64::from(columns.user[i]));
-            }
+        match window {
+            Some(window) => columns.scan(window),
+            None => columns.book().to_tally(),
         }
-        let mut group_of_raw = vec![u32::MAX; columns.raws.len()];
-        let mut groups = Vec::new();
-        for (raw, &count) in entries.iter().enumerate() {
-            if count > 0 {
-                group_of_raw[raw] = next_id(groups.len());
-                groups.push(Group {
-                    raw: columns.raws[raw].clone(),
-                    shape: columns.shape_of_raw[raw],
-                    entries: count,
-                    practice: practice[raw],
-                });
-            }
-        }
-        Tally {
-            groups,
-            shapes: columns.shapes.values().to_vec(),
-            users: columns.users.values().to_vec(),
-            practice_users: pairs
-                .into_iter()
-                .map(|pair| (group_of_raw[(pair >> 32) as usize], pair as u32))
-                .collect(),
-        }
-    }
-
-    /// Appends every row's `(time, shape)` to `timeline`, in append order.
-    pub fn extend_timeline(&self, timeline: &mut ShapeTimeline) {
-        let columns = self.read();
-        let shape_ids: Vec<u32> = columns
-            .shapes
-            .values()
-            .iter()
-            .map(|shape| timeline.shapes.intern_arc(shape))
-            .collect();
-        let of_raw: Vec<u32> = columns
-            .shape_of_raw
-            .iter()
-            .map(|&shape| shape_ids[shape as usize])
-            .collect();
-        timeline.rows.extend(
-            columns
-                .time
-                .iter()
-                .zip(&columns.raw)
-                .map(|(&time, &raw)| (time, of_raw[raw as usize])),
-        );
     }
 
     /// Approximate storage footprint in bytes (experiment E6 reports
-    /// bytes/entry): the allocated column slots plus the interned users,
-    /// raw triples and ground rules.
+    /// bytes/entry): the allocated column slots, the interned users, raw
+    /// triples and ground rules, and the book.
     pub fn approx_bytes(&self) -> usize {
         let c = self.read();
         let rows = c.time.capacity() * size_of::<i64>()
@@ -382,14 +450,16 @@ impl AuditStore {
             + (c.user.capacity() + c.raw.capacity()) * size_of::<u32>();
         let users: usize = c.users.values().iter().map(|u| u.len()).sum();
         let raws: usize = c
-            .raws
+            .groups
             .iter()
-            .map(|r| r.iter().map(|s| s.len()).sum::<usize>())
+            .map(|g| g.raw.iter().map(|s| s.len()).sum::<usize>())
             .sum::<usize>()
             + c.raw_keys.values().iter().map(|k| k.len()).sum::<usize>();
-        let shapes =
-            c.shapes.len() * size_of::<GroundRule>() + c.shape_of_raw.capacity() * size_of::<u32>();
-        rows + users + raws + shapes
+        let shapes = c.shapes.len() * size_of::<GroundRule>();
+        let book = c.groups.capacity() * size_of::<Group>()
+            + c.pairs.capacity() * size_of::<(u32, u32)>()
+            + c.pair_keys.capacity() * size_of::<u64>();
+        rows + users + raws + shapes + book
     }
 }
 
@@ -430,6 +500,13 @@ mod tests {
             .collect();
         rows.sort();
         rows
+    }
+
+    /// A store's book: the groups with their counts, and the practice
+    /// pairs.
+    fn book(s: &AuditStore) -> (Vec<Group>, Vec<(u32, u32)>, usize) {
+        let c = s.read();
+        (c.groups.clone(), c.pairs.clone(), c.pair_keys.len())
     }
 
     fn store() -> AuditStore {
@@ -523,18 +600,22 @@ mod tests {
             (
                 c.users.len(),
                 c.raw_keys.len(),
-                c.raws.len(),
+                c.groups.len(),
                 c.shapes.len(),
             )
         };
         let before = interned(&s);
+        let counted = book(&s);
+        let bytes = s.approx_bytes();
         let err = s.append_all(&batch).unwrap_err();
         assert_eq!((err.index, err.attribute), (1, "purpose"));
-        assert_eq!(s.len(), 3, "the valid prefix was rolled back");
+        assert_eq!(s.len(), 3, "the valid prefix was never stored");
         assert_eq!(interned(&s), before, "nothing of the batch was interned");
+        assert_eq!(book(&s), counted, "nor counted");
+        assert_eq!(s.approx_bytes(), bytes, "nor allocated for");
         {
             let c = s.read();
-            assert_eq!(c.users.get("a"), None, "the rolled-back user is forgotten");
+            assert_eq!(c.users.get("a"), None, "the refused user is unknown");
             let rule = batch[0].to_ground_rule().unwrap();
             assert_eq!(c.shapes.get(&rule), None, "and so is its shape");
         }
@@ -542,6 +623,12 @@ mod tests {
         assert_eq!(s.len(), 5);
         assert_eq!(interned(&s), (4, 3, 3, 3), "users a and c, one new triple");
         assert_eq!(s.entries()[3], batch[0]);
+        let entries: Vec<usize> = s.read().groups.iter().map(|g| g.entries).collect();
+        assert_eq!(
+            entries,
+            vec![2, 2, 1],
+            "the book counted the accepted batch"
+        );
     }
 
     #[test]
@@ -557,11 +644,19 @@ mod tests {
         .unwrap();
         let c = s.read();
         assert_eq!(c.users.len(), 3, "tim, mark, ann");
-        assert_eq!(c.raws.len(), 3, "a case variant is its own raw triple");
+        assert_eq!(c.groups.len(), 3, "a case variant is its own raw triple");
         assert_eq!(c.shapes.len(), 2, "but shares the shape of tim's access");
-        assert_eq!(c.shape_of_raw, vec![0, 1, 0]);
+        let shapes: Vec<u32> = c.groups.iter().map(|g| g.shape).collect();
+        assert_eq!(shapes, vec![0, 1, 0]);
         assert_eq!(c.raw, vec![0, 1, 1, 2]);
         assert_eq!(c.flags, vec![ALLOW, PRACTICE, PRACTICE, ALLOW]);
+        // The book: entries and practice per raw id, and mark's practice
+        // on raw 1 once.
+        let counts: Vec<(usize, usize)> =
+            c.groups.iter().map(|g| (g.entries, g.practice)).collect();
+        assert_eq!(counts, vec![(1, 0), (2, 2), (1, 0)]);
+        assert_eq!(c.pairs, vec![(1, 1)]);
+        assert!(!c.out_of_order);
         drop(c);
         // The byte key keeps the boundaries between the strings.
         s.append_all(&[
@@ -569,8 +664,14 @@ mod tests {
             AuditEntry::regular(6, "ann", "a", "bc", "nurse"),
         ])
         .unwrap();
-        assert_eq!(s.read().raws.len(), 5);
+        assert_eq!(s.read().groups.len(), 5);
         assert_eq!(s.entries()[5].purpose, "bc");
+        s.append(&AuditEntry::regular(6, "ann", "ab", "c", "nurse"))
+            .unwrap();
+        assert!(!s.read().out_of_order, "an equal time keeps the order");
+        s.append(&AuditEntry::regular(5, "ann", "ab", "c", "nurse"))
+            .unwrap();
+        assert!(s.read().out_of_order);
     }
 
     #[test]
@@ -664,7 +765,8 @@ mod tests {
             let (c, k) = (s.read(), clean.read());
             prop_assert_eq!(c.users.values(), k.users.values());
             prop_assert_eq!(c.raw_keys.values(), k.raw_keys.values());
-            prop_assert_eq!(&c.shape_of_raw, &k.shape_of_raw);
+            prop_assert_eq!(&c.groups, &k.groups);
+            prop_assert_eq!(&c.pairs, &k.pairs);
             prop_assert_eq!(c.shapes.values(), k.shapes.values());
             prop_assert_eq!(&c.raw, &k.raw);
             prop_assert_eq!(&c.user, &k.user);
@@ -690,6 +792,53 @@ mod tests {
                 canonical(&Tally::merge([s.tally(window)])),
                 canonical(&from_entries)
             );
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The book kept at append tallies what a scan of the rebuilt
+        /// entries tallies, after every `append` and `append_all`; a
+        /// refused batch leaves the entries, the footprint and the book
+        /// as they were.
+        #[test]
+        fn the_book_equals_the_scan(
+            steps in collection::vec(
+                (0u8..3, collection::vec(arb_entry(), 0..8), 0usize..8),
+                1..8,
+            ),
+        ) {
+            let s = AuditStore::new("book");
+            for (kind, batch, blank_at) in steps {
+                match kind {
+                    0 => {
+                        for e in &batch {
+                            s.append(e).unwrap();
+                        }
+                    }
+                    1 => {
+                        prop_assert_eq!(s.append_all(&batch).unwrap(), batch.len());
+                    }
+                    _ => {
+                        let mut refused = batch;
+                        let at = blank_at.min(refused.len());
+                        refused.insert(at, AuditEntry::exception(0, "eve", "x", "y", " _ "));
+                        let (entries, bytes, before) = (s.entries(), s.approx_bytes(), book(&s));
+                        prop_assert_eq!(s.append_all(&refused).unwrap_err().index, at);
+                        prop_assert_eq!(s.entries(), entries);
+                        prop_assert_eq!(s.approx_bytes(), bytes);
+                        prop_assert_eq!(book(&s), before);
+                    }
+                }
+                let entries = s.entries();
+                prop_assert_eq!(
+                    canonical(&s.tally(None)),
+                    canonical(&Tally::of_entries(&entries, None).unwrap())
+                );
+                let sorted = entries.windows(2).all(|w| w[0].time <= w[1].time);
+                prop_assert_eq!(s.read().out_of_order, !sorted);
+            }
         }
     }
 

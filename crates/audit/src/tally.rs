@@ -1,5 +1,5 @@
 //! What a refinement round reads from a trail: a [`Tally`] per raw access
-//! triple, and a [`ShapeTimeline`] for the per-entry coverage snapshot.
+//! triple, joined across the federation's sources by a [`KeySpace`].
 //!
 //! A hospital trail repeats a few thousand raw `(data, purpose,
 //! authorized)` triples hundreds of thousands of times. Coverage depends
@@ -7,22 +7,31 @@
 //! triple's practice entries and their users, so a round needs one count
 //! per triple, not the entries (Garg, Jia & Datta: audit cost should
 //! follow the distinct state, not the log length). An
-//! [`crate::AuditStore`] builds its tally from its interned columns in one
-//! scan; entries held elsewhere (a resilient source's last good fetch) are
-//! tallied by [`Tally::of_entries`]; [`Tally::merge`] then joins the
-//! sources by raw strings and user names.
+//! [`crate::AuditStore`] keeps its tally as a book, counted at append;
+//! entries held elsewhere (a resilient source's last good fetch) are
+//! tallied by [`Tally::of_entries`].
+//!
+//! A [`KeySpace`] joins the sources' tallies. It keeps, per store, remaps
+//! from the store's own group, shape and user ids to federation ids, and
+//! since a store's ids only grow, a read hashes only the ids interned
+//! since the previous one; everything else is integer lookups. The key
+//! space also keeps one verdict per federation shape for one policy
+//! revision. [`Tally::merge`] is the same join done once, over fresh
+//! remaps.
 
 use crate::entry::AuditEntry;
 use crate::intern::{next_id, FxHashSet, Interner};
 use crate::retention::TrainingWindow;
-use crate::store::{flags_of, PRACTICE};
-use prima_model::{EntryCoverageReport, GroundRule};
+use crate::store::{flags_of, AuditStore, PRACTICE};
+use prima_model::{CompiledPolicy, EntryCoverageReport, GroundRule, Policy};
+use prima_vocab::Vocabulary;
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
-/// The shape id [`ShapeTimeline::extend_entries`] gives an entry that
-/// projects to no ground rule. No verdict exists for it, so
+/// The shape id [`KeySpace::entry_coverage`] gives an entry that projects
+/// to no ground rule. No verdict exists for it, so
 /// [`EntryCoverageReport::weigh`] counts it as uncovered.
 pub const NO_SHAPE: u32 = u32::MAX;
 
@@ -76,6 +85,10 @@ pub struct Group {
 /// A trail reduced to its raw access triples: per triple, how many
 /// entries carry it, how many of those are practice (what Algorithm 3's
 /// `Filter` keeps), and which users produced the practice entries.
+///
+/// A group may have zero entries: a store's tally keeps one group per raw
+/// id even when a training window holds none of its rows, and a
+/// [`KeySpace`] read keeps every group the key space has joined.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Tally {
     pub(crate) groups: Vec<Group>,
@@ -84,6 +97,28 @@ pub struct Tally {
     pub(crate) users: Vec<Arc<str>>,
     /// Distinct `(group, user)` pairs among the practice entries.
     pub(crate) practice_users: Vec<(u32, u32)>,
+}
+
+/// A tally's tables, borrowed: what [`KeySpace`] joins. A store lends its
+/// book this way, so an unwindowed read copies nothing.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct TallyRef<'a> {
+    pub(crate) groups: &'a [Group],
+    pub(crate) shapes: &'a [Arc<GroundRule>],
+    pub(crate) users: &'a [Arc<str>],
+    pub(crate) practice_users: &'a [(u32, u32)],
+}
+
+impl TallyRef<'_> {
+    /// An owned copy.
+    pub(crate) fn to_tally(self) -> Tally {
+        Tally {
+            groups: self.groups.to_vec(),
+            shapes: self.shapes.to_vec(),
+            users: self.users.to_vec(),
+            practice_users: self.practice_users.to_vec(),
+        }
+    }
 }
 
 impl Tally {
@@ -98,8 +133,22 @@ impl Tally {
         entries: &[AuditEntry],
         window: Option<TrainingWindow>,
     ) -> Result<Self, TrailError> {
+        Self::of_rows(entries, window, |index, group| match group {
+            Some(_) => Ok(()),
+            None => Err(TrailError::of(index, &entries[index])),
+        })
+    }
+
+    /// Tallies the entries inside `window`, handing `row` each one's
+    /// position and group, or `None` for an entry that projects to no
+    /// ground rule (it is not counted).
+    fn of_rows(
+        entries: &[AuditEntry],
+        window: Option<TrainingWindow>,
+        mut row: impl FnMut(usize, Option<u32>) -> Result<(), TrailError>,
+    ) -> Result<Self, TrailError> {
         let mut tally = Self::default();
-        let mut groups: HashMap<(&str, &str, &str), u32> = HashMap::new();
+        let mut groups: HashMap<(&str, &str, &str), Option<u32>> = HashMap::new();
         let mut shapes: Interner<GroundRule> = Interner::default();
         let mut users: HashMap<&str, u32> = HashMap::new();
         let mut pairs: FxHashSet<(u32, u32)> = FxHashSet::default();
@@ -108,22 +157,19 @@ impl Tally {
                 continue;
             }
             let key = (e.data.as_str(), e.purpose.as_str(), e.authorized.as_str());
-            let group = match groups.get(&key) {
-                Some(&id) => id,
-                None => {
-                    let rule = e.to_ground_rule().map_err(|_| TrailError::of(index, e))?;
-                    let shape = shapes.intern_owned(rule);
-                    let id = next_id(tally.groups.len());
-                    tally.groups.push(Group {
-                        raw: [key.0.into(), key.1.into(), key.2.into()],
-                        shape,
-                        entries: 0,
-                        practice: 0,
-                    });
-                    groups.insert(key, id);
-                    id
-                }
-            };
+            let group = *groups.entry(key).or_insert_with(|| {
+                let rule = e.to_ground_rule().ok()?;
+                let id = next_id(tally.groups.len());
+                tally.groups.push(Group {
+                    raw: [key.0.into(), key.1.into(), key.2.into()],
+                    shape: shapes.intern_owned(rule),
+                    entries: 0,
+                    practice: 0,
+                });
+                Some(id)
+            });
+            row(index, group)?;
+            let Some(group) = group else { continue };
             let g = &mut tally.groups[group as usize];
             g.entries += 1;
             if flags_of(e) == PRACTICE {
@@ -143,57 +189,26 @@ impl Tally {
 
     /// Joins per-source tallies into one: groups by their raw strings,
     /// shapes by ground rule, and users by name, so a user who broke the
-    /// glass at two sites counts once. Groups with no entries (every
-    /// entry fell outside the window) are dropped.
+    /// glass at two sites counts once. This is a [`KeySpace`] read done
+    /// once, each tally over fresh remaps: groups with no entries stay,
+    /// with zero counts.
     pub fn merge(tallies: impl IntoIterator<Item = Tally>) -> Self {
-        let mut out = Self::default();
-        let mut groups: HashMap<[Arc<str>; 3], u32> = HashMap::new();
-        let mut shapes: Interner<GroundRule> = Interner::default();
-        let mut users: Interner<str> = Interner::default();
-        let mut pairs: FxHashSet<(u32, u32)> = FxHashSet::default();
+        let mut space = KeySpace::default();
+        let mut sums = Sums::default();
         for tally in tallies {
-            let mut shape_ids = vec![u32::MAX; tally.shapes.len()];
-            let mut group_ids = vec![u32::MAX; tally.groups.len()];
-            for (local, g) in tally.groups.into_iter().enumerate() {
-                if g.entries == 0 {
-                    continue;
-                }
-                let id = match groups.get(&g.raw) {
-                    Some(&id) => id,
-                    None => {
-                        let shape = &mut shape_ids[g.shape as usize];
-                        if *shape == u32::MAX {
-                            *shape = shapes.intern_arc(&tally.shapes[g.shape as usize]);
-                        }
-                        let id = next_id(out.groups.len());
-                        groups.insert(g.raw.clone(), id);
-                        out.groups.push(Group {
-                            raw: g.raw,
-                            shape: *shape,
-                            entries: 0,
-                            practice: 0,
-                        });
-                        id
-                    }
-                };
-                let merged = &mut out.groups[id as usize];
-                merged.entries += g.entries;
-                merged.practice += g.practice;
-                group_ids[local] = id;
-            }
-            let mut user_ids = vec![u32::MAX; tally.users.len()];
-            for (group, user) in tally.practice_users {
-                let id = &mut user_ids[user as usize];
-                if *id == u32::MAX {
-                    *id = users.intern_arc(&tally.users[user as usize]);
-                }
-                pairs.insert((group_ids[group as usize], *id));
-            }
+            space.join(&mut Remap::default(), tally.view(), &mut sums);
         }
-        out.shapes = shapes.values().to_vec();
-        out.users = users.values().to_vec();
-        out.practice_users = pairs.into_iter().collect();
-        out
+        space.tally(sums)
+    }
+
+    /// The tally's tables, borrowed.
+    pub(crate) fn view(&self) -> TallyRef<'_> {
+        TallyRef {
+            groups: &self.groups,
+            shapes: &self.shapes,
+            users: &self.users,
+            practice_users: &self.practice_users,
+        }
     }
 
     /// The distinct raw triples, in order of first appearance.
@@ -201,7 +216,7 @@ impl Tally {
         &self.groups
     }
 
-    /// The distinct ground rules the groups project to.
+    /// The distinct ground rules, indexed by the groups' shape ids.
     pub fn shapes(&self) -> &[Arc<GroundRule>] {
         &self.shapes
     }
@@ -232,57 +247,392 @@ impl Tally {
             .map(|g| g.entries)
             .sum()
     }
+
+    /// The shapes some group with entries carries, in group order: the
+    /// trail's distinct ground rules.
+    pub fn shapes_with_entries(&self) -> Vec<Arc<GroundRule>> {
+        let mut seen = vec![false; self.shapes.len()];
+        self.groups
+            .iter()
+            .filter(|g| g.entries > 0 && !std::mem::replace(&mut seen[g.shape as usize], true))
+            .map(|g| Arc::clone(&self.shapes[g.shape as usize]))
+            .collect()
+    }
 }
 
-/// A trail as `(time, shape)` rows over its distinct shapes: what
-/// per-entry coverage needs, without the entries.
-#[derive(Debug, Clone, Default)]
-pub struct ShapeTimeline {
-    pub(crate) shapes: Interner<GroundRule>,
-    pub(crate) rows: Vec<(i64, u32)>,
+/// A [`Remap`] slot not yet joined.
+const UNSEEN: u32 = u32::MAX;
+
+/// One source's ids in the key space: `groups[local]` is the federation
+/// id of the source's group `local`, and likewise for shapes and users.
+/// A shape no joined group carries yet is [`UNSEEN`].
+#[derive(Debug, Default)]
+struct Remap {
+    groups: Vec<u32>,
+    shapes: Vec<u32>,
+    users: Vec<u32>,
 }
 
-impl ShapeTimeline {
-    /// An empty timeline.
+/// A read in progress: per federation group, the entry and practice
+/// counts so far, and the distinct federation `(group, user)` pairs.
+#[derive(Debug, Default)]
+struct Sums {
+    entries: Vec<usize>,
+    practice: Vec<usize>,
+    pairs: FxHashSet<(u32, u32)>,
+}
+
+/// What one [`KeySpace`] read did.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ReadCost {
+    /// Rows the read's tallies scanned: a windowed store's rows and a
+    /// resilient source's entries. An unwindowed store read scans none.
+    pub rows_scanned: usize,
+    /// Source-local ids (groups, shapes and users) newly hashed into the
+    /// key space.
+    pub keys_joined: usize,
+    /// Time spent reading the sources: locking the stores, scanning a
+    /// window, tallying fetched entries.
+    pub read: Duration,
+    /// Time spent joining what was read into the key space.
+    pub join: Duration,
+}
+
+/// The federation-wide key space a long-lived system keeps between
+/// reads.
+///
+/// It interns every raw triple, shape and user the federation's sources
+/// have shown it, and keeps per store the remaps from the store's ids to
+/// its own. A store's ids only grow, so a read hashes only the ids the
+/// store interned since the previous read and joins the rest through
+/// integer remaps. A resilient source's tally is built afresh on every
+/// fetch, so its remap is rebuilt on every read, through the same join.
+///
+/// The key space also keeps one verdict per federation shape, valid for
+/// one [`Policy::revision`]: extended for new shapes, recomputed when the
+/// revision moves ([`Self::verdicts`]). Policy revisions only grow while
+/// the policy is mutated in place, which is how a
+/// `prima_core::PrimaSystem` changes its policy; a caller that swaps in
+/// a different policy must start a fresh key space.
+///
+/// `stores` must be the same list on every call, in the same order, and
+/// may only grow at its end: the remaps are kept by position.
+#[derive(Debug, Default)]
+pub struct KeySpace {
+    /// The federation's groups, counts unused: raw strings and
+    /// federation shape id.
+    groups: Vec<Group>,
+    group_ids: HashMap<[Arc<str>; 3], u32>,
+    shapes: Interner<GroundRule>,
+    users: Interner<str>,
+    /// One remap per store, by position.
+    stores: Vec<Remap>,
+    verdicts: Vec<bool>,
+    /// The policy revision `verdicts` hold for.
+    revision: Option<u64>,
+}
+
+impl KeySpace {
+    /// An empty key space.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Appends `entries` in order, giving an entry that projects to no
-    /// ground rule the id [`NO_SHAPE`].
-    pub fn extend_entries(&mut self, entries: &[AuditEntry]) {
-        let mut by_raw: HashMap<(&str, &str, &str), u32> = HashMap::new();
-        self.rows.reserve(entries.len());
-        for e in entries {
-            let key = (e.data.as_str(), e.purpose.as_str(), e.authorized.as_str());
-            let shape = *by_raw
-                .entry(key)
-                .or_insert_with(|| match e.to_ground_rule() {
-                    Ok(rule) => self.shapes.intern_owned(rule),
-                    Err(_) => NO_SHAPE,
-                });
-            self.rows.push((e.time, shape));
+    /// The trail of `stores` and `fetched` (resilient sources' entries)
+    /// as one tally over federation ids: each store's book, or for a
+    /// `window` a scan of its rows, and each fetch tallied, all joined
+    /// through the remaps.
+    ///
+    /// # Errors
+    /// A fetched entry inside the window with a blank attribute.
+    pub fn read<'a>(
+        &mut self,
+        stores: &[AuditStore],
+        fetched: impl IntoIterator<Item = &'a [AuditEntry]>,
+        window: Option<TrainingWindow>,
+    ) -> Result<(Tally, ReadCost), TrailError> {
+        let mut cost = ReadCost::default();
+        let mut sums = Sums::default();
+        let mut remaps = self.take_remaps(stores.len());
+        for (store, remap) in stores.iter().zip(&mut remaps) {
+            let start = Instant::now();
+            let columns = store.read();
+            let scanned = window.map(|w| columns.scan(w));
+            if scanned.is_some() {
+                cost.rows_scanned += columns.len();
+            }
+            let view = scanned.as_ref().map_or_else(|| columns.book(), Tally::view);
+            let read = Instant::now();
+            cost.keys_joined += self.join(remap, view, &mut sums);
+            cost.read += read - start;
+            cost.join += read.elapsed();
+        }
+        self.stores = remaps;
+        for entries in fetched {
+            let start = Instant::now();
+            let tally = Tally::of_entries(entries, window)?;
+            cost.rows_scanned += entries.len();
+            let read = Instant::now();
+            cost.keys_joined += self.join(&mut Remap::default(), tally.view(), &mut sums);
+            cost.read += read - start;
+            cost.join += read.elapsed();
+        }
+        let start = Instant::now();
+        let tally = self.tally(sums);
+        cost.join += start.elapsed();
+        Ok((tally, cost))
+    }
+
+    /// Entry-weighted coverage of the trail of `stores` and `fetched`
+    /// under `policy`, with the number of ids newly hashed into the key
+    /// space. `uncovered_indices` index the trail in timestamp order,
+    /// stable across sources: the stores in order, then the fetches, each
+    /// in append order. A fetched entry that projects to no ground rule
+    /// has the shape [`NO_SHAPE`] and counts as uncovered.
+    ///
+    /// Each source is one run in time order (a store whose rows were
+    /// appended out of time order is stably sorted first), and the runs
+    /// are merged by `(time, source)`, straight into federation shape ids.
+    pub fn entry_coverage<'a>(
+        &mut self,
+        stores: &[AuditStore],
+        fetched: impl IntoIterator<Item = &'a [AuditEntry]>,
+        policy: &Policy,
+        vocab: &Vocabulary,
+    ) -> (EntryCoverageReport, usize) {
+        let mut joined = 0;
+        // Per source, the federation shape of each of its groups.
+        let mut shape_of: Vec<Vec<u32>> = Vec::new();
+        let federation_shapes = |remap: &Remap, groups: &[Group]| {
+            groups
+                .iter()
+                .map(|g| remap.shapes[g.shape as usize])
+                .collect()
+        };
+        let guards: Vec<_> = stores.iter().map(AuditStore::read).collect();
+        let mut remaps = self.take_remaps(stores.len());
+        for (columns, remap) in guards.iter().zip(&mut remaps) {
+            joined += self.remap(remap, columns.book());
+            shape_of.push(federation_shapes(remap, &columns.groups));
+        }
+        self.stores = remaps;
+        // A fetch's rows: each entry's time, and its group, or
+        // `NO_SHAPE` for one that projects to no ground rule.
+        let mut fetches: Vec<(Vec<i64>, Vec<u32>)> = Vec::new();
+        for entries in fetched {
+            let mut groups = Vec::with_capacity(entries.len());
+            let tally = Tally::of_rows(entries, None, |_, group| {
+                groups.push(group.unwrap_or(NO_SHAPE));
+                Ok(())
+            })
+            .expect("the row callback never fails");
+            let mut remap = Remap::default();
+            joined += self.remap(&mut remap, tally.view());
+            shape_of.push(federation_shapes(&remap, &tally.groups));
+            fetches.push((entries.iter().map(|e| e.time).collect(), groups));
+        }
+        let runs: Vec<Run<'_>> = guards
+            .iter()
+            .map(|c| (&c.time[..], &c.raw[..], c.out_of_order))
+            .chain(
+                fetches
+                    .iter()
+                    .map(|(t, g)| (&t[..], &g[..], !t.is_sorted())),
+            )
+            .zip(&shape_of)
+            .map(|((time, key, unsorted), shape_of)| Run {
+                time,
+                key,
+                shape_of,
+                order: unsorted.then(|| time_order(time)),
+            })
+            .collect();
+        let shapes = merge_runs(&runs);
+        drop(runs);
+        drop(guards);
+        let report = EntryCoverageReport::weigh(self.verdicts(policy, vocab), &shapes);
+        (report, joined)
+    }
+
+    /// One verdict per federation shape under `policy`, indexed like a
+    /// read's [`Tally::shapes`]. The verdicts are kept for one policy
+    /// revision: a later call at the same revision decides only the
+    /// shapes joined since, and compiles the policy only if there are
+    /// any; a call at another revision decides every shape again.
+    pub fn verdicts(&mut self, policy: &Policy, vocab: &Vocabulary) -> &[bool] {
+        if self.revision != Some(policy.revision()) {
+            self.verdicts.clear();
+            self.revision = Some(policy.revision());
+        }
+        let undecided = &self.shapes.values()[self.verdicts.len()..];
+        if !undecided.is_empty() {
+            let decided = CompiledPolicy::new(policy, vocab).verdicts(undecided);
+            self.verdicts.extend(decided);
+        }
+        &self.verdicts
+    }
+
+    /// The stores' remaps, taken out for a read, one per store.
+    fn take_remaps(&mut self, stores: usize) -> Vec<Remap> {
+        let mut remaps = std::mem::take(&mut self.stores);
+        assert!(
+            remaps.len() <= stores,
+            "the key space's stores only grow at the end"
+        );
+        remaps.resize_with(stores, Remap::default);
+        remaps
+    }
+
+    /// The one join: [`Self::remap`], then the source's counts and
+    /// practice pairs added to `sums` through the remap. Returns how many
+    /// ids were hashed.
+    fn join(&mut self, remap: &mut Remap, source: TallyRef<'_>, sums: &mut Sums) -> usize {
+        let joined = self.remap(remap, source);
+        sums.entries.resize(self.groups.len(), 0);
+        sums.practice.resize(self.groups.len(), 0);
+        for (g, &id) in source.groups.iter().zip(&remap.groups) {
+            sums.entries[id as usize] += g.entries;
+            sums.practice[id as usize] += g.practice;
+        }
+        sums.pairs.extend(
+            source
+                .practice_users
+                .iter()
+                .map(|&(g, u)| (remap.groups[g as usize], remap.users[u as usize])),
+        );
+        joined
+    }
+
+    /// Extends `remap` with the ids `source` interned since `remap` last
+    /// saw it, hashing only those into the key space. A shape is hashed
+    /// only when a group new to the federation carries it: a group the
+    /// federation knows names the shape's federation id already. Returns
+    /// how many ids were hashed.
+    fn remap(&mut self, remap: &mut Remap, source: TallyRef<'_>) -> usize {
+        assert!(
+            remap.groups.len() <= source.groups.len()
+                && remap.shapes.len() <= source.shapes.len()
+                && remap.users.len() <= source.users.len(),
+            "a source's ids only grow"
+        );
+        let mut joined = 0;
+        remap.shapes.resize(source.shapes.len(), UNSEEN);
+        for g in &source.groups[remap.groups.len()..] {
+            joined += 1;
+            let shape = &mut remap.shapes[g.shape as usize];
+            let id = match self.group_ids.get(&g.raw) {
+                Some(&id) => {
+                    *shape = self.groups[id as usize].shape;
+                    id
+                }
+                None => {
+                    if *shape == UNSEEN {
+                        *shape = self.shapes.intern_arc(&source.shapes[g.shape as usize]);
+                        joined += 1;
+                    }
+                    let id = next_id(self.groups.len());
+                    self.group_ids.insert(g.raw.clone(), id);
+                    self.groups.push(Group {
+                        raw: g.raw.clone(),
+                        shape: *shape,
+                        entries: 0,
+                        practice: 0,
+                    });
+                    id
+                }
+            };
+            remap.groups.push(id);
+        }
+        for user in &source.users[remap.users.len()..] {
+            joined += 1;
+            remap.users.push(self.users.intern_arc(user));
+        }
+        joined
+    }
+
+    /// The finished read: every federation group with the counts `sums`
+    /// gathered (zero for a group no source of this read carries).
+    fn tally(&self, sums: Sums) -> Tally {
+        let count = |counts: &[usize], i: usize| counts.get(i).copied().unwrap_or(0);
+        Tally {
+            groups: self
+                .groups
+                .iter()
+                .enumerate()
+                .map(|(i, g)| Group {
+                    entries: count(&sums.entries, i),
+                    practice: count(&sums.practice, i),
+                    ..g.clone()
+                })
+                .collect(),
+            shapes: self.shapes.values().to_vec(),
+            users: self.users.values().to_vec(),
+            practice_users: sums.pairs.into_iter().collect(),
         }
     }
+}
 
-    /// The distinct shapes, indexed by the rows' shape ids.
-    pub fn shapes(&self) -> &[Arc<GroundRule>] {
-        self.shapes.values()
-    }
+/// One source's rows for [`merge_runs`]: row `i` has time `time[i]` and
+/// shape `shape_of[key[i]]` ([`NO_SHAPE`] when `key[i]` is out of range),
+/// visited in `order` (row order when `None`).
+struct Run<'a> {
+    time: &'a [i64],
+    key: &'a [u32],
+    shape_of: &'a [u32],
+    order: Option<Vec<u32>>,
+}
 
-    /// Orders the rows by time, stably (ties keep the order they were
-    /// appended in: source order, then append order), and weighs per-shape
-    /// `verdicts` onto them. `uncovered_indices` index that time order.
-    pub fn weigh(mut self, verdicts: &[bool]) -> EntryCoverageReport {
-        self.rows.sort_by_key(|&(time, _)| time);
-        let ids: Vec<u32> = self.rows.iter().map(|&(_, shape)| shape).collect();
-        EntryCoverageReport::weigh(verdicts, &ids)
+impl Run<'_> {
+    fn row(&self, position: usize) -> usize {
+        self.order
+            .as_ref()
+            .map_or(position, |order| order[position] as usize)
     }
+}
+
+/// Row positions in time order, stably (ties keep row order).
+fn time_order(time: &[i64]) -> Vec<u32> {
+    let mut order: Vec<u32> = (0..next_id(time.len())).collect();
+    order.sort_by_key(|&row| time[row as usize]);
+    order
+}
+
+/// The runs' shapes merged by `(time, run)`: a stable sort of the runs'
+/// concatenation by time, without materializing it.
+fn merge_runs(runs: &[Run<'_>]) -> Vec<u32> {
+    let total = runs.iter().map(|run| run.time.len()).sum();
+    let mut shapes = Vec::with_capacity(total);
+    let mut positions = vec![0usize; runs.len()];
+    // Each run's next time, or `None` once the run is spent. The first
+    // of equal minima wins, so ties go to the earlier run.
+    let head = |run: &Run<'_>, position: usize| {
+        (position < run.time.len()).then(|| run.time[run.row(position)])
+    };
+    let mut heads: Vec<Option<i64>> = runs.iter().map(|run| head(run, 0)).collect();
+    while let Some((next, _)) = heads
+        .iter()
+        .enumerate()
+        .filter_map(|(i, h)| h.map(|time| (i, time)))
+        .min_by_key(|&(_, time)| time)
+    {
+        let run = &runs[next];
+        let row = run.row(positions[next]);
+        shapes.push(
+            run.shape_of
+                .get(run.key[row] as usize)
+                .copied()
+                .unwrap_or(NO_SHAPE),
+        );
+        positions[next] += 1;
+        heads[next] = head(run, positions[next]);
+    }
+    shapes
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use prima_vocab::samples::figure_1;
 
     fn entry(t: i64, user: &str, data: &str, purpose: &str, authorized: &str) -> AuditEntry {
         AuditEntry::exception(t, user, data, purpose, authorized)
@@ -370,7 +720,7 @@ mod tests {
     }
 
     #[test]
-    fn merge_drops_groups_the_window_emptied() {
+    fn merge_keeps_the_groups_a_window_emptied_at_zero() {
         let windowed = Tally {
             groups: vec![Group {
                 raw: ["d".into(), "p".into(), "a".into()],
@@ -386,8 +736,25 @@ mod tests {
             ..Tally::default()
         };
         let merged = Tally::merge([windowed]);
-        assert!(merged.groups().is_empty());
-        assert!(merged.shapes().is_empty());
+        assert_eq!(merged.groups().len(), 1);
+        assert_eq!(merged.total_entries(), 0);
+        assert!(
+            merged.shapes_with_entries().is_empty(),
+            "no entry carries it"
+        );
+    }
+
+    /// A policy of ground `(data, purpose, authorized)` rules.
+    fn policy(rules: &[[&str; 3]]) -> Policy {
+        Policy::with_rules(
+            prima_model::StoreTag::Named("p".into()),
+            rules
+                .iter()
+                .map(|[d, p, a]| {
+                    prima_model::Rule::of(&[("data", d), ("purpose", p), ("authorized", a)])
+                })
+                .collect(),
+        )
     }
 
     #[test]
@@ -410,29 +777,128 @@ mod tests {
         let inside = Tally::of_entries(&entries, Some(TrainingWindow::new(3, 4))).unwrap();
         assert_eq!(inside.total_entries(), 1);
 
-        let mut timeline = ShapeTimeline::new();
-        timeline.extend_entries(&entries);
-        assert_eq!(timeline.rows, vec![(1, 0), (2, NO_SHAPE), (3, 0)]);
-        let report = timeline.weigh(&[true]);
+        // In a coverage read the blank entry has no shape: uncovered.
+        let (report, joined) = KeySpace::new().entry_coverage(
+            &[],
+            [entries.as_slice()],
+            &policy(&[["address", "billing", "clerk"]]),
+            &figure_1(),
+        );
         assert_eq!((report.covered_entries, report.total_entries), (2, 3));
         assert_eq!(report.uncovered_indices, vec![1]);
+        assert_eq!(joined, 3, "one group, one shape, no practice user");
     }
 
     #[test]
-    fn timeline_orders_rows_stably_by_time() {
-        let mut timeline = ShapeTimeline::new();
-        timeline.extend_entries(&[
-            entry(5, "u", "referral", "registration", "nurse"),
-            entry(1, "u", "psychiatry", "treatment", "doctor"),
-        ]);
-        timeline.extend_entries(&[
+    fn entry_coverage_merges_the_sources_stably_by_time() {
+        // A store appended out of time order, and a fetch.
+        let store = AuditStore::new("a");
+        store
+            .append_all(&[
+                entry(5, "u", "referral", "registration", "nurse"),
+                entry(1, "u", "psychiatry", "treatment", "doctor"),
+            ])
+            .unwrap();
+        let fetched = [
             entry(1, "u", "referral", "registration", "nurse"),
             entry(3, "u", "psychiatry", "treatment", "doctor"),
-        ]);
-        assert_eq!(timeline.shapes().len(), 2);
-        // Time order: (1, psychiatry), (1, referral), (3, psychiatry), (5, referral).
-        let report = timeline.weigh(&[true, false]);
+        ];
+        let mut space = KeySpace::new();
+        let (report, _) = space.entry_coverage(
+            std::slice::from_ref(&store),
+            [fetched.as_slice()],
+            &policy(&[["referral", "registration", "nurse"]]),
+            &figure_1(),
+        );
+        // Time order, ties by source: (1, psychiatry, a), (1, referral,
+        // fetch), (3, psychiatry, fetch), (5, referral, a).
         assert_eq!(report.uncovered_indices, vec![0, 2]);
+        assert_eq!(space.shapes.len(), 2, "the fetch shares the store's shapes");
+    }
+
+    #[test]
+    fn a_kept_key_space_hashes_only_new_ids() {
+        let a = AuditStore::new("a");
+        a.append_all(&[
+            entry(1, "mark", "referral", "registration", "nurse"),
+            entry(2, "tim", "referral", "registration", "nurse"),
+        ])
+        .unwrap();
+        let b = AuditStore::new("b");
+        b.append(&entry(3, "mark", "Referral", "registration", "nurse"))
+            .unwrap();
+        let stores = [a.clone(), b.clone()];
+        let mut space = KeySpace::new();
+        // a: one group, one shape, two users.
+        let (_, cost) = space.read(&stores[..1], [], None).unwrap();
+        assert_eq!((cost.rows_scanned, cost.keys_joined), (0, 4));
+        // b, attached since: one group, one shape, one user.
+        let (tally, cost) = space.read(&stores, [], None).unwrap();
+        assert_eq!((cost.rows_scanned, cost.keys_joined), (0, 3));
+        assert_eq!(tally.groups().len(), 2, "a case variant is its own group");
+        assert_eq!(tally.shapes().len(), 1, "but shares the shape");
+        assert_eq!(tally.users.len(), 2, "mark at two sites is one user");
+        assert_eq!(tally.practice_users().len(), 3);
+
+        let (again, cost) = space.read(&stores, [], None).unwrap();
+        assert_eq!((cost.rows_scanned, cost.keys_joined), (0, 0));
+        assert_eq!(again, tally, "an unchanged trail reads the same tally");
+
+        // A new triple with a new shape and a new user joins three ids;
+        // a known one joins none.
+        b.append(&entry(4, "ann", "psychiatry", "treatment", "doctor"))
+            .unwrap();
+        a.append(&entry(5, "tim", "referral", "registration", "nurse"))
+            .unwrap();
+        let (grown, cost) = space.read(&stores, [], None).unwrap();
+        assert_eq!((cost.rows_scanned, cost.keys_joined), (0, 3));
+        assert_eq!(grown.total_entries(), 5);
+        let fresh = Tally::merge([a.tally(None), b.tally(None)]);
+        assert_eq!(grown.total_entries(), fresh.total_entries());
+        assert_eq!(grown.practice_users().len(), fresh.practice_users().len());
+
+        // A window scans every row of every store, and joins nothing new.
+        let (windowed, cost) = space
+            .read(&stores, [], Some(TrainingWindow::new(2, 5)))
+            .unwrap();
+        assert_eq!((cost.rows_scanned, cost.keys_joined), (5, 0));
+        assert_eq!(windowed.total_entries(), 3);
+        assert_eq!(windowed.groups().len(), 3, "emptied groups stay at zero");
+
+        // A fetch is joined afresh on every read: its group and its user.
+        // The federation knows the group, so its shape is not hashed.
+        let fetched = [entry(6, "mark", "referral", "registration", "nurse")];
+        for _ in 0..2 {
+            let (_, cost) = space.read(&stores, [fetched.as_slice()], None).unwrap();
+            assert_eq!((cost.rows_scanned, cost.keys_joined), (1, 2));
+        }
+    }
+
+    #[test]
+    fn verdicts_are_kept_for_one_revision() {
+        let store = AuditStore::new("a");
+        store
+            .append(&entry(1, "u", "referral", "registration", "nurse"))
+            .unwrap();
+        let stores = [store.clone()];
+        let vocab = figure_1();
+        let mut p = policy(&[["psychiatry", "treatment", "doctor"]]);
+        let mut space = KeySpace::new();
+        space.read(&stores, [], None).unwrap();
+        assert_eq!(space.verdicts(&p, &vocab), [false]);
+        // A new shape is decided alone; the kept verdict stays.
+        store
+            .append(&entry(2, "u", "psychiatry", "treatment", "doctor"))
+            .unwrap();
+        space.read(&stores, [], None).unwrap();
+        assert_eq!(space.verdicts(&p, &vocab), [false, true]);
+        // A new revision decides every shape again.
+        p.push(prima_model::Rule::of(&[
+            ("data", "referral"),
+            ("purpose", "registration"),
+            ("authorized", "nurse"),
+        ]));
+        assert_eq!(space.verdicts(&p, &vocab), [true, true]);
     }
 
     #[test]

@@ -1,10 +1,13 @@
 //! The `pipeline` suite: one fully instrumented refinement round over a
 //! four-site federated trail, with its per-stage latency profile and
-//! round throughput (the `BENCH_pipeline.json` shape). The suite has no
-//! smoke preset: its one round takes milliseconds. E5
-//! (`exp_fig4_pipeline`) runs the same round at several trail lengths.
+//! round throughput (the `BENCH_pipeline.json` shape), then a second
+//! round over the unchanged trail, which reads what the first one left in
+//! the federation's key space. The suite has no smoke preset: its rounds
+//! take milliseconds. E5 (`exp_fig4_pipeline`) runs the same rounds at
+//! several trail lengths.
 
 use crate::report::{stage_profiles, Gate, Measured};
+use prima_core::observe::STAGES;
 use prima_core::{PrimaSystem, ReviewMode, SystemObs};
 use prima_obs::PipelineReport;
 use prima_workload::sim::{split_sites, SimConfig};
@@ -36,6 +39,33 @@ pub struct RoundReport {
     /// The round's per-stage latency profile.
     #[serde(skip)]
     pub stages: PipelineReport,
+    /// The second round, over the unchanged trail.
+    #[serde(skip)]
+    pub second: SecondRound,
+}
+
+/// What a second round over the unchanged trail did. Its key space
+/// already holds every id of the trail and the verdicts of the policy
+/// revision the first round left, so it reads the stores' books and
+/// joins through remaps.
+#[derive(Debug, Clone, Default)]
+pub struct SecondRound {
+    /// Wall-clock seconds of the round.
+    pub round_seconds: f64,
+    /// Rows the round's tallies scanned (`prima_round_rows_scanned_total`).
+    pub rows_scanned: u64,
+    /// Store-local ids the round hashed into the key space
+    /// (`prima_round_keys_joined_total`).
+    pub keys_joined: u64,
+    /// Seconds per stage of this round alone, in [`STAGES`] order.
+    pub stage_seconds: Vec<f64>,
+}
+
+impl SecondRound {
+    /// The share of the round's wall time its stages account for.
+    pub fn staged_share(&self) -> f64 {
+        self.stage_seconds.iter().sum::<f64>() / self.round_seconds
+    }
 }
 
 impl Measured for RoundReport {
@@ -49,7 +79,24 @@ impl Measured for RoundReport {
     }
 
     fn derived(&self) -> Vec<(&'static str, Value)> {
-        vec![("stages", stage_profiles(&self.stages))]
+        let second = &self.second;
+        let stages = STAGES
+            .iter()
+            .zip(&second.stage_seconds)
+            .map(|(stage, &seconds)| ((*stage).into(), Value::F64(seconds)))
+            .collect();
+        vec![
+            ("stages", stage_profiles(&self.stages)),
+            (
+                "second_round",
+                Value::Map(vec![
+                    ("round_seconds".into(), Value::F64(second.round_seconds)),
+                    ("rows_scanned".into(), Value::U64(second.rows_scanned)),
+                    ("keys_joined".into(), Value::U64(second.keys_joined)),
+                    ("stage_seconds".into(), Value::Map(stages)),
+                ]),
+            ),
+        ]
     }
 
     fn gates(&self) -> Vec<Gate> {
@@ -71,7 +118,8 @@ impl RoundReport {
 }
 
 /// Runs one instrumented auto-accept round over a trail of
-/// `trail_entries` entries and returns its report.
+/// `trail_entries` entries, then a second one over the unchanged trail,
+/// and returns their report.
 pub fn run_pipeline(trail_entries: usize) -> RoundReport {
     let scenario = Scenario::community_hospital();
     let trail = scenario.simulator().generate(&SimConfig {
@@ -90,6 +138,25 @@ pub fn run_pipeline(trail_entries: usize) -> RoundReport {
         .expect("round runs");
     let round_seconds = start.elapsed().as_secs_f64();
     let stages = system.pipeline_report();
+
+    let (rows, keys) = (system.obs().rows_scanned(), system.obs().keys_joined());
+    let start = Instant::now();
+    system
+        .run_round(ReviewMode::AutoAccept)
+        .expect("second round runs");
+    let second_seconds = start.elapsed().as_secs_f64();
+    let total =
+        |report: &PipelineReport, stage: &str| report.stage(stage).map_or(0.0, |s| s.total_seconds);
+    let both = system.pipeline_report();
+    let second = SecondRound {
+        round_seconds: second_seconds,
+        rows_scanned: system.obs().rows_scanned() - rows,
+        keys_joined: system.obs().keys_joined() - keys,
+        stage_seconds: STAGES
+            .iter()
+            .map(|stage| total(&both, stage) - total(&stages, stage))
+            .collect(),
+    };
     RoundReport {
         trail_entries,
         round_seconds,
@@ -97,6 +164,7 @@ pub fn run_pipeline(trail_entries: usize) -> RoundReport {
         coverage_after: record.entry_coverage_after,
         all_stages_observed: stages.all_stages_observed(),
         stages,
+        second,
     }
 }
 
@@ -108,10 +176,13 @@ mod tests {
     fn every_stage_is_observed_and_the_stages_fit_in_the_round() {
         for trail_entries in [500, 2_000] {
             let round = run_pipeline(trail_entries);
-            assert_eq!(round.stages.stages.len(), prima_core::observe::STAGES.len());
+            assert_eq!(round.stages.stages.len(), STAGES.len());
             assert!(round.all_stages_observed, "at {trail_entries}");
             let share = round.staged_share();
             assert!(share > 0.0 && share <= 1.0, "{share} at {trail_entries}");
+            let second = &round.second;
+            assert_eq!((second.rows_scanned, second.keys_joined), (0, 0));
+            assert!(second.staged_share() <= 1.0, "at {trail_entries}");
         }
     }
 }

@@ -16,6 +16,8 @@
 //! | `prima_round_deferred_total` | counter | rounds that refused to mine below the completeness floor |
 //! | `prima_round_patterns_useful_total` | counter | patterns surviving Prune |
 //! | `prima_round_rules_added_total` | counter | rules folded into the policy |
+//! | `prima_round_rows_scanned_total` | counter | rows the rounds' tallies scanned (windowed stores, resilient fetches) |
+//! | `prima_round_keys_joined_total` | counter | store-local ids newly hashed into the federation key space |
 //! | `prima_coverage_entry_ratio` | gauge | latest entry-weighted coverage |
 //! | `prima_coverage_completeness_lower` | gauge | lower bound on true coverage |
 //! | `prima_coverage_completeness_upper` | gauge | upper bound on true coverage |
@@ -32,12 +34,12 @@ pub const STAGE_METRIC: &str = "prima_round_stage_seconds";
 /// A round reads the trail as tallies (`prima_audit::Tally`), never as
 /// entries:
 ///
-/// * `federate` — one scan per source: each store's interned columns
-///   (only the rows inside a training window, when one is given) and each
-///   resilient source's last good fetch, counted per raw access triple
-///   with its practice entries and their users;
-/// * `ground` — merging those tallies into one key space: raw triples by
-///   their strings, shapes by ground rule, users by name (grounding
+/// * `federate` — the book read: each store's counts, kept at append, or
+///   for a training window one scan of the store's rows inside it; and
+///   each resilient source's last good fetch, tallied;
+/// * `ground` — the join into the federation's key space
+///   (`prima_audit::KeySpace`): ids a source interned since the last read
+///   are hashed, everything else goes through integer remaps (grounding
 ///   itself happened once per distinct triple, at append);
 /// * `filter` — Algorithm 3 ran inside the scan, so this only sums the
 ///   practice counts;
@@ -45,8 +47,9 @@ pub const STAGE_METRIC: &str = "prima_round_stage_seconds";
 /// * `prune` — Prune and the safety gate over the mined patterns;
 /// * `propose` — enqueueing, and in auto-accept mode applying, the
 ///   candidates;
-/// * `coverage` — both coverage passes: one compiled policy per revision
-///   decides each distinct shape, and the entry counts are summed.
+/// * `coverage` — both coverage passes: the key space's verdicts, kept
+///   per policy revision, are extended for new shapes or recomputed when
+///   the revision moved, and the covered groups' entry counts are summed.
 pub const STAGES: [&str; 7] = [
     "federate", "ground", "filter", "mine", "prune", "propose", "coverage",
 ];
@@ -88,6 +91,8 @@ pub struct SystemObs {
     pub(crate) deferred_total: Counter,
     pub(crate) patterns_useful_total: Counter,
     pub(crate) rules_added_total: Counter,
+    pub(crate) rows_scanned_total: Counter,
+    pub(crate) keys_joined_total: Counter,
     pub(crate) coverage_ratio: Gauge,
     pub(crate) completeness_lower: Gauge,
     pub(crate) completeness_upper: Gauge,
@@ -138,6 +143,14 @@ impl SystemObs {
             rules_added_total: registry.counter(
                 "prima_round_rules_added_total",
                 "Rules folded into the policy across all rounds.",
+            ),
+            rows_scanned_total: registry.counter(
+                "prima_round_rows_scanned_total",
+                "Rows the rounds' tallies scanned: windowed stores and resilient fetches.",
+            ),
+            keys_joined_total: registry.counter(
+                "prima_round_keys_joined_total",
+                "Store-local ids newly hashed into the federation key space.",
             ),
             coverage_ratio: registry.gauge(
                 "prima_coverage_entry_ratio",
@@ -207,6 +220,20 @@ impl SystemObs {
     /// The histogram of one round stage.
     pub(crate) fn stage(&self, stage: Stage) -> &Histogram {
         &self.stages[stage as usize]
+    }
+
+    /// Rows the rounds' tallies have scanned so far
+    /// (`prima_round_rows_scanned_total`): an unwindowed round over local
+    /// stores reads their books and scans none.
+    pub fn rows_scanned(&self) -> u64 {
+        self.rows_scanned_total.get()
+    }
+
+    /// Store-local ids hashed into the federation key space so far
+    /// (`prima_round_keys_joined_total`), by any read: a round, or a
+    /// coverage read.
+    pub fn keys_joined(&self) -> u64 {
+        self.keys_joined_total.get()
     }
 
     /// Per-stage latency profile of every round so far.

@@ -2,18 +2,18 @@
 
 use prima_analyze::SafetyGate;
 use prima_audit::{
-    AuditFederation, AuditStore, FederationError, FederationHealth, LogSource, ResilientFederation,
-    ShapeTimeline, Tally, TrailError, TrainingWindow,
+    AuditFederation, AuditStore, FederationError, FederationHealth, KeySpace, LogSource,
+    ResilientFederation, Tally, TrailError, TrainingWindow,
 };
 use prima_mining::{MiningError, SqlMiner};
 use prima_model::{
-    entry_ratio, CompiledPolicy, CompletenessBound, CoverageEngine, CoverageReport, Diagnostic,
+    entry_ratio, CompletenessBound, CoverageEngine, CoverageReport, Diagnostic,
     EntryCoverageReport, GroundRule, ModelError, Policy, Strategy,
 };
 use prima_refine::prune::PruneOutcome;
 use prima_refine::{prune_and_gate, ReviewQueue};
 use prima_vocab::Vocabulary;
-use std::sync::Arc;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
 use crate::observe::{Stage, SystemObs};
@@ -87,6 +87,13 @@ pub struct PrimaSystem {
     vocab: Vocabulary,
     policy: Policy,
     federation: AuditFederation,
+    /// The federation's key space, kept between reads: remaps from each
+    /// store's ids to federation ids, and the verdicts of the current
+    /// policy revision. Behind a lock so the `&self` coverage reads can
+    /// extend it. A read that panicked leaves it valid (at worst with
+    /// remaps forgotten, which the next read rebuilds from the ids the
+    /// key space already holds), so a poisoned lock is recovered.
+    key_space: Mutex<KeySpace>,
     /// Remote log sources consolidated with retries, circuit breaking,
     /// and quarantine; empty unless [`Self::attach_source`] was used.
     resilient: ResilientFederation,
@@ -117,6 +124,7 @@ impl PrimaSystem {
             vocab,
             policy,
             federation: AuditFederation::new(),
+            key_space: Mutex::default(),
             resilient: ResilientFederation::default(),
             completeness_floor: 0.0,
             review: ReviewQueue::new(),
@@ -203,6 +211,10 @@ impl PrimaSystem {
     /// Auditing instance writes to, or a per-site trail. Rejects a store
     /// whose name is already registered (a double registration would
     /// double-count every entry in provenance and coverage).
+    ///
+    /// The store's raw triples, shapes and users are joined into the
+    /// federation's key space by the first read after the attach (a
+    /// round, or a coverage read), not here.
     pub fn attach_store(&mut self, store: AuditStore) -> Result<(), FederationError> {
         self.federation.register(store)
     }
@@ -365,26 +377,11 @@ impl PrimaSystem {
         &self.history
     }
 
-    /// One tally per source, each read in one scan: the local stores'
-    /// columns, then the resilient sources' last good fetches, only the
-    /// rows inside `window` when given.
-    fn source_tallies(&self, window: Option<TrainingWindow>) -> Result<Vec<Tally>, TrailError> {
-        let mut tallies: Vec<Tally> = self
-            .federation
-            .sources()
-            .iter()
-            .map(|store| store.tally(window))
-            .collect();
-        for entries in self.resilient.cached_entries() {
-            tallies.push(Tally::of_entries(entries, window)?);
-        }
-        Ok(tallies)
-    }
-
-    /// One verdict per shape under the current policy revision, compiled
-    /// once for the call.
-    fn verdicts(&self, shapes: &[Arc<GroundRule>]) -> Vec<bool> {
-        CompiledPolicy::new(&self.policy, &self.vocab).verdicts(shapes)
+    /// The key space, locked for a `&self` read.
+    fn key_space(&self) -> MutexGuard<'_, KeySpace> {
+        self.key_space
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Set-based coverage (Definition 9) of the current policy with
@@ -392,13 +389,21 @@ impl PrimaSystem {
     /// lazy engine. An entry with a blank attribute has no shape and fails
     /// the computation with [`ModelError::EmptyTerm`].
     pub fn coverage(&self) -> Result<CoverageReport, ModelError> {
-        let tallies = self
-            .source_tallies(None)
+        let (tally, cost) = self
+            .key_space()
+            .read(
+                self.federation.sources(),
+                self.resilient.cached_entries(),
+                None,
+            )
             .map_err(|_| ModelError::EmptyTerm)?;
-        let tally = Tally::merge(tallies);
+        self.obs.keys_joined_total.add(cost.keys_joined as u64);
         let trail = Policy::from_ground_rules(
             prima_model::StoreTag::AuditLog,
-            tally.shapes().iter().map(|shape| GroundRule::clone(shape)),
+            tally
+                .shapes_with_entries()
+                .iter()
+                .map(|shape| GroundRule::clone(shape)),
         );
         CoverageEngine::new(Strategy::Lazy).coverage(&self.policy, &trail, &self.vocab)
     }
@@ -411,15 +416,14 @@ impl PrimaSystem {
     /// the local part). An entry that projects to no ground rule (a blank
     /// attribute) counts as uncovered.
     pub fn entry_coverage(&self) -> EntryCoverageReport {
-        let mut timeline = ShapeTimeline::new();
-        for store in self.federation.sources() {
-            store.extend_timeline(&mut timeline);
-        }
-        for entries in self.resilient.cached_entries() {
-            timeline.extend_entries(entries);
-        }
-        let verdicts = self.verdicts(timeline.shapes());
-        timeline.weigh(&verdicts)
+        let (report, joined) = self.key_space().entry_coverage(
+            self.federation.sources(),
+            self.resilient.cached_entries(),
+            &self.policy,
+            &self.vocab,
+        );
+        self.obs.keys_joined_total.add(joined as u64);
+        report
     }
 
     /// Entry-weighted coverage annotated with its completeness bound:
@@ -455,20 +459,23 @@ impl PrimaSystem {
     }
 
     /// The trail a round reads, optionally cut to a training window: each
-    /// source scanned into its tally (the `federate` stage), then the
-    /// tallies merged into one key space (the `ground` stage).
-    fn round_tally(&self, window: Option<TrainingWindow>) -> Result<Tally, TrailError> {
-        let start = Instant::now();
-        let tallies = self.source_tallies(window);
-        self.obs
-            .stage(Stage::Federate)
-            .observe_duration(start.elapsed());
-        let tallies = tallies?;
-        let start = Instant::now();
-        let tally = Tally::merge(tallies);
-        self.obs
-            .stage(Stage::Ground)
-            .observe_duration(start.elapsed());
+    /// store's book or windowed scan, and each resilient fetch tallied
+    /// (the `federate` stage), joined through the key space's remaps (the
+    /// `ground` stage).
+    fn round_tally(&mut self, window: Option<TrainingWindow>) -> Result<Tally, TrailError> {
+        let (tally, cost) = self
+            .key_space
+            .get_mut()
+            .unwrap_or_else(PoisonError::into_inner)
+            .read(
+                self.federation.sources(),
+                self.resilient.cached_entries(),
+                window,
+            )?;
+        self.obs.stage(Stage::Federate).observe_duration(cost.read);
+        self.obs.stage(Stage::Ground).observe_duration(cost.join);
+        self.obs.rows_scanned_total.add(cost.rows_scanned as u64);
+        self.obs.keys_joined_total.add(cost.keys_joined as u64);
         Ok(tally)
     }
 
@@ -490,9 +497,15 @@ impl PrimaSystem {
             .root_span("round.run")
             .with_field("round", round)
             .with_field("entries", entries);
+        // Both coverage passes read the key space's verdicts: the policy
+        // is compiled only when its revision moved or new shapes joined.
         let coverage_start = Instant::now();
+        let key_space = self
+            .key_space
+            .get_mut()
+            .unwrap_or_else(PoisonError::into_inner);
         let before = entry_ratio(
-            tally.covered_entries(&self.verdicts(tally.shapes())),
+            tally.covered_entries(key_space.verdicts(&self.policy, &self.vocab)),
             entries,
         );
         let before_elapsed = coverage_start.elapsed();
@@ -584,7 +597,12 @@ impl PrimaSystem {
 
         let after_span = self.obs.tracer().span("round.coverage");
         let after_start = Instant::now();
-        let covered_after = tally.covered_entries(&self.verdicts(tally.shapes()));
+        let covered_after = tally.covered_entries(
+            self.key_space
+                .get_mut()
+                .unwrap_or_else(PoisonError::into_inner)
+                .verdicts(&self.policy, &self.vocab),
+        );
         // The coverage stage is both passes over the tally (before and
         // after the policy change), so the histogram sees their sum.
         self.obs
@@ -1377,10 +1395,8 @@ mod tests {
             })
         );
         let sys = system_with_table_1();
-        let mut timeline = ShapeTimeline::new();
-        timeline.extend_entries(&entries);
-        let verdicts = sys.verdicts(timeline.shapes());
-        let report = timeline.weigh(&verdicts);
+        let (report, _) =
+            KeySpace::new().entry_coverage(&[], [entries.as_slice()], sys.policy(), sys.vocab());
         assert_eq!((report.covered_entries, report.total_entries), (3, 11));
         // Weighed in time order, eve's entry (t11) comes last.
         assert!(report.uncovered_indices.contains(&10));

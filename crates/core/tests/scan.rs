@@ -157,3 +157,97 @@ proptest! {
         );
     }
 }
+
+/// A system over `stores` holding `kept`'s policy and review queue, whose
+/// key space starts empty.
+fn fresh_like(kept: &PrimaSystem, stores: &[AuditStore], miner: &SqlMiner) -> PrimaSystem {
+    let mut fresh =
+        PrimaSystem::new(kept.vocab().clone(), kept.policy().clone()).with_miner(miner.clone());
+    for store in stores {
+        fresh.attach_store(store.clone()).unwrap();
+    }
+    *fresh.review_mut() = kept.review().clone();
+    fresh
+}
+
+/// Runs one round, and after a manual one accepts and applies every
+/// pending candidate.
+fn round(
+    sys: &mut PrimaSystem,
+    window: Option<TrainingWindow>,
+    manual: bool,
+) -> prima_core::RoundRecord {
+    let mode = if manual {
+        ReviewMode::Manual
+    } else {
+        ReviewMode::AutoAccept
+    };
+    let record = match window {
+        Some(w) => sys.run_round_windowed(w, mode),
+        None => sys.run_round(mode),
+    }
+    .unwrap();
+    if manual {
+        sys.review_mut().accept_all_pending();
+        sys.apply_review_decisions();
+    }
+    record
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// A system that keeps its key space across appends, attaches and
+    /// rounds reads what a fresh system over the same stores and policy
+    /// reads: the same round records, the same per-entry snapshot and the
+    /// same set coverage, after every step.
+    #[test]
+    fn a_kept_key_space_equals_a_fresh_one(
+        first in collection::vec(arb_entry(), 0..30),
+        steps in collection::vec(
+            (0u8..4, 0usize..4, collection::vec(arb_entry(), 0..20), (0i64..30, 0i64..30), 0u8..2),
+            1..10,
+        ),
+    ) {
+        let miner = SqlMiner::new(MinerConfig {
+            min_frequency: 2,
+            min_distinct_users: 0,
+            ..MinerConfig::default()
+        });
+        let mut kept = PrimaSystem::new(figure_1(), figure_3_policy_store()).with_miner(miner.clone());
+        let mut stores = vec![AuditStore::new("site-0")];
+        stores[0].append_all(&first).unwrap();
+        kept.attach_store(stores[0].clone()).unwrap();
+        for (kind, site, entries, (a, b), manual) in steps {
+            match kind {
+                // Appends: new raw triples, case variants and users.
+                0 => {
+                    stores[site % stores.len()].append_all(&entries).unwrap();
+                }
+                // A store attached mid-way.
+                1 => {
+                    let store = AuditStore::new(&format!("site-{}", stores.len()));
+                    store.append_all(&entries).unwrap();
+                    kept.attach_store(store.clone()).unwrap();
+                    stores.push(store);
+                }
+                // An unwindowed or a windowed round, auto-accept or manual.
+                _ => {
+                    let window = (kind == 3).then(|| TrainingWindow::new(a.min(b), a.max(b) + 1));
+                    let mut fresh = fresh_like(&kept, &stores, &miner);
+                    let mut ours = round(&mut kept, window, manual == 1);
+                    let theirs = round(&mut fresh, window, manual == 1);
+                    ours.round = theirs.round;
+                    prop_assert_eq!(
+                        serde_json::to_string(&ours).unwrap(),
+                        serde_json::to_string(&theirs).unwrap()
+                    );
+                    prop_assert_eq!(kept.policy(), fresh.policy());
+                }
+            }
+            let fresh = fresh_like(&kept, &stores, &miner);
+            prop_assert_eq!(kept.entry_coverage(), fresh.entry_coverage());
+            prop_assert_eq!(kept.coverage().unwrap(), fresh.coverage().unwrap());
+        }
+    }
+}
