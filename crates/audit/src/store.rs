@@ -150,109 +150,83 @@ fn raw_key(e: &AuditEntry, key: &mut Vec<u8>) {
     }
 }
 
-/// A batch checked and resolved against a store's tables, none of it
-/// stored yet: each row's time, flags, raw id and user id. Ids past the
-/// store's tables name the batch's new triples and users, in first-seen
-/// order, which is the order [`Columns::commit`] interns them in.
-struct Staged<'a> {
-    rows: Vec<(i64, u8, u32, u32)>,
+/// The values a batch brings that its store has not interned, in
+/// first-seen order, with the ids [`Columns::resolve`] gave them: past the
+/// end of the store's tables, which is where [`Columns::intern`] puts
+/// them.
+#[derive(Default)]
+struct NewValues<'a> {
     /// The first entry carrying each new triple.
-    new_raws: Vec<&'a AuditEntry>,
-    new_users: Vec<&'a str>,
+    raws: Vec<&'a AuditEntry>,
+    raw_ids: HashMap<Vec<u8>, u32>,
+    users: Vec<&'a str>,
+    user_ids: HashMap<&'a str, u32>,
 }
 
 impl Columns {
     /// Interns, stores and counts one entry that passed the blank check.
     fn push(&mut self, e: &AuditEntry) {
-        let mut key = std::mem::take(&mut self.key);
-        raw_key(e, &mut key);
-        let raw = match self.raw_keys.get(&key) {
-            Some(id) => id,
-            None => self.new_raw(e, &key),
-        };
-        self.key = key;
-        let user = self.users.intern(&e.user);
+        let mut new = NewValues::default();
+        let (raw, user) = self.resolve(e, &mut new);
+        self.intern(new);
         self.record(e.time, flags_of(e), raw, user);
     }
 
-    /// Checks every entry of a batch and resolves its ids, storing
-    /// nothing: each entry's strings are read once, here.
-    fn stage<'a>(
-        &self,
-        entries: impl Iterator<Item = &'a AuditEntry>,
-    ) -> Result<Staged<'a>, AppendError> {
-        let mut staged = Staged {
-            rows: Vec::with_capacity(entries.size_hint().0),
-            new_raws: Vec::new(),
-            new_users: Vec::new(),
+    /// The raw and user ids of `e`, which passed the blank check: the
+    /// store's own, or the ones `new` gives the values the store has not
+    /// interned yet. Changes nothing but `new`, so a batch is resolved
+    /// entry by entry, reading each entry's strings once, before any of
+    /// it is stored.
+    fn resolve<'a>(&mut self, e: &'a AuditEntry, new: &mut NewValues<'a>) -> (u32, u32) {
+        let key = &mut self.key;
+        raw_key(e, key);
+        let raw = match self.raw_keys.get(key) {
+            Some(id) => id,
+            None => match new.raw_ids.get(key.as_slice()) {
+                Some(&id) => id,
+                None => {
+                    let id = next_id(self.groups.len() + new.raws.len());
+                    new.raw_ids.insert(key.clone(), id);
+                    new.raws.push(e);
+                    id
+                }
+            },
         };
-        let mut new_keys: HashMap<Vec<u8>, u32> = HashMap::new();
-        let mut new_users: HashMap<&str, u32> = HashMap::new();
-        let mut key = Vec::new();
-        for (index, e) in entries.enumerate() {
-            AppendError::check(index, e)?;
-            raw_key(e, &mut key);
-            let raw = match self.raw_keys.get(&key) {
-                Some(id) => id,
-                None => match new_keys.get(&key) {
-                    Some(&id) => id,
-                    None => {
-                        let id = next_id(self.groups.len() + staged.new_raws.len());
-                        new_keys.insert(key.clone(), id);
-                        staged.new_raws.push(e);
-                        id
-                    }
-                },
-            };
-            let user = match self.users.get(&e.user) {
-                Some(id) => id,
-                None => *new_users.entry(&e.user).or_insert_with(|| {
-                    staged.new_users.push(&e.user);
-                    next_id(self.users.len() + staged.new_users.len() - 1)
-                }),
-            };
-            staged.rows.push((e.time, flags_of(e), raw, user));
-        }
-        Ok(staged)
+        let user = match self.users.get(&e.user) {
+            Some(id) => id,
+            None => *new.user_ids.entry(&e.user).or_insert_with(|| {
+                new.users.push(&e.user);
+                next_id(self.users.len() + new.users.len() - 1)
+            }),
+        };
+        (raw, user)
     }
 
-    /// Interns a staged batch's new triples and users, then stores and
-    /// counts its rows.
-    fn commit(&mut self, staged: Staged<'_>) {
+    /// Interns `new`'s triples and users, giving them the ids
+    /// [`Self::resolve`] did.
+    fn intern(&mut self, new: NewValues<'_>) {
         let mut key = std::mem::take(&mut self.key);
-        for e in staged.new_raws {
+        for e in new.raws {
+            let rule = e
+                .to_ground_rule()
+                .expect("append refuses entries with blank attributes");
+            self.groups.push(Group {
+                raw: [
+                    e.data.as_str().into(),
+                    e.purpose.as_str().into(),
+                    e.authorized.as_str().into(),
+                ],
+                shape: self.shapes.intern_owned(rule),
+                entries: 0,
+                practice: 0,
+            });
             raw_key(e, &mut key);
-            self.new_raw(e, &key);
+            self.raw_keys.intern(&key);
         }
         self.key = key;
-        for user in staged.new_users {
+        for user in new.users {
             self.users.intern(user);
         }
-        self.time.reserve(staged.rows.len());
-        self.flags.reserve(staged.rows.len());
-        self.user.reserve(staged.rows.len());
-        self.raw.reserve(staged.rows.len());
-        for (time, flags, raw, user) in staged.rows {
-            self.record(time, flags, raw, user);
-        }
-    }
-
-    /// Interns `e`'s raw triple, whose byte key is `key`, as a new group.
-    fn new_raw(&mut self, e: &AuditEntry, key: &[u8]) -> u32 {
-        let rule = e
-            .to_ground_rule()
-            .expect("append refuses entries with blank attributes");
-        self.groups.push(Group {
-            raw: [
-                e.data.as_str().into(),
-                e.purpose.as_str().into(),
-                e.authorized.as_str().into(),
-            ],
-            shape: self.shapes.intern_owned(rule),
-            entries: 0,
-            practice: 0,
-        });
-        self.raw_keys.intern(key)
     }
 
     /// Stores one row and counts it in the book.
@@ -273,6 +247,14 @@ impl Columns {
         self.flags.push(flags);
         self.user.push(user);
         self.raw.push(raw);
+    }
+
+    /// Makes room for `rows` more rows.
+    fn reserve(&mut self, rows: usize) {
+        self.time.reserve(rows);
+        self.flags.reserve(rows);
+        self.user.reserve(rows);
+        self.raw.reserve(rows);
     }
 
     /// Rebuilds row `i` as an entry.
@@ -378,18 +360,28 @@ impl AuditStore {
     }
 
     /// Appends many entries under one lock acquisition. All or nothing:
-    /// the whole batch is checked, and its ids resolved, before any of it
+    /// the whole batch is checked and its ids resolved before any of it
     /// is stored, so a batch with a blank attribute leaves the columns,
     /// the interned values and the book untouched.
     pub fn append_all<'a, I: IntoIterator<Item = &'a AuditEntry>>(
         &self,
         entries: I,
     ) -> Result<usize, AppendError> {
+        let entries = entries.into_iter();
+        let mut rows = Vec::with_capacity(entries.size_hint().0);
+        let mut new = NewValues::default();
         let mut columns = self.columns.write();
-        let staged = columns.stage(entries.into_iter())?;
-        let rows = staged.rows.len();
-        columns.commit(staged);
-        Ok(rows)
+        for (index, e) in entries.enumerate() {
+            AppendError::check(index, e)?;
+            let (raw, user) = columns.resolve(e, &mut new);
+            rows.push((e.time, flags_of(e), raw, user));
+        }
+        columns.intern(new);
+        columns.reserve(rows.len());
+        for &(time, flags, raw, user) in &rows {
+            columns.record(time, flags, raw, user);
+        }
+        Ok(rows.len())
     }
 
     /// Number of entries.
@@ -400,6 +392,11 @@ impl AuditStore {
     /// True iff no entries have been recorded.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
+    }
+
+    /// True iff `other` is a handle on this store's trail.
+    pub(crate) fn same_trail(&self, other: &AuditStore) -> bool {
+        Arc::ptr_eq(&self.columns, &other.columns)
     }
 
     pub(crate) fn read(&self) -> RwLockReadGuard<'_, Columns> {

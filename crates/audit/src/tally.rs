@@ -315,8 +315,8 @@ pub struct ReadCost {
 /// `prima_core::PrimaSystem` changes its policy; a caller that swaps in
 /// a different policy must start a fresh key space.
 ///
-/// `stores` must be the same list on every call, in the same order, and
-/// may only grow at its end: the remaps are kept by position.
+/// The remaps are kept by store, not by position: a read may pass the
+/// stores in any order, and a store it leaves out loses its remap.
 #[derive(Debug, Default)]
 pub struct KeySpace {
     /// The federation's groups, counts unused: raw strings and
@@ -325,8 +325,8 @@ pub struct KeySpace {
     group_ids: HashMap<[Arc<str>; 3], u32>,
     shapes: Interner<GroundRule>,
     users: Interner<str>,
-    /// One remap per store, by position.
-    stores: Vec<Remap>,
+    /// One remap per store, keyed by the store's trail.
+    stores: Vec<(AuditStore, Remap)>,
     verdicts: Vec<bool>,
     /// The policy revision `verdicts` hold for.
     revision: Option<u64>,
@@ -353,7 +353,7 @@ impl KeySpace {
     ) -> Result<(Tally, ReadCost), TrailError> {
         let mut cost = ReadCost::default();
         let mut sums = Sums::default();
-        let mut remaps = self.take_remaps(stores.len());
+        let mut remaps = self.take_remaps(stores);
         for (store, remap) in stores.iter().zip(&mut remaps) {
             let start = Instant::now();
             let columns = store.read();
@@ -367,7 +367,7 @@ impl KeySpace {
             cost.read += read - start;
             cost.join += read.elapsed();
         }
-        self.stores = remaps;
+        self.keep_remaps(stores, remaps);
         for entries in fetched {
             let start = Instant::now();
             let tally = Tally::of_entries(entries, window)?;
@@ -390,9 +390,11 @@ impl KeySpace {
     /// in append order. A fetched entry that projects to no ground rule
     /// has the shape [`NO_SHAPE`] and counts as uncovered.
     ///
-    /// Each source is one run in time order (a store whose rows were
-    /// appended out of time order is stably sorted first), and the runs
-    /// are merged by `(time, source)`, straight into federation shape ids.
+    /// Each store is locked only while its remap is extended and its
+    /// `time` and shape columns are copied out. Each source is then one
+    /// run in time order (a source whose rows are out of time order is
+    /// stably sorted first), and the runs are merged by `(time, source)`
+    /// with no store locked.
     pub fn entry_coverage<'a>(
         &mut self,
         stores: &[AuditStore],
@@ -401,25 +403,23 @@ impl KeySpace {
         vocab: &Vocabulary,
     ) -> (EntryCoverageReport, usize) {
         let mut joined = 0;
-        // Per source, the federation shape of each of its groups.
-        let mut shape_of: Vec<Vec<u32>> = Vec::new();
-        let federation_shapes = |remap: &Remap, groups: &[Group]| {
-            groups
-                .iter()
-                .map(|g| remap.shapes[g.shape as usize])
-                .collect()
-        };
-        let guards: Vec<_> = stores.iter().map(AuditStore::read).collect();
-        let mut remaps = self.take_remaps(stores.len());
-        for (columns, remap) in guards.iter().zip(&mut remaps) {
+        let mut runs: Vec<Run> = Vec::new();
+        let mut remaps = self.take_remaps(stores);
+        for (store, remap) in stores.iter().zip(&mut remaps) {
+            let columns = store.read();
             joined += self.remap(remap, columns.book());
-            shape_of.push(federation_shapes(remap, &columns.groups));
+            let shape_of = federation_shapes(remap, &columns.groups);
+            let shape = columns.raw.iter().map(|&raw| shape_of[raw as usize]);
+            runs.push(Run::new(
+                columns.time.clone(),
+                shape.collect(),
+                !columns.out_of_order,
+            ));
         }
-        self.stores = remaps;
-        // A fetch's rows: each entry's time, and its group, or
-        // `NO_SHAPE` for one that projects to no ground rule.
-        let mut fetches: Vec<(Vec<i64>, Vec<u32>)> = Vec::new();
+        self.keep_remaps(stores, remaps);
         for entries in fetched {
+            // Each entry's group, or `NO_SHAPE` for one that projects to
+            // no ground rule.
             let mut groups = Vec::with_capacity(entries.len());
             let tally = Tally::of_rows(entries, None, |_, group| {
                 groups.push(group.unwrap_or(NO_SHAPE));
@@ -428,28 +428,16 @@ impl KeySpace {
             .expect("the row callback never fails");
             let mut remap = Remap::default();
             joined += self.remap(&mut remap, tally.view());
-            shape_of.push(federation_shapes(&remap, &tally.groups));
-            fetches.push((entries.iter().map(|e| e.time).collect(), groups));
+            let shape_of = federation_shapes(&remap, &tally.groups);
+            let shape = groups
+                .iter()
+                .map(|&group| shape_of.get(group as usize).copied().unwrap_or(NO_SHAPE));
+            let time: Vec<i64> = entries.iter().map(|e| e.time).collect();
+            let sorted = time.is_sorted();
+            runs.push(Run::new(time, shape.collect(), sorted));
         }
-        let runs: Vec<Run<'_>> = guards
-            .iter()
-            .map(|c| (&c.time[..], &c.raw[..], c.out_of_order))
-            .chain(
-                fetches
-                    .iter()
-                    .map(|(t, g)| (&t[..], &g[..], !t.is_sorted())),
-            )
-            .zip(&shape_of)
-            .map(|((time, key, unsorted), shape_of)| Run {
-                time,
-                key,
-                shape_of,
-                order: unsorted.then(|| time_order(time)),
-            })
-            .collect();
         let shapes = merge_runs(&runs);
         drop(runs);
-        drop(guards);
         let report = EntryCoverageReport::weigh(self.verdicts(policy, vocab), &shapes);
         (report, joined)
     }
@@ -472,15 +460,24 @@ impl KeySpace {
         &self.verdicts
     }
 
-    /// The stores' remaps, taken out for a read, one per store.
-    fn take_remaps(&mut self, stores: usize) -> Vec<Remap> {
-        let mut remaps = std::mem::take(&mut self.stores);
-        assert!(
-            remaps.len() <= stores,
-            "the key space's stores only grow at the end"
-        );
-        remaps.resize_with(stores, Remap::default);
-        remaps
+    /// The remaps of `stores`, taken out for a read: the one kept for
+    /// each store's trail, or an empty one for a store not seen before.
+    fn take_remaps(&mut self, stores: &[AuditStore]) -> Vec<Remap> {
+        stores
+            .iter()
+            .map(|store| {
+                self.stores
+                    .iter_mut()
+                    .find(|(kept, _)| kept.same_trail(store))
+                    .map(|(_, remap)| std::mem::take(remap))
+                    .unwrap_or_default()
+            })
+            .collect()
+    }
+
+    /// Keeps the remaps of a read's `stores`, keyed by their trails.
+    fn keep_remaps(&mut self, stores: &[AuditStore], remaps: Vec<Remap>) {
+        self.stores = stores.iter().cloned().zip(remaps).collect();
     }
 
     /// The one join: [`Self::remap`], then the source's counts and
@@ -572,59 +569,53 @@ impl KeySpace {
     }
 }
 
-/// One source's rows for [`merge_runs`]: row `i` has time `time[i]` and
-/// shape `shape_of[key[i]]` ([`NO_SHAPE`] when `key[i]` is out of range),
-/// visited in `order` (row order when `None`).
-struct Run<'a> {
-    time: &'a [i64],
-    key: &'a [u32],
-    shape_of: &'a [u32],
-    order: Option<Vec<u32>>,
+/// The federation shape of each of a source's groups.
+fn federation_shapes(remap: &Remap, groups: &[Group]) -> Vec<u32> {
+    groups
+        .iter()
+        .map(|g| remap.shapes[g.shape as usize])
+        .collect()
 }
 
-impl Run<'_> {
-    fn row(&self, position: usize) -> usize {
-        self.order
-            .as_ref()
-            .map_or(position, |order| order[position] as usize)
+/// One source's rows for [`merge_runs`], in time order: each row's time
+/// and federation shape.
+struct Run {
+    time: Vec<i64>,
+    shape: Vec<u32>,
+}
+
+impl Run {
+    /// A source's rows, stably sorted by time unless already `sorted`
+    /// (ties keep row order).
+    fn new(time: Vec<i64>, shape: Vec<u32>, sorted: bool) -> Self {
+        if sorted {
+            return Self { time, shape };
+        }
+        let mut order: Vec<usize> = (0..time.len()).collect();
+        order.sort_by_key(|&row| time[row]);
+        Self {
+            time: order.iter().map(|&row| time[row]).collect(),
+            shape: order.iter().map(|&row| shape[row]).collect(),
+        }
     }
-}
-
-/// Row positions in time order, stably (ties keep row order).
-fn time_order(time: &[i64]) -> Vec<u32> {
-    let mut order: Vec<u32> = (0..next_id(time.len())).collect();
-    order.sort_by_key(|&row| time[row as usize]);
-    order
 }
 
 /// The runs' shapes merged by `(time, run)`: a stable sort of the runs'
 /// concatenation by time, without materializing it.
-fn merge_runs(runs: &[Run<'_>]) -> Vec<u32> {
+fn merge_runs(runs: &[Run]) -> Vec<u32> {
     let total = runs.iter().map(|run| run.time.len()).sum();
     let mut shapes = Vec::with_capacity(total);
     let mut positions = vec![0usize; runs.len()];
-    // Each run's next time, or `None` once the run is spent. The first
-    // of equal minima wins, so ties go to the earlier run.
-    let head = |run: &Run<'_>, position: usize| {
-        (position < run.time.len()).then(|| run.time[run.row(position)])
-    };
-    let mut heads: Vec<Option<i64>> = runs.iter().map(|run| head(run, 0)).collect();
-    while let Some((next, _)) = heads
+    // The first of equal minima wins, so ties go to the earlier run.
+    while let Some((next, _)) = runs
         .iter()
+        .zip(&positions)
         .enumerate()
-        .filter_map(|(i, h)| h.map(|time| (i, time)))
+        .filter_map(|(i, (run, &position))| run.time.get(position).map(|&time| (i, time)))
         .min_by_key(|&(_, time)| time)
     {
-        let run = &runs[next];
-        let row = run.row(positions[next]);
-        shapes.push(
-            run.shape_of
-                .get(run.key[row] as usize)
-                .copied()
-                .unwrap_or(NO_SHAPE),
-        );
+        shapes.push(runs[next].shape[positions[next]]);
         positions[next] += 1;
-        heads[next] = head(run, positions[next]);
     }
     shapes
 }
@@ -872,6 +863,29 @@ mod tests {
             let (_, cost) = space.read(&stores, [fetched.as_slice()], None).unwrap();
             assert_eq!((cost.rows_scanned, cost.keys_joined), (1, 2));
         }
+
+        // The remaps are kept by store, not by position: the stores in
+        // another order join nothing and read the same tally ...
+        let sorted_pairs = |t: &Tally| {
+            let mut pairs = t.practice_users().to_vec();
+            pairs.sort_unstable();
+            pairs
+        };
+        let (reordered, cost) = space.read(&[b.clone(), a.clone()], [], None).unwrap();
+        assert_eq!((cost.rows_scanned, cost.keys_joined), (0, 0));
+        assert_eq!(reordered.groups(), grown.groups());
+        assert_eq!(sorted_pairs(&reordered), sorted_pairs(&grown));
+        // ... and a store in another's place is joined as itself.
+        let c = AuditStore::new("c");
+        c.append(&entry(7, "zoe", "address", "billing", "clerk"))
+            .unwrap();
+        let (alone, cost) = space.read(std::slice::from_ref(&c), [], None).unwrap();
+        assert_eq!((cost.rows_scanned, cost.keys_joined), (0, 3));
+        assert_eq!((alone.total_entries(), alone.practice_entries()), (1, 1));
+        let (_, cost) = space.read(&stores, [], None).unwrap();
+        // a and b, left out, are joined again: their groups (1 + 2) and
+        // users (2 + 2); the federation knows the groups' shapes.
+        assert_eq!(cost.keys_joined, 7);
     }
 
     #[test]
@@ -882,7 +896,8 @@ mod tests {
             .unwrap();
         let stores = [store.clone()];
         let vocab = figure_1();
-        let mut p = policy(&[["psychiatry", "treatment", "doctor"]]);
+        let psychiatry = ["psychiatry", "treatment", "doctor"];
+        let mut p = policy(&[psychiatry, psychiatry]);
         let mut space = KeySpace::new();
         space.read(&stores, [], None).unwrap();
         assert_eq!(space.verdicts(&p, &vocab), [false]);
@@ -892,7 +907,9 @@ mod tests {
             .unwrap();
         space.read(&stores, [], None).unwrap();
         assert_eq!(space.verdicts(&p, &vocab), [false, true]);
-        // A new revision decides every shape again.
+        // A new revision decides every shape again, even one that holds
+        // as many rules as the last.
+        assert_eq!(p.dedup(), 1);
         p.push(prima_model::Rule::of(&[
             ("data", "referral"),
             ("purpose", "registration"),

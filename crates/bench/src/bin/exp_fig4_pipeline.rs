@@ -15,8 +15,11 @@
 //! federation's key space kept its ids and verdicts, so that round scans
 //! no row and joins no key (asserted from the system's own counters),
 //! and its cost follows the distinct triples and users, not the trail.
+//! A `grown` row follows: a third round after 1 % more entries were
+//! appended across the sites. It too scans no row, and hashes only the
+//! ids the appended entries brought.
 
-use prima_bench::suite::pipeline::run_pipeline;
+use prima_bench::suite::pipeline::{run_pipeline, LaterRound};
 use prima_bench::{banner, render_table};
 use prima_core::observe::STAGES;
 
@@ -44,24 +47,20 @@ fn main() {
             (0, 0),
             "a second round over the unchanged trail reads the books at {n}"
         );
-        let share = second.staged_share();
+        rows.push(later_row(format!("{n} (2nd)"), second));
+        let grown = &round.grown;
+        assert_eq!(
+            grown.rows_scanned, 0,
+            "a grown trail reads the books at {n}"
+        );
         assert!(
-            share <= 1.0,
-            "stages exceed the second round at {n}: {share}"
+            grown.keys_joined <= 3 * round.grown_entries as u64,
+            "a grown trail hashes at most a triple, a shape and a user per new entry at {n}"
         );
-        let mut row = vec![
-            format!("{n} (2nd)"),
-            format!("{:.2}", second.round_seconds * 1e3),
-        ];
-        row.extend(
-            second
-                .stage_seconds
-                .iter()
-                .map(|seconds| format!("{:.2}", seconds * 1e3)),
-        );
-        row.push(format!("{:.0}%", share * 100.0));
-        row.push(String::new());
-        rows.push(row);
+        rows.push(later_row(
+            format!("{n} (+{}, {} keys)", round.grown_entries, grown.keys_joined),
+            grown,
+        ));
     }
     let mut headers = vec!["entries".to_string(), "round (ms)".to_string()];
     headers.extend(STAGES.iter().map(|stage| format!("{stage} (ms)")));
@@ -71,6 +70,22 @@ fn main() {
     println!(
         "shape: every stage is near-linear in trail size, and a 100k-entry round completes \
          in well under a second; a second round over the unchanged trail scans no row and \
-         joins no key."
+         joins no key, and one over a trail grown by 1 % hashes only the new ids."
     );
+}
+
+/// A table row for a round after the first.
+fn later_row(label: String, round: &LaterRound) -> Vec<String> {
+    let share = round.staged_share();
+    assert!(share <= 1.0, "stages exceed the round ({label}): {share}");
+    let mut row = vec![label, format!("{:.2}", round.round_seconds * 1e3)];
+    row.extend(
+        round
+            .stage_seconds
+            .iter()
+            .map(|seconds| format!("{:.2}", seconds * 1e3)),
+    );
+    row.push(format!("{:.0}%", share * 100.0));
+    row.push(String::new());
+    row
 }

@@ -2,8 +2,8 @@
 //! four-site federated trail, with its per-stage latency profile and
 //! round throughput (the `BENCH_pipeline.json` shape), then a second
 //! round over the unchanged trail, which reads what the first one left in
-//! the federation's key space. The suite has no smoke preset: its rounds
-//! take milliseconds. E5 (`exp_fig4_pipeline`) runs the same rounds at
+//! the federation's key space, and a third after the trail grew by 1 %.
+//! The suite has no smoke preset: its rounds take milliseconds. E5 (`exp_fig4_pipeline`) runs the same rounds at
 //! several trail lengths.
 
 use crate::report::{stage_profiles, Gate, Measured};
@@ -41,15 +41,22 @@ pub struct RoundReport {
     pub stages: PipelineReport,
     /// The second round, over the unchanged trail.
     #[serde(skip)]
-    pub second: SecondRound,
+    pub second: LaterRound,
+    /// Entries appended across the sites after the second round.
+    #[serde(skip)]
+    pub grown_entries: usize,
+    /// The third round, over the trail grown by `grown_entries`.
+    #[serde(skip)]
+    pub grown: LaterRound,
 }
 
-/// What a second round over the unchanged trail did. Its key space
-/// already holds every id of the trail and the verdicts of the policy
-/// revision the first round left, so it reads the stores' books and
-/// joins through remaps.
+/// What a round after the first did. Its key space already holds the ids
+/// of the trail the previous round read and the verdicts of the policy
+/// revision it left, so it reads the stores' books, hashes only the ids
+/// appended since, and decides only their new shapes (or every shape, if
+/// the previous round moved the policy's revision).
 #[derive(Debug, Clone, Default)]
-pub struct SecondRound {
+pub struct LaterRound {
     /// Wall-clock seconds of the round.
     pub round_seconds: f64,
     /// Rows the round's tallies scanned (`prima_round_rows_scanned_total`).
@@ -61,10 +68,49 @@ pub struct SecondRound {
     pub stage_seconds: Vec<f64>,
 }
 
-impl SecondRound {
+impl LaterRound {
+    /// Runs one auto-accept round on `system` and measures it alone: the
+    /// counters and the stage totals are read before and after.
+    fn run(system: &mut PrimaSystem) -> Self {
+        let total = |report: &PipelineReport, stage: &str| {
+            report.stage(stage).map_or(0.0, |s| s.total_seconds)
+        };
+        let before = system.pipeline_report();
+        let (rows, keys) = (system.obs().rows_scanned(), system.obs().keys_joined());
+        let start = Instant::now();
+        system
+            .run_round(ReviewMode::AutoAccept)
+            .expect("later round runs");
+        let round_seconds = start.elapsed().as_secs_f64();
+        let after = system.pipeline_report();
+        Self {
+            round_seconds,
+            rows_scanned: system.obs().rows_scanned() - rows,
+            keys_joined: system.obs().keys_joined() - keys,
+            stage_seconds: STAGES
+                .iter()
+                .map(|stage| total(&after, stage) - total(&before, stage))
+                .collect(),
+        }
+    }
+
     /// The share of the round's wall time its stages account for.
     pub fn staged_share(&self) -> f64 {
         self.stage_seconds.iter().sum::<f64>() / self.round_seconds
+    }
+
+    fn to_value(&self) -> Value {
+        let stages = STAGES
+            .iter()
+            .zip(&self.stage_seconds)
+            .map(|(stage, &seconds)| ((*stage).into(), Value::F64(seconds)))
+            .collect();
+        Value::Map(vec![
+            ("round_seconds".into(), Value::F64(self.round_seconds)),
+            ("rows_scanned".into(), Value::U64(self.rows_scanned)),
+            ("keys_joined".into(), Value::U64(self.keys_joined)),
+            ("stage_seconds".into(), Value::Map(stages)),
+        ])
     }
 }
 
@@ -79,21 +125,17 @@ impl Measured for RoundReport {
     }
 
     fn derived(&self) -> Vec<(&'static str, Value)> {
-        let second = &self.second;
-        let stages = STAGES
-            .iter()
-            .zip(&second.stage_seconds)
-            .map(|(stage, &seconds)| ((*stage).into(), Value::F64(seconds)))
-            .collect();
         vec![
             ("stages", stage_profiles(&self.stages)),
+            ("second_round", self.second.to_value()),
             (
-                "second_round",
+                "grown_round",
                 Value::Map(vec![
-                    ("round_seconds".into(), Value::F64(second.round_seconds)),
-                    ("rows_scanned".into(), Value::U64(second.rows_scanned)),
-                    ("keys_joined".into(), Value::U64(second.keys_joined)),
-                    ("stage_seconds".into(), Value::Map(stages)),
+                    (
+                        "appended_entries".into(),
+                        Value::U64(self.grown_entries as u64),
+                    ),
+                    ("round".into(), self.grown.to_value()),
                 ]),
             ),
         ]
@@ -118,19 +160,26 @@ impl RoundReport {
 }
 
 /// Runs one instrumented auto-accept round over a trail of
-/// `trail_entries` entries, then a second one over the unchanged trail,
-/// and returns their report.
+/// `trail_entries` entries, a second one over the unchanged trail, and a
+/// third after 1 % more entries (at least 10) were appended across the
+/// sites, and returns their report.
 pub fn run_pipeline(trail_entries: usize) -> RoundReport {
     let scenario = Scenario::community_hospital();
-    let trail = scenario.simulator().generate(&SimConfig {
-        seed: SEED,
-        n_entries: trail_entries,
-        ..SimConfig::default()
-    });
+    let simulate = |seed, n_entries| {
+        scenario.simulator().generate(&SimConfig {
+            seed,
+            n_entries,
+            ..SimConfig::default()
+        })
+    };
+    let trail = simulate(SEED, trail_entries);
     let mut system = PrimaSystem::new(scenario.vocab.clone(), scenario.policy.clone())
         .with_observability(SystemObs::enabled());
-    for store in split_sites(&trail, SITES) {
-        system.attach_store(store).expect("unique source name");
+    let stores = split_sites(&trail, SITES);
+    for store in &stores {
+        system
+            .attach_store(store.clone())
+            .expect("unique source name");
     }
     let start = Instant::now();
     let record = system
@@ -139,24 +188,15 @@ pub fn run_pipeline(trail_entries: usize) -> RoundReport {
     let round_seconds = start.elapsed().as_secs_f64();
     let stages = system.pipeline_report();
 
-    let (rows, keys) = (system.obs().rows_scanned(), system.obs().keys_joined());
-    let start = Instant::now();
-    system
-        .run_round(ReviewMode::AutoAccept)
-        .expect("second round runs");
-    let second_seconds = start.elapsed().as_secs_f64();
-    let total =
-        |report: &PipelineReport, stage: &str| report.stage(stage).map_or(0.0, |s| s.total_seconds);
-    let both = system.pipeline_report();
-    let second = SecondRound {
-        round_seconds: second_seconds,
-        rows_scanned: system.obs().rows_scanned() - rows,
-        keys_joined: system.obs().keys_joined() - keys,
-        stage_seconds: STAGES
-            .iter()
-            .map(|stage| total(&both, stage) - total(&stages, stage))
-            .collect(),
-    };
+    let second = LaterRound::run(&mut system);
+
+    let grown_entries = (trail_entries / 100).max(10);
+    for (i, labeled) in simulate(SEED + 1, grown_entries).iter().enumerate() {
+        stores[i % SITES]
+            .append(&labeled.entry)
+            .expect("simulated entries conform to the audit schema");
+    }
+    let grown = LaterRound::run(&mut system);
     RoundReport {
         trail_entries,
         round_seconds,
@@ -165,6 +205,8 @@ pub fn run_pipeline(trail_entries: usize) -> RoundReport {
         all_stages_observed: stages.all_stages_observed(),
         stages,
         second,
+        grown_entries,
+        grown,
     }
 }
 
@@ -183,6 +225,12 @@ mod tests {
             let second = &round.second;
             assert_eq!((second.rows_scanned, second.keys_joined), (0, 0));
             assert!(second.staged_share() <= 1.0, "at {trail_entries}");
+            // Each appended entry brings at most a triple, a shape and a
+            // user to hash.
+            let grown = &round.grown;
+            assert_eq!(grown.rows_scanned, 0, "at {trail_entries}");
+            assert!(grown.keys_joined <= 3 * round.grown_entries as u64);
+            assert!(grown.staged_share() <= 1.0, "at {trail_entries}");
         }
     }
 }
