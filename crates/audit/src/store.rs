@@ -111,6 +111,15 @@ pub(crate) fn flags_of(e: &AuditEntry) -> u8 {
     flags
 }
 
+/// Rows a store's columns first make room for, so that even the one-byte
+/// `flags` column starts above the 1,032 bytes up to which glibc serves a
+/// request from the thread's cache of freed blocks. That cache can hold a
+/// block of another thread's arena (a stream shard's, freed by the
+/// producer), and a column started in one grows in that arena for good:
+/// a 2M-row stream sink kept its 16 MiB `time` column there on some runs
+/// and not on others, moving peak RSS by 13–22 MiB.
+const FIRST_ROWS: usize = 2048;
+
 /// Ends each string of a raw triple's byte key: UTF-8 never contains
 /// `0xFF`, so the key spells exactly one triple.
 const KEY_SEPARATOR: u8 = 0xFF;
@@ -165,10 +174,22 @@ struct NewValues<'a> {
 
 impl Columns {
     /// Interns, stores and counts one entry that passed the blank check.
+    /// An entry whose triple and user the store already knows, as nearly
+    /// every entry of a live feed is, is only stored and counted.
     fn push(&mut self, e: &AuditEntry) {
-        let mut new = NewValues::default();
-        let (raw, user) = self.resolve(e, &mut new);
-        self.intern(new);
+        if self.time.capacity() == 0 {
+            self.reserve(1);
+        }
+        raw_key(e, &mut self.key);
+        let (raw, user) = match (self.raw_keys.get(&self.key), self.users.get(&e.user)) {
+            (Some(raw), Some(user)) => (raw, user),
+            _ => {
+                let mut new = NewValues::default();
+                let ids = self.resolve(e, &mut new);
+                self.intern(new);
+                ids
+            }
+        };
         self.record(e.time, flags_of(e), raw, user);
     }
 
@@ -249,8 +270,13 @@ impl Columns {
         self.raw.push(raw);
     }
 
-    /// Makes room for `rows` more rows.
+    /// Makes room for `rows` more rows, and for at least [`FIRST_ROWS`]
+    /// when the columns have no room yet.
     fn reserve(&mut self, rows: usize) {
+        let rows = match self.time.capacity() {
+            0 if rows > 0 => rows.max(FIRST_ROWS),
+            _ => rows,
+        };
         self.time.reserve(rows);
         self.flags.reserve(rows);
         self.user.reserve(rows);
@@ -543,6 +569,27 @@ mod tests {
         let entries = s.entries();
         assert_eq!(entries[0].user, "tim");
         assert_eq!(entries[2].time, 3);
+    }
+
+    #[test]
+    fn the_first_row_makes_room_for_first_rows() {
+        let s = AuditStore::new("ward-a");
+        s.append_all(&[]).unwrap();
+        assert_eq!(
+            s.read().time.capacity(),
+            0,
+            "an empty batch allocates nothing"
+        );
+        let s = store();
+        let c = s.read();
+        for capacity in [
+            c.time.capacity(),
+            c.flags.capacity(),
+            c.user.capacity(),
+            c.raw.capacity(),
+        ] {
+            assert!(capacity >= FIRST_ROWS);
+        }
     }
 
     #[test]
