@@ -46,8 +46,8 @@ pub struct SourceHealth {
     /// Outcome of the round.
     pub status: SourceStatus,
     /// Well-formed entries currently contributed to the consolidated
-    /// view (from this round's fetch, or the stale cache if the source
-    /// was unreachable).
+    /// view (from this round's fetch, or the last good fetch if the
+    /// source was unreachable).
     pub fetched: usize,
     /// Entries the source is believed to hold (its latest advertised
     /// count; for an unreachable source, the last known count).

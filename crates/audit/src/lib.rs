@@ -71,4 +71,4 @@ pub use source::{
 };
 pub use stats::{glass_breakers, trail_stats, TrailObserver, TrailStats};
 pub use store::{AppendError, AuditStore};
-pub use tally::{Group, KeySpace, ReadCost, Tally, TrailError, NO_SHAPE};
+pub use tally::{Group, KeySpace, ReadCost, Tally};

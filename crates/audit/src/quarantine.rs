@@ -86,28 +86,6 @@ impl Quarantine {
     pub fn for_source(&self, source: &str) -> usize {
         self.records.iter().filter(|r| r.source == source).count()
     }
-
-    /// Histogram by reason code (sorted by reason rendering for
-    /// deterministic reports).
-    pub fn by_reason(&self) -> Vec<(QuarantineReason, usize)> {
-        let mut counts: std::collections::BTreeMap<String, (QuarantineReason, usize)> =
-            std::collections::BTreeMap::new();
-        for r in &self.records {
-            counts
-                .entry(r.reason.to_string())
-                .or_insert((r.reason, 0))
-                .1 += 1;
-        }
-        counts.into_values().collect()
-    }
-
-    /// Drops records from rounds older than `keep_from` (quarantine is
-    /// triage state, not an archive).
-    pub fn expire_before(&mut self, keep_from: u64) -> usize {
-        let before = self.records.len();
-        self.records.retain(|r| r.round >= keep_from);
-        before - self.records.len()
-    }
 }
 
 #[cfg(test)]
@@ -134,19 +112,6 @@ mod tests {
         assert_eq!(q.len(), 3);
         assert_eq!(q.for_source("icu"), 2);
         assert_eq!(q.for_source("lab"), 1);
-        let hist = q.by_reason();
-        assert_eq!(hist.len(), 3);
-        assert!(hist.iter().all(|(_, n)| *n == 1));
-    }
-
-    #[test]
-    fn expiry_keeps_recent_rounds() {
-        let mut q = Quarantine::new();
-        q.park("a", 1, "x".into(), QuarantineReason::MalformedRecord);
-        q.park("a", 5, "y".into(), QuarantineReason::MalformedRecord);
-        assert_eq!(q.expire_before(3), 1);
-        assert_eq!(q.len(), 1);
-        assert_eq!(q.records()[0].round, 5);
     }
 
     #[test]

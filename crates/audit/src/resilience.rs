@@ -6,14 +6,19 @@
 //! that assumption: a [`ResilientFederation`] consolidates
 //! [`LogSource`]s through a [`RetryPolicy`] and per-source
 //! [`CircuitBreaker`], parks malformed records in a [`Quarantine`]
-//! instead of aborting, keeps each source's *last good fetch* as a stale
-//! cache when the site is down, and reports a [`FederationHealth`] from
-//! which every coverage number over the degraded view gets a
-//! [`prima_model::CompletenessBound`].
+//! instead of aborting, keeps each source's *last good fetch* as an
+//! [`AuditStore`] that stays readable while the site is down, and reports
+//! a [`FederationHealth`] from which every coverage number over the
+//! degraded view gets a [`prima_model::CompletenessBound`].
 //!
 //! The consolidation loop never blocks the pipeline on a flaky site:
-//! a source that exhausts its retry budget simply contributes its stale
-//! cache this round and is retried (or circuit-broken) the next.
+//! a source that exhausts its retry budget simply contributes its last
+//! good fetch this round and is retried (or circuit-broken) the next.
+//!
+//! A fetch whose well-formed entries start with exactly the slot store's
+//! entries only appends the rest, so the store's book and a reader's
+//! remaps grow with what the site gained. Any other fetch (shorter,
+//! reordered or rewritten) starts a new store.
 
 use crate::entry::AuditEntry;
 use crate::federation::FederationError;
@@ -22,7 +27,7 @@ use crate::obs::FederationObs;
 use crate::quarantine::{Quarantine, QuarantineReason};
 use crate::retry::{BreakerConfig, CircuitBreaker, RetryPolicy};
 use crate::source::{LogSource, RawRecord, SourceError};
-use prima_model::{GroundRule, Policy, StoreTag};
+use crate::store::AuditStore;
 use std::time::{Duration, Instant};
 
 /// One registered source plus its degraded-mode state.
@@ -32,7 +37,7 @@ struct SourceSlot {
     breaker: CircuitBreaker,
     /// Last good fetch (well-formed entries only); served while the
     /// source is unreachable.
-    cache: Vec<AuditEntry>,
+    store: AuditStore,
     /// Latest advertised entry count (fetch response, or manifest hint
     /// when unreachable).
     expected: usize,
@@ -92,7 +97,7 @@ impl ResilientFederation {
         self.slots.push(SourceSlot {
             source,
             breaker: CircuitBreaker::new(self.breaker_config),
-            cache: Vec::new(),
+            store: AuditStore::new(&name),
             expected,
             quarantined: 0,
             status: SourceStatus::Unavailable,
@@ -123,7 +128,7 @@ impl ResilientFederation {
 
     /// Runs one consolidation round: every source whose breaker allows
     /// it is fetched under the retry policy; failures fall back to the
-    /// stale cache. Returns the round's health report.
+    /// last good fetch. Returns the round's health report.
     pub fn sync(&mut self) -> FederationHealth {
         let started = Instant::now();
         self.round += 1;
@@ -162,8 +167,8 @@ impl ResilientFederation {
                     }
                     slot.expected = records.1;
                     slot.quarantined = quarantined;
-                    slot.cache = entries;
-                    slot.status = if slot.cache.len() == slot.expected {
+                    slot.keep(&entries);
+                    slot.status = if slot.store.len() == slot.expected {
                         SourceStatus::Healthy
                     } else {
                         SourceStatus::Degraded
@@ -204,8 +209,8 @@ impl ResilientFederation {
                 .map(|slot| SourceHealth {
                     name: slot.source.name().to_string(),
                     status: slot.status,
-                    fetched: slot.cache.len(),
-                    expected: slot.expected.max(slot.cache.len()),
+                    fetched: slot.store.len(),
+                    expected: slot.expected.max(slot.store.len()),
                     quarantined: slot.quarantined,
                     attempts: slot.attempts,
                     breaker: slot.breaker.state(),
@@ -214,41 +219,25 @@ impl ResilientFederation {
         }
     }
 
-    /// The degraded consolidated view: every source's latest good
-    /// entries, merged and sorted by timestamp (stable: ties keep
-    /// registration order, matching
-    /// [`crate::AuditFederation::consolidated_entries`]).
-    pub fn consolidated_entries(&self) -> Vec<AuditEntry> {
-        let mut out: Vec<AuditEntry> = self
-            .slots
-            .iter()
-            .flat_map(|s| s.cache.iter().cloned())
-            .collect();
-        out.sort_by_key(|e| e.time);
-        out
+    /// Each source's last good fetch, in registration order: the degraded
+    /// view, one store per source.
+    pub fn stores(&self) -> impl Iterator<Item = &AuditStore> + '_ {
+        self.slots.iter().map(|s| &s.store)
     }
+}
 
-    /// Each source's latest good entries, in registration order and, within
-    /// a source, fetch order — the slices [`Self::consolidated_entries`]
-    /// merges, without copying them.
-    pub fn cached_entries(&self) -> impl Iterator<Item = &[AuditEntry]> + '_ {
-        self.slots.iter().map(|s| s.cache.as_slice())
-    }
-
-    /// One ground rule per consolidated entry, in timestamp order.
-    pub fn ground_rules(&self) -> Vec<GroundRule> {
-        self.consolidated_entries()
-            .iter()
-            .map(|e| {
-                e.to_ground_rule()
-                    .expect("consolidation quarantines unprojectable entries")
-            })
-            .collect()
-    }
-
-    /// The degraded view as the audit-log policy `P_AL`.
-    pub fn to_policy(&self) -> Policy {
-        Policy::from_ground_rules(StoreTag::AuditLog, self.ground_rules())
+impl SourceSlot {
+    /// Keeps `entries`, a fetch's well-formed entries, as the last good
+    /// fetch: appends the entries past the store's own when they start
+    /// with them, and starts a new store otherwise.
+    fn keep(&mut self, entries: &[AuditEntry]) {
+        if !entries.starts_with(&self.store.entries()) {
+            self.store = AuditStore::new(self.source.name());
+        }
+        let kept = self.store.len();
+        self.store
+            .append_all(&entries[kept..])
+            .expect("consolidation quarantines entries with a blank attribute");
     }
 }
 
@@ -315,7 +304,7 @@ fn consolidate(
     for record in records {
         match record {
             RawRecord::Entry(e) => {
-                if e.to_ground_rule().is_ok() {
+                if e.blank_attribute().is_none() {
                     entries.push(e);
                 } else {
                     quarantine.park(name, round, e.to_string(), QuarantineReason::EmptyAttribute);
@@ -353,6 +342,11 @@ mod tests {
         s
     }
 
+    /// Entries kept across every source's last good fetch.
+    fn kept(f: &ResilientFederation) -> usize {
+        f.stores().map(AuditStore::len).sum()
+    }
+
     fn fed() -> ResilientFederation {
         ResilientFederation::new(
             RetryPolicy {
@@ -376,8 +370,11 @@ mod tests {
         let h = f.sync();
         assert!(h.all_healthy());
         assert_eq!(h.missing_entries(), 0);
-        let times: Vec<i64> = f.consolidated_entries().iter().map(|e| e.time).collect();
-        assert_eq!(times, vec![1, 2, 3]);
+        let times: Vec<Vec<i64>> = f
+            .stores()
+            .map(|s| s.entries().iter().map(|e| e.time).collect())
+            .collect();
+        assert_eq!(times, [vec![3, 1], vec![2]]);
         assert!(h.bound_for(2, 3).is_exact());
     }
 
@@ -433,7 +430,7 @@ mod tests {
         let h2 = f.sync();
         assert_eq!(h2.source("flaky").unwrap().status, SourceStatus::Healthy);
         assert_eq!(h2.missing_entries(), 0);
-        assert_eq!(f.consolidated_entries().len(), 2);
+        assert_eq!(kept(&f), 2);
     }
 
     #[test]
@@ -448,7 +445,7 @@ mod tests {
         )))
         .unwrap();
         f.sync();
-        assert_eq!(f.consolidated_entries().len(), 2);
+        assert_eq!(kept(&f), 2);
         // The site grows an entry, then goes dark: swap in a down script.
         // (Simplest deterministic way to model "was up, now down".)
         store
@@ -469,7 +466,7 @@ mod tests {
         let h = f2.sync();
         // Nothing ever fetched here, but the hint still exposes 3 missing.
         assert_eq!(h.missing_entries(), 3);
-        assert!(f2.consolidated_entries().is_empty());
+        assert_eq!(kept(&f2), 0);
     }
 
     #[test]
@@ -516,7 +513,7 @@ mod tests {
         let h4 = f.sync();
         assert_eq!(h4.source("down").unwrap().status, SourceStatus::Healthy);
         assert_eq!(h4.source("down").unwrap().breaker, BreakerState::Closed);
-        assert_eq!(f.consolidated_entries().len(), 1);
+        assert_eq!(kept(&f), 1);
     }
 
     #[test]
@@ -536,25 +533,28 @@ mod tests {
         assert_eq!(f.quarantine().for_source("noisy"), 2);
         // Quarantined records are excluded from the consolidated view
         // (the coverage denominator) but still count as missing.
-        assert_eq!(f.consolidated_entries().len(), 2);
-        assert_eq!(f.ground_rules().len(), 2);
+        assert_eq!(kept(&f), 2);
         assert_eq!(h.missing_entries(), 2);
     }
 
-    /// A remote site serving fixed records, blank attributes included
-    /// (an `AuditStore` refuses those at append).
+    type Script = std::sync::Arc<std::sync::Mutex<Vec<AuditEntry>>>;
+
+    /// A remote site serving whatever records its script holds at each
+    /// fetch, blank attributes included (an `AuditStore` refuses those at
+    /// append).
     #[derive(Debug)]
-    struct RawSite(Vec<AuditEntry>);
+    struct RawSite(Script);
 
     impl LogSource for RawSite {
         fn name(&self) -> &str {
-            "blank"
+            "raw"
         }
 
         fn fetch(&mut self) -> Result<FetchResponse, SourceError> {
+            let entries = self.0.lock().unwrap();
             Ok(FetchResponse {
-                records: self.0.iter().cloned().map(RawRecord::Entry).collect(),
-                expected: self.0.len(),
+                records: entries.iter().cloned().map(RawRecord::Entry).collect(),
+                expected: entries.len(),
                 latency: Duration::ZERO,
             })
         }
@@ -563,22 +563,60 @@ mod tests {
     #[test]
     fn unprojectable_entries_are_quarantined_with_reason() {
         let mut f = fed();
-        f.attach(Box::new(RawSite(vec![
-            AuditEntry::regular(1, "u", "", "treatment", "nurse"),
-            AuditEntry::regular(2, "u", "referral", "treatment", "nurse"),
-        ])))
+        f.attach(Box::new(RawSite(Script::new(
+            vec![
+                AuditEntry::regular(1, "u", "", "treatment", "nurse"),
+                AuditEntry::regular(2, "u", "referral", "treatment", "nurse"),
+            ]
+            .into(),
+        ))))
         .unwrap();
         let h = f.sync();
-        assert_eq!(h.source("blank").unwrap().fetched, 1);
-        assert_eq!(h.source("blank").unwrap().quarantined, 1);
+        assert_eq!(h.source("raw").unwrap().fetched, 1);
+        assert_eq!(h.source("raw").unwrap().quarantined, 1);
         assert_eq!(
             f.quarantine().records()[0].reason,
             QuarantineReason::EmptyAttribute
         );
-        assert_eq!(
-            f.ground_rules().len(),
-            1,
-            "coverage denominator excludes it"
+        assert_eq!(kept(&f), 1, "coverage denominator excludes it");
+    }
+
+    #[test]
+    fn a_fetch_that_extends_the_last_appends_and_any_other_starts_a_new_store() {
+        let e = |t: i64, data: &str| AuditEntry::exception(t, "u", data, "treatment", "nurse");
+        let script = Script::new(vec![e(1, "referral")].into());
+        let mut f = fed();
+        f.attach(Box::new(RawSite(script.clone()))).unwrap();
+        let store = |f: &ResilientFederation| f.stores().next().unwrap().clone();
+        f.sync();
+        let first = store(&f);
+        // Unchanged, then grown: the same store, holding the fetch.
+        f.sync();
+        script.lock().unwrap().push(e(2, "psychiatry"));
+        f.sync();
+        assert!(store(&f).same_trail(&first));
+        assert_eq!(first.entries(), *script.lock().unwrap());
+        // Rewritten early, or truncated: a new store each time.
+        script.lock().unwrap()[0] = e(1, "address");
+        f.sync();
+        let rewritten = store(&f);
+        assert!(!rewritten.same_trail(&first));
+        assert_eq!(rewritten.entries(), *script.lock().unwrap());
+        script.lock().unwrap().pop();
+        f.sync();
+        assert!(!store(&f).same_trail(&rewritten));
+        assert_eq!(store(&f).entries(), [e(1, "address")]);
+        // A quarantined record is left out of the prefix it sits in.
+        script.lock().unwrap().splice(
+            0..0,
+            [AuditEntry::exception(0, "u", " ", "treatment", "nurse")],
+        );
+        let kept_before = store(&f);
+        let h = f.sync();
+        assert_eq!(h.sources[0].quarantined, 1);
+        assert!(
+            store(&f).same_trail(&kept_before),
+            "the well-formed entries extend it"
         );
     }
 
@@ -679,7 +717,7 @@ mod tests {
         let h = f.sync();
         assert!(h.all_healthy());
         assert_eq!(h.completeness(), 1.0);
-        assert!(f.consolidated_entries().is_empty());
+        assert_eq!(kept(&f), 0);
         assert!(f.is_empty());
     }
 }

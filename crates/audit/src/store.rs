@@ -26,7 +26,7 @@ pub struct AppendError {
 }
 
 impl AppendError {
-    fn check(index: usize, entry: &AuditEntry) -> Result<(), Self> {
+    pub(crate) fn check(index: usize, entry: &AuditEntry) -> Result<(), Self> {
         match entry.blank_attribute() {
             None => Ok(()),
             Some(attribute) => Err(Self {

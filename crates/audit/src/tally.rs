@@ -6,10 +6,11 @@
 //! only on a triple's ground rule, and Algorithm 5's group-by only on the
 //! triple's practice entries and their users, so a round needs one count
 //! per triple, not the entries (Garg, Jia & Datta: audit cost should
-//! follow the distinct state, not the log length). An
-//! [`crate::AuditStore`] keeps its tally as a book, counted at append;
-//! entries held elsewhere (a resilient source's last good fetch) are
-//! tallied by [`Tally::of_entries`].
+//! follow the distinct state, not the log length). Every source is an
+//! [`crate::AuditStore`], which keeps its tally as a book, counted at
+//! append: a resilient source's last good fetch is kept as one too.
+//! [`Tally::of_entries`] tallies a slice of entries directly; tests hold
+//! the books to it.
 //!
 //! A [`KeySpace`] joins the sources' tallies. It keeps, per store, remaps
 //! from the store's own group, shape and user ids to federation ids, and
@@ -22,51 +23,12 @@
 use crate::entry::AuditEntry;
 use crate::intern::{next_id, FxHashSet, Interner};
 use crate::retention::TrainingWindow;
-use crate::store::{flags_of, AuditStore, PRACTICE};
+use crate::store::{flags_of, AppendError, AuditStore, PRACTICE};
 use prima_model::{CompiledPolicy, EntryCoverageReport, GroundRule, Policy};
 use prima_vocab::Vocabulary;
 use std::collections::HashMap;
-use std::fmt;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// The shape id [`KeySpace::entry_coverage`] gives an entry that projects
-/// to no ground rule. No verdict exists for it, so
-/// [`EntryCoverageReport::weigh`] counts it as uncovered.
-pub const NO_SHAPE: u32 = u32::MAX;
-
-/// An audit entry that cannot be projected onto a ground rule, because
-/// one of its attributes normalizes to empty.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TrailError {
-    /// Position of the entry in the tallied slice.
-    pub index: usize,
-    /// The blank attribute (`data`, `purpose` or `authorized`).
-    pub attribute: &'static str,
-}
-
-impl TrailError {
-    fn of(index: usize, entry: &AuditEntry) -> Self {
-        // `blank_attribute` names exactly the entries `to_ground_rule`
-        // refuses.
-        Self {
-            index,
-            attribute: entry.blank_attribute().unwrap_or(crate::schema::COL_DATA),
-        }
-    }
-}
-
-impl fmt::Display for TrailError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "audit entry {} has a blank {}; it projects to no ground rule",
-            self.index, self.attribute
-        )
-    }
-}
-
-impl std::error::Error for TrailError {}
 
 /// One raw `(data, purpose, authorized)` triple of a [`Tally`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -123,7 +85,8 @@ impl TallyRef<'_> {
 
 impl Tally {
     /// Tallies `entries` (only those inside `window`, when given),
-    /// failing closed on the first one with a blank attribute.
+    /// failing closed on the first one with a blank attribute, as an
+    /// append would.
     ///
     /// Entries are keyed by their raw borrowed strings, so
     /// [`AuditEntry::to_ground_rule`] runs once per distinct raw triple;
@@ -132,23 +95,9 @@ impl Tally {
     pub fn of_entries(
         entries: &[AuditEntry],
         window: Option<TrainingWindow>,
-    ) -> Result<Self, TrailError> {
-        Self::of_rows(entries, window, |index, group| match group {
-            Some(_) => Ok(()),
-            None => Err(TrailError::of(index, &entries[index])),
-        })
-    }
-
-    /// Tallies the entries inside `window`, handing `row` each one's
-    /// position and group, or `None` for an entry that projects to no
-    /// ground rule (it is not counted).
-    fn of_rows(
-        entries: &[AuditEntry],
-        window: Option<TrainingWindow>,
-        mut row: impl FnMut(usize, Option<u32>) -> Result<(), TrailError>,
-    ) -> Result<Self, TrailError> {
+    ) -> Result<Self, AppendError> {
         let mut tally = Self::default();
-        let mut groups: HashMap<(&str, &str, &str), Option<u32>> = HashMap::new();
+        let mut groups: HashMap<(&str, &str, &str), u32> = HashMap::new();
         let mut shapes: Interner<GroundRule> = Interner::default();
         let mut users: HashMap<&str, u32> = HashMap::new();
         let mut pairs: FxHashSet<(u32, u32)> = FxHashSet::default();
@@ -157,19 +106,24 @@ impl Tally {
                 continue;
             }
             let key = (e.data.as_str(), e.purpose.as_str(), e.authorized.as_str());
-            let group = *groups.entry(key).or_insert_with(|| {
-                let rule = e.to_ground_rule().ok()?;
-                let id = next_id(tally.groups.len());
-                tally.groups.push(Group {
-                    raw: [key.0.into(), key.1.into(), key.2.into()],
-                    shape: shapes.intern_owned(rule),
-                    entries: 0,
-                    practice: 0,
-                });
-                Some(id)
-            });
-            row(index, group)?;
-            let Some(group) = group else { continue };
+            let group = match groups.get(&key) {
+                Some(&group) => group,
+                None => {
+                    AppendError::check(index, e)?;
+                    let rule = e
+                        .to_ground_rule()
+                        .expect("an entry with no blank attribute projects");
+                    let id = next_id(tally.groups.len());
+                    tally.groups.push(Group {
+                        raw: [key.0.into(), key.1.into(), key.2.into()],
+                        shape: shapes.intern_owned(rule),
+                        entries: 0,
+                        practice: 0,
+                    });
+                    groups.insert(key, id);
+                    id
+                }
+            };
             let g = &mut tally.groups[group as usize];
             g.entries += 1;
             if flags_of(e) == PRACTICE {
@@ -285,14 +239,14 @@ struct Sums {
 /// What one [`KeySpace`] read did.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ReadCost {
-    /// Rows the read's tallies scanned: a windowed store's rows and a
-    /// resilient source's entries. An unwindowed store read scans none.
+    /// Rows the read scanned: only a windowed read scans, every row of
+    /// every store. An unwindowed read reads the books and scans none.
     pub rows_scanned: usize,
     /// Source-local ids (groups, shapes and users) newly hashed into the
     /// key space.
     pub keys_joined: usize,
-    /// Time spent reading the sources: locking the stores, scanning a
-    /// window, tallying fetched entries.
+    /// Time spent reading the sources: locking the stores and scanning a
+    /// window.
     pub read: Duration,
     /// Time spent joining what was read into the key space.
     pub join: Duration,
@@ -305,8 +259,8 @@ pub struct ReadCost {
 /// have shown it, and keeps per store the remaps from the store's ids to
 /// its own. A store's ids only grow, so a read hashes only the ids the
 /// store interned since the previous read and joins the rest through
-/// integer remaps. A resilient source's tally is built afresh on every
-/// fetch, so its remap is rebuilt on every read, through the same join.
+/// integer remaps. A resilient source's last good fetch is a store too
+/// (`crate::ResilientFederation`), so every source is joined this way.
 ///
 /// The key space also keeps one verdict per federation shape, valid for
 /// one [`Policy::revision`]: extended for new shapes, recomputed when the
@@ -338,19 +292,14 @@ impl KeySpace {
         Self::default()
     }
 
-    /// The trail of `stores` and `fetched` (resilient sources' entries)
-    /// as one tally over federation ids: each store's book, or for a
-    /// `window` a scan of its rows, and each fetch tallied, all joined
-    /// through the remaps.
-    ///
-    /// # Errors
-    /// A fetched entry inside the window with a blank attribute.
-    pub fn read<'a>(
+    /// The trail of `stores` as one tally over federation ids: each
+    /// store's book, or for a `window` a scan of its rows, joined through
+    /// the remaps.
+    pub fn read(
         &mut self,
         stores: &[AuditStore],
-        fetched: impl IntoIterator<Item = &'a [AuditEntry]>,
         window: Option<TrainingWindow>,
-    ) -> Result<(Tally, ReadCost), TrailError> {
+    ) -> (Tally, ReadCost) {
         let mut cost = ReadCost::default();
         let mut sums = Sums::default();
         let mut remaps = self.take_remaps(stores);
@@ -368,37 +317,25 @@ impl KeySpace {
             cost.join += read.elapsed();
         }
         self.keep_remaps(stores, remaps);
-        for entries in fetched {
-            let start = Instant::now();
-            let tally = Tally::of_entries(entries, window)?;
-            cost.rows_scanned += entries.len();
-            let read = Instant::now();
-            cost.keys_joined += self.join(&mut Remap::default(), tally.view(), &mut sums);
-            cost.read += read - start;
-            cost.join += read.elapsed();
-        }
         let start = Instant::now();
         let tally = self.tally(sums);
         cost.join += start.elapsed();
-        Ok((tally, cost))
+        (tally, cost)
     }
 
-    /// Entry-weighted coverage of the trail of `stores` and `fetched`
-    /// under `policy`, with the number of ids newly hashed into the key
-    /// space. `uncovered_indices` index the trail in timestamp order,
-    /// stable across sources: the stores in order, then the fetches, each
-    /// in append order. A fetched entry that projects to no ground rule
-    /// has the shape [`NO_SHAPE`] and counts as uncovered.
+    /// Entry-weighted coverage of the trail of `stores` under `policy`,
+    /// with the number of ids newly hashed into the key space.
+    /// `uncovered_indices` index the trail in timestamp order, stable
+    /// across sources: ties go to the earlier store, then to append order.
     ///
     /// Each store is locked only while its remap is extended and its
-    /// `time` and shape columns are copied out. Each source is then one
-    /// run in time order (a source whose rows are out of time order is
-    /// stably sorted first), and the runs are merged by `(time, source)`
+    /// `time` and shape columns are copied out. Each store is then one
+    /// run in time order (a store whose rows are out of time order is
+    /// stably sorted first), and the runs are merged by `(time, store)`
     /// with no store locked.
-    pub fn entry_coverage<'a>(
+    pub fn entry_coverage(
         &mut self,
         stores: &[AuditStore],
-        fetched: impl IntoIterator<Item = &'a [AuditEntry]>,
         policy: &Policy,
         vocab: &Vocabulary,
     ) -> (EntryCoverageReport, usize) {
@@ -408,7 +345,11 @@ impl KeySpace {
         for (store, remap) in stores.iter().zip(&mut remaps) {
             let columns = store.read();
             joined += self.remap(remap, columns.book());
-            let shape_of = federation_shapes(remap, &columns.groups);
+            let shape_of: Vec<u32> = columns
+                .groups
+                .iter()
+                .map(|g| remap.shapes[g.shape as usize])
+                .collect();
             let shape = columns.raw.iter().map(|&raw| shape_of[raw as usize]);
             runs.push(Run::new(
                 columns.time.clone(),
@@ -417,25 +358,6 @@ impl KeySpace {
             ));
         }
         self.keep_remaps(stores, remaps);
-        for entries in fetched {
-            // Each entry's group, or `NO_SHAPE` for one that projects to
-            // no ground rule.
-            let mut groups = Vec::with_capacity(entries.len());
-            let tally = Tally::of_rows(entries, None, |_, group| {
-                groups.push(group.unwrap_or(NO_SHAPE));
-                Ok(())
-            })
-            .expect("the row callback never fails");
-            let mut remap = Remap::default();
-            joined += self.remap(&mut remap, tally.view());
-            let shape_of = federation_shapes(&remap, &tally.groups);
-            let shape = groups
-                .iter()
-                .map(|&group| shape_of.get(group as usize).copied().unwrap_or(NO_SHAPE));
-            let time: Vec<i64> = entries.iter().map(|e| e.time).collect();
-            let sorted = time.is_sorted();
-            runs.push(Run::new(time, shape.collect(), sorted));
-        }
         let shapes = merge_runs(&runs);
         drop(runs);
         let report = EntryCoverageReport::weigh(self.verdicts(policy, vocab), &shapes);
@@ -567,14 +489,6 @@ impl KeySpace {
             practice_users: sums.pairs.into_iter().collect(),
         }
     }
-}
-
-/// The federation shape of each of a source's groups.
-fn federation_shapes(remap: &Remap, groups: &[Group]) -> Vec<u32> {
-    groups
-        .iter()
-        .map(|g| remap.shapes[g.shape as usize])
-        .collect()
 }
 
 /// One source's rows for [`merge_runs`], in time order: each row's time
@@ -749,62 +663,50 @@ mod tests {
     }
 
     #[test]
-    fn blank_attribute_fails_closed_or_has_no_shape() {
+    fn blank_attribute_fails_closed() {
         let entries = [
             entry(1, "u", "address", "billing", "clerk"),
             entry(2, "u", "address", "  ", "clerk"),
             entry(3, "u", "address", "billing", "clerk"),
         ];
         let err = Tally::of_entries(&entries, None).unwrap_err();
+        assert_eq!((err.index, err.time, err.attribute), (1, 2, "purpose"));
         assert_eq!(
+            AuditStore::new("a").append_all(&entries).unwrap_err(),
             err,
-            TrailError {
-                index: 1,
-                attribute: "purpose"
-            }
+            "the tally refuses what an append refuses"
         );
-        assert!(err.to_string().contains("entry 1 has a blank purpose"));
         // Outside the window, the blank entry is never grounded.
         let inside = Tally::of_entries(&entries, Some(TrainingWindow::new(3, 4))).unwrap();
         assert_eq!(inside.total_entries(), 1);
-
-        // In a coverage read the blank entry has no shape: uncovered.
-        let (report, joined) = KeySpace::new().entry_coverage(
-            &[],
-            [entries.as_slice()],
-            &policy(&[["address", "billing", "clerk"]]),
-            &figure_1(),
-        );
-        assert_eq!((report.covered_entries, report.total_entries), (2, 3));
-        assert_eq!(report.uncovered_indices, vec![1]);
-        assert_eq!(joined, 3, "one group, one shape, no practice user");
     }
 
     #[test]
     fn entry_coverage_merges_the_sources_stably_by_time() {
-        // A store appended out of time order, and a fetch.
-        let store = AuditStore::new("a");
-        store
-            .append_all(&[
-                entry(5, "u", "referral", "registration", "nurse"),
-                entry(1, "u", "psychiatry", "treatment", "doctor"),
-            ])
-            .unwrap();
-        let fetched = [
+        // A store appended out of time order, and one in time order.
+        let a = AuditStore::new("a");
+        a.append_all(&[
+            entry(5, "u", "referral", "registration", "nurse"),
+            entry(1, "u", "psychiatry", "treatment", "doctor"),
+        ])
+        .unwrap();
+        let b = AuditStore::new("b");
+        b.append_all(&[
             entry(1, "u", "referral", "registration", "nurse"),
             entry(3, "u", "psychiatry", "treatment", "doctor"),
-        ];
+            entry(5, "u", "psychiatry", "treatment", "doctor"),
+        ])
+        .unwrap();
+        let policy = policy(&[["referral", "registration", "nurse"]]);
         let mut space = KeySpace::new();
-        let (report, _) = space.entry_coverage(
-            std::slice::from_ref(&store),
-            [fetched.as_slice()],
-            &policy(&[["referral", "registration", "nurse"]]),
-            &figure_1(),
-        );
-        // Time order, ties by source: (1, psychiatry, a), (1, referral,
-        // fetch), (3, psychiatry, fetch), (5, referral, a).
-        assert_eq!(report.uncovered_indices, vec![0, 2]);
-        assert_eq!(space.shapes.len(), 2, "the fetch shares the store's shapes");
+        let (report, _) = space.entry_coverage(&[a.clone(), b.clone()], &policy, &figure_1());
+        // Time order, ties by store: (1, psychiatry, a), (1, referral, b),
+        // (3, psychiatry, b), (5, referral, a), (5, psychiatry, b).
+        assert_eq!(report.uncovered_indices, vec![0, 2, 4]);
+        assert_eq!(space.shapes.len(), 2, "b shares a's shapes");
+        // The other store order breaks the ties the other way.
+        let (report, _) = space.entry_coverage(&[b, a], &policy, &figure_1());
+        assert_eq!(report.uncovered_indices, vec![1, 2, 3]);
     }
 
     #[test]
@@ -821,17 +723,17 @@ mod tests {
         let stores = [a.clone(), b.clone()];
         let mut space = KeySpace::new();
         // a: one group, one shape, two users.
-        let (_, cost) = space.read(&stores[..1], [], None).unwrap();
+        let (_, cost) = space.read(&stores[..1], None);
         assert_eq!((cost.rows_scanned, cost.keys_joined), (0, 4));
         // b, attached since: one group, one shape, one user.
-        let (tally, cost) = space.read(&stores, [], None).unwrap();
+        let (tally, cost) = space.read(&stores, None);
         assert_eq!((cost.rows_scanned, cost.keys_joined), (0, 3));
         assert_eq!(tally.groups().len(), 2, "a case variant is its own group");
         assert_eq!(tally.shapes().len(), 1, "but shares the shape");
         assert_eq!(tally.users.len(), 2, "mark at two sites is one user");
         assert_eq!(tally.practice_users().len(), 3);
 
-        let (again, cost) = space.read(&stores, [], None).unwrap();
+        let (again, cost) = space.read(&stores, None);
         assert_eq!((cost.rows_scanned, cost.keys_joined), (0, 0));
         assert_eq!(again, tally, "an unchanged trail reads the same tally");
 
@@ -841,7 +743,7 @@ mod tests {
             .unwrap();
         a.append(&entry(5, "tim", "referral", "registration", "nurse"))
             .unwrap();
-        let (grown, cost) = space.read(&stores, [], None).unwrap();
+        let (grown, cost) = space.read(&stores, None);
         assert_eq!((cost.rows_scanned, cost.keys_joined), (0, 3));
         assert_eq!(grown.total_entries(), 5);
         let fresh = Tally::merge([a.tally(None), b.tally(None)]);
@@ -849,20 +751,30 @@ mod tests {
         assert_eq!(grown.practice_users().len(), fresh.practice_users().len());
 
         // A window scans every row of every store, and joins nothing new.
-        let (windowed, cost) = space
-            .read(&stores, [], Some(TrainingWindow::new(2, 5)))
-            .unwrap();
+        let (windowed, cost) = space.read(&stores, Some(TrainingWindow::new(2, 5)));
         assert_eq!((cost.rows_scanned, cost.keys_joined), (5, 0));
         assert_eq!(windowed.total_entries(), 3);
         assert_eq!(windowed.groups().len(), 3, "emptied groups stay at zero");
 
-        // A fetch is joined afresh on every read: its group and its user.
-        // The federation knows the group, so its shape is not hashed.
-        let fetched = [entry(6, "mark", "referral", "registration", "nurse")];
+        // A resilient source's fetch is a store too: read unchanged, it
+        // joins nothing; replaced by a new store holding the same entries
+        // (a fetch that did not extend the last one), it joins that
+        // store's group and user, whose shape the federation knows.
+        let fetch = AuditStore::new("remote");
+        fetch
+            .append(&entry(6, "mark", "referral", "registration", "nurse"))
+            .unwrap();
+        let with_fetch = [a.clone(), b.clone(), fetch.clone()];
+        let (_, cost) = space.read(&with_fetch, None);
+        assert_eq!((cost.rows_scanned, cost.keys_joined), (0, 2));
         for _ in 0..2 {
-            let (_, cost) = space.read(&stores, [fetched.as_slice()], None).unwrap();
-            assert_eq!((cost.rows_scanned, cost.keys_joined), (1, 2));
+            let (_, cost) = space.read(&with_fetch, None);
+            assert_eq!((cost.rows_scanned, cost.keys_joined), (0, 0));
         }
+        let refetched = AuditStore::new("remote");
+        refetched.append_all(&fetch.entries()).unwrap();
+        let (_, cost) = space.read(&[a.clone(), b.clone(), refetched], None);
+        assert_eq!((cost.rows_scanned, cost.keys_joined), (0, 2));
 
         // The remaps are kept by store, not by position: the stores in
         // another order join nothing and read the same tally ...
@@ -871,7 +783,7 @@ mod tests {
             pairs.sort_unstable();
             pairs
         };
-        let (reordered, cost) = space.read(&[b.clone(), a.clone()], [], None).unwrap();
+        let (reordered, cost) = space.read(&[b.clone(), a.clone()], None);
         assert_eq!((cost.rows_scanned, cost.keys_joined), (0, 0));
         assert_eq!(reordered.groups(), grown.groups());
         assert_eq!(sorted_pairs(&reordered), sorted_pairs(&grown));
@@ -879,10 +791,10 @@ mod tests {
         let c = AuditStore::new("c");
         c.append(&entry(7, "zoe", "address", "billing", "clerk"))
             .unwrap();
-        let (alone, cost) = space.read(std::slice::from_ref(&c), [], None).unwrap();
+        let (alone, cost) = space.read(std::slice::from_ref(&c), None);
         assert_eq!((cost.rows_scanned, cost.keys_joined), (0, 3));
         assert_eq!((alone.total_entries(), alone.practice_entries()), (1, 1));
-        let (_, cost) = space.read(&stores, [], None).unwrap();
+        let (_, cost) = space.read(&stores, None);
         // a and b, left out, are joined again: their groups (1 + 2) and
         // users (2 + 2); the federation knows the groups' shapes.
         assert_eq!(cost.keys_joined, 7);
@@ -899,13 +811,13 @@ mod tests {
         let psychiatry = ["psychiatry", "treatment", "doctor"];
         let mut p = policy(&[psychiatry, psychiatry]);
         let mut space = KeySpace::new();
-        space.read(&stores, [], None).unwrap();
+        space.read(&stores, None);
         assert_eq!(space.verdicts(&p, &vocab), [false]);
         // A new shape is decided alone; the kept verdict stays.
         store
             .append(&entry(2, "u", "psychiatry", "treatment", "doctor"))
             .unwrap();
-        space.read(&stores, [], None).unwrap();
+        space.read(&stores, None);
         assert_eq!(space.verdicts(&p, &vocab), [false, true]);
         // A new revision decides every shape again, even one that holds
         // as many rules as the last.

@@ -30,14 +30,10 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod clinic;
 pub mod observe;
-pub mod snapshot;
 pub mod system;
 pub mod trajectory;
 
-pub use clinic::{run_clinic, ClinicProfile, ClinicReport};
 pub use observe::SystemObs;
-pub use snapshot::{SnapshotError, SystemSnapshot};
 pub use system::{PrimaSystem, ReviewMode, RoundRecord, ServedRound};
 pub use trajectory::{run_trajectory, TrajectoryConfig, TrajectoryPoint};

@@ -16,7 +16,7 @@
 //! | `prima_round_deferred_total` | counter | rounds that refused to mine below the completeness floor |
 //! | `prima_round_patterns_useful_total` | counter | patterns surviving Prune |
 //! | `prima_round_rules_added_total` | counter | rules folded into the policy |
-//! | `prima_round_rows_scanned_total` | counter | rows the rounds' tallies scanned (windowed stores, resilient fetches) |
+//! | `prima_round_rows_scanned_total` | counter | rows the rounds scanned (windowed rounds only) |
 //! | `prima_round_keys_joined_total` | counter | store-local ids newly hashed into the federation key space |
 //! | `prima_coverage_entry_ratio` | gauge | latest entry-weighted coverage |
 //! | `prima_coverage_completeness_lower` | gauge | lower bound on true coverage |
@@ -146,7 +146,7 @@ impl SystemObs {
             ),
             rows_scanned_total: registry.counter(
                 "prima_round_rows_scanned_total",
-                "Rows the rounds' tallies scanned: windowed stores and resilient fetches.",
+                "Rows the rounds scanned: only a training window scans the stores.",
             ),
             keys_joined_total: registry.counter(
                 "prima_round_keys_joined_total",
@@ -222,9 +222,10 @@ impl SystemObs {
         &self.stages[stage as usize]
     }
 
-    /// Rows the rounds' tallies have scanned so far
-    /// (`prima_round_rows_scanned_total`): an unwindowed round over local
-    /// stores reads their books and scans none.
+    /// Rows the rounds have scanned so far
+    /// (`prima_round_rows_scanned_total`): an unwindowed round reads the
+    /// stores' books, resilient sources' last fetches included, and scans
+    /// none.
     pub fn rows_scanned(&self) -> u64 {
         self.rows_scanned_total.get()
     }

@@ -3,7 +3,7 @@
 use prima_analyze::SafetyGate;
 use prima_audit::{
     AuditFederation, AuditStore, FederationError, FederationHealth, KeySpace, LogSource,
-    ResilientFederation, Tally, TrailError, TrainingWindow,
+    ResilientFederation, Tally, TrainingWindow,
 };
 use prima_mining::{MiningError, SqlMiner};
 use prima_model::{
@@ -95,7 +95,8 @@ pub struct PrimaSystem {
     /// key space already holds), so a poisoned lock is recovered.
     key_space: Mutex<KeySpace>,
     /// Remote log sources consolidated with retries, circuit breaking,
-    /// and quarantine; empty unless [`Self::attach_source`] was used.
+    /// and quarantine, each kept as the store of its last good fetch;
+    /// empty unless [`Self::attach_source`] was used.
     resilient: ResilientFederation,
     /// Minimum trail completeness (`observed ÷ (observed + missing)`)
     /// required before a round is allowed to mine; 0 never defers.
@@ -377,6 +378,17 @@ impl PrimaSystem {
         &self.history
     }
 
+    /// Every source a read joins: the attached stores in registration
+    /// order, then each resilient source's last good fetch.
+    fn sources(&self) -> Vec<AuditStore> {
+        self.federation
+            .sources()
+            .iter()
+            .chain(self.resilient.stores())
+            .cloned()
+            .collect()
+    }
+
     /// The key space, locked for a `&self` read.
     fn key_space(&self) -> MutexGuard<'_, KeySpace> {
         self.key_space
@@ -386,17 +398,9 @@ impl PrimaSystem {
 
     /// Set-based coverage (Definition 9) of the current policy with
     /// respect to the consolidated audit trail's distinct shapes, using the
-    /// lazy engine. An entry with a blank attribute has no shape and fails
-    /// the computation with [`ModelError::EmptyTerm`].
+    /// lazy engine.
     pub fn coverage(&self) -> Result<CoverageReport, ModelError> {
-        let (tally, cost) = self
-            .key_space()
-            .read(
-                self.federation.sources(),
-                self.resilient.cached_entries(),
-                None,
-            )
-            .map_err(|_| ModelError::EmptyTerm)?;
+        let (tally, cost) = self.key_space().read(&self.sources(), None);
         self.obs.keys_joined_total.add(cost.keys_joined as u64);
         let trail = Policy::from_ground_rules(
             prima_model::StoreTag::AuditLog,
@@ -413,15 +417,11 @@ impl PrimaSystem {
     /// timestamp order, stable across sources: local stores in
     /// registration order, then the resilient sources, each in append
     /// order (the order of [`AuditFederation::consolidated_entries`] for
-    /// the local part). An entry that projects to no ground rule (a blank
-    /// attribute) counts as uncovered.
+    /// the local part).
     pub fn entry_coverage(&self) -> EntryCoverageReport {
-        let (report, joined) = self.key_space().entry_coverage(
-            self.federation.sources(),
-            self.resilient.cached_entries(),
-            &self.policy,
-            &self.vocab,
-        );
+        let (report, joined) =
+            self.key_space()
+                .entry_coverage(&self.sources(), &self.policy, &self.vocab);
         self.obs.keys_joined_total.add(joined as u64);
         report
     }
@@ -441,8 +441,7 @@ impl PrimaSystem {
     /// Runs one refinement round over the consolidated trail.
     ///
     /// # Errors
-    /// [`MiningError::Trail`] when a trail entry projects to no ground
-    /// rule; otherwise whatever the miner reports.
+    /// Whatever the miner reports.
     pub fn run_round(&mut self, mode: ReviewMode) -> Result<RoundRecord, MiningError> {
         self.run_round_in(None, mode)
     }
@@ -459,24 +458,20 @@ impl PrimaSystem {
     }
 
     /// The trail a round reads, optionally cut to a training window: each
-    /// store's book or windowed scan, and each resilient fetch tallied
-    /// (the `federate` stage), joined through the key space's remaps (the
-    /// `ground` stage).
-    fn round_tally(&mut self, window: Option<TrainingWindow>) -> Result<Tally, TrailError> {
+    /// store's book or windowed scan (the `federate` stage), joined
+    /// through the key space's remaps (the `ground` stage).
+    fn round_tally(&mut self, window: Option<TrainingWindow>) -> Tally {
+        let sources = self.sources();
         let (tally, cost) = self
             .key_space
             .get_mut()
             .unwrap_or_else(PoisonError::into_inner)
-            .read(
-                self.federation.sources(),
-                self.resilient.cached_entries(),
-                window,
-            )?;
+            .read(&sources, window);
         self.obs.stage(Stage::Federate).observe_duration(cost.read);
         self.obs.stage(Stage::Ground).observe_duration(cost.join);
         self.obs.rows_scanned_total.add(cost.rows_scanned as u64);
         self.obs.keys_joined_total.add(cost.keys_joined as u64);
-        Ok(tally)
+        tally
     }
 
     fn run_round_in(
@@ -486,7 +481,7 @@ impl PrimaSystem {
     ) -> Result<RoundRecord, MiningError> {
         let round = self.history.len() + 1;
         self.last_gate_diagnostics.clear();
-        let tally = self.round_tally(window)?;
+        let tally = self.round_tally(window);
         let entries = tally.total_entries();
         // A round is one trace: nested stage spans (refine, propose,
         // coverage) inherit this root thread-locally, and incident dumps
@@ -668,13 +663,6 @@ impl PrimaSystem {
             }
             None => self.review.apply_accepted(&mut self.policy),
         }
-    }
-
-    /// Installs restored review/history state (used by
-    /// [`crate::snapshot`]).
-    pub(crate) fn restore_state(&mut self, review: ReviewQueue, history: Vec<RoundRecord>) {
-        self.review = review;
-        self.history = history;
     }
 }
 
@@ -1285,6 +1273,45 @@ mod tests {
     }
 
     #[test]
+    fn a_round_over_resynced_unchanged_sources_scans_and_joins_nothing() {
+        use prima_audit::StoreSource;
+        let remote = AuditStore::new("remote");
+        remote.append_all(&table_1()).unwrap();
+        let mut sys = PrimaSystem::new(figure_1(), figure_3_policy_store())
+            .with_observability(SystemObs::enabled());
+        sys.attach_source(Box::new(StoreSource::new(remote.clone())))
+            .unwrap();
+        sys.sync_sources();
+        let first = sys.run_round(ReviewMode::Manual).unwrap();
+        let counted = |sys: &PrimaSystem| (sys.obs().rows_scanned(), sys.obs().keys_joined());
+        let (scanned, joined) = counted(&sys);
+        assert_eq!(scanned, 0, "the fetch is read from its store's book");
+        assert!(joined > 0);
+
+        // Re-synced and unchanged: rounds and coverage reads scan and join
+        // nothing, and read what the first round read.
+        for _ in 0..2 {
+            sys.sync_sources();
+            let again = sys.run_round(ReviewMode::Manual).unwrap();
+            assert_eq!(again.audit_entries, first.audit_entries);
+            assert_eq!(again.entry_coverage_before, first.entry_coverage_before);
+            sys.entry_coverage();
+            sys.coverage().unwrap();
+            assert_eq!(counted(&sys), (0, joined));
+        }
+
+        // Grown by a known triple and user: the suffix is appended and
+        // joins nothing new.
+        let mut known = table_1()[2].clone();
+        known.time = 11;
+        remote.append(&known).unwrap();
+        sys.sync_sources();
+        let grown = sys.run_round(ReviewMode::Manual).unwrap();
+        assert_eq!(grown.audit_entries, 11);
+        assert_eq!(counted(&sys), (0, joined));
+    }
+
+    #[test]
     fn blank_purpose_is_refused_before_it_reaches_a_round() {
         // A blank purpose is refused at the store, so no round ever has
         // to ground it: the round runs on the rest and 30 % → 80 % holds.
@@ -1375,30 +1402,5 @@ mod tests {
         assert_eq!(record.audit_entries, 10);
         assert!((record.entry_coverage_before - 0.3).abs() < 1e-9);
         assert!((record.entry_coverage_after - 0.8).abs() < 1e-9);
-    }
-
-    #[test]
-    fn unprojectable_entries_fail_the_tally_and_are_uncovered_in_coverage() {
-        // The entry builder a round uses for sources outside the stores
-        // fails closed; the coverage timeline counts the entry uncovered.
-        let mut entries = table_1();
-        entries.insert(
-            4,
-            AuditEntry::exception(11, "eve", "referral", "   ", "nurse"),
-        );
-        let err = MiningError::from(Tally::of_entries(&entries, None).unwrap_err());
-        assert_eq!(
-            err,
-            MiningError::Trail(TrailError {
-                index: 4,
-                attribute: "purpose"
-            })
-        );
-        let sys = system_with_table_1();
-        let (report, _) =
-            KeySpace::new().entry_coverage(&[], [entries.as_slice()], sys.policy(), sys.vocab());
-        assert_eq!((report.covered_entries, report.total_entries), (3, 11));
-        // Weighed in time order, eve's entry (t11) comes last.
-        assert!(report.uncovered_indices.contains(&10));
     }
 }

@@ -3,7 +3,10 @@
 //! count, the same mined patterns in the same order, the same pruned
 //! proposals and the same coverage before and after.
 
-use prima_audit::{AccessStatus, AuditEntry, AuditStore, Op, Tally, TrainingWindow};
+use prima_audit::{
+    AccessStatus, AuditEntry, AuditStore, FetchResponse, LogSource, Op, RawRecord, SourceError,
+    Tally, TrainingWindow,
+};
 use prima_core::{PrimaSystem, ReviewMode};
 use prima_mining::{Miner, MinerConfig, SqlMiner};
 use prima_model::samples::figure_3_policy_store;
@@ -14,6 +17,8 @@ use prima_refine::prune::prune;
 use prima_refine::ReviewQueue;
 use prima_vocab::samples::figure_1;
 use proptest::prelude::*;
+use std::sync::{Arc, Mutex};
+use std::time::Duration;
 
 /// Case and whitespace variants of a few concepts, plus a value the
 /// vocabulary does not know.
@@ -158,14 +163,42 @@ proptest! {
     }
 }
 
-/// A system over `stores` holding `kept`'s policy and review queue, whose
-/// key space starts empty.
-fn fresh_like(kept: &PrimaSystem, stores: &[AuditStore], miner: &SqlMiner) -> PrimaSystem {
+/// A remote site whose next fetch serves whatever its script holds then.
+#[derive(Debug)]
+struct Scripted(Arc<Mutex<Vec<AuditEntry>>>);
+
+impl LogSource for Scripted {
+    fn name(&self) -> &str {
+        "remote"
+    }
+
+    fn fetch(&mut self) -> Result<FetchResponse, SourceError> {
+        let entries = self.0.lock().unwrap();
+        Ok(FetchResponse {
+            records: entries.iter().cloned().map(RawRecord::Entry).collect(),
+            expected: entries.len(),
+            latency: Duration::ZERO,
+        })
+    }
+}
+
+/// A system over `stores` and a remote site serving `remote`, synced
+/// once, holding `kept`'s policy and review queue, whose key space starts
+/// empty.
+fn fresh_like(
+    kept: &PrimaSystem,
+    stores: &[AuditStore],
+    remote: &[AuditEntry],
+    miner: &SqlMiner,
+) -> PrimaSystem {
     let mut fresh =
         PrimaSystem::new(kept.vocab().clone(), kept.policy().clone()).with_miner(miner.clone());
     for store in stores {
         fresh.attach_store(store.clone()).unwrap();
     }
+    let script = Arc::new(Mutex::new(remote.to_vec()));
+    fresh.attach_source(Box::new(Scripted(script))).unwrap();
+    fresh.sync_sources();
     *fresh.review_mut() = kept.review().clone();
     fresh
 }
@@ -197,15 +230,18 @@ fn round(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// A system that keeps its key space across appends, attaches and
-    /// rounds reads what a fresh system over the same stores and policy
+    /// A system that keeps its key space across appends, attaches,
+    /// re-syncs of a remote site and rounds reads what a fresh system over
+    /// the same stores, the remote's current records and the same policy
     /// reads: the same round records, the same per-entry snapshot and the
-    /// same set coverage, after every step.
+    /// same set coverage, after every step. A re-synced fetch repeats the
+    /// last one, grows it, truncates it or rewrites an early entry.
     #[test]
     fn a_kept_key_space_equals_a_fresh_one(
         first in collection::vec(arb_entry(), 0..30),
+        remote in collection::vec(arb_entry(), 0..20),
         steps in collection::vec(
-            (0u8..4, 0usize..4, collection::vec(arb_entry(), 0..20), (0i64..30, 0i64..30), 0u8..2),
+            (0u8..5, 0usize..4, collection::vec(arb_entry(), 0..20), (0i64..30, 0i64..30), 0u8..2),
             1..10,
         ),
     ) {
@@ -218,6 +254,9 @@ proptest! {
         let mut stores = vec![AuditStore::new("site-0")];
         stores[0].append_all(&first).unwrap();
         kept.attach_store(stores[0].clone()).unwrap();
+        let script = Arc::new(Mutex::new(remote));
+        kept.attach_source(Box::new(Scripted(script.clone()))).unwrap();
+        kept.sync_sources();
         for (kind, site, entries, (a, b), manual) in steps {
             match kind {
                 // Appends: new raw triples, case variants and users.
@@ -231,10 +270,29 @@ proptest! {
                     kept.attach_store(store.clone()).unwrap();
                     stores.push(store);
                 }
+                // The remote's next fetch, then a re-sync.
+                4 => {
+                    let mut records = script.lock().unwrap();
+                    match site {
+                        0 => {}
+                        1 => records.extend(entries),
+                        2 => {
+                            let keep = entries.len().min(records.len().saturating_sub(1));
+                            records.truncate(keep);
+                        }
+                        _ => {
+                            if let (Some(early), Some(new)) = (records.first_mut(), entries.first()) {
+                                *early = new.clone();
+                            }
+                        }
+                    }
+                    drop(records);
+                    kept.sync_sources();
+                }
                 // An unwindowed or a windowed round, auto-accept or manual.
                 _ => {
                     let window = (kind == 3).then(|| TrainingWindow::new(a.min(b), a.max(b) + 1));
-                    let mut fresh = fresh_like(&kept, &stores, &miner);
+                    let mut fresh = fresh_like(&kept, &stores, &script.lock().unwrap(), &miner);
                     let mut ours = round(&mut kept, window, manual == 1);
                     let theirs = round(&mut fresh, window, manual == 1);
                     ours.round = theirs.round;
@@ -245,7 +303,7 @@ proptest! {
                     prop_assert_eq!(kept.policy(), fresh.policy());
                 }
             }
-            let fresh = fresh_like(&kept, &stores, &miner);
+            let fresh = fresh_like(&kept, &stores, &script.lock().unwrap(), &miner);
             prop_assert_eq!(kept.entry_coverage(), fresh.entry_coverage());
             prop_assert_eq!(kept.coverage().unwrap(), fresh.coverage().unwrap());
         }

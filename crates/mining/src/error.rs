@@ -22,9 +22,6 @@ pub enum MiningError {
         /// Description.
         message: String,
     },
-    /// A trail entry could not be projected onto a ground rule, so the
-    /// round cannot weigh its coverage.
-    Trail(prima_audit::TrailError),
 }
 
 impl fmt::Display for MiningError {
@@ -36,18 +33,11 @@ impl fmt::Display for MiningError {
             }
             MiningError::Malformed { message } => write!(f, "malformed pattern: {message}"),
             MiningError::Config { message } => write!(f, "miner configuration: {message}"),
-            MiningError::Trail(e) => write!(f, "unprojectable trail: {e}"),
         }
     }
 }
 
 impl std::error::Error for MiningError {}
-
-impl From<prima_audit::TrailError> for MiningError {
-    fn from(e: prima_audit::TrailError) -> Self {
-        MiningError::Trail(e)
-    }
-}
 
 impl From<prima_query::QueryError> for MiningError {
     fn from(e: prima_query::QueryError) -> Self {
@@ -69,11 +59,5 @@ mod tests {
         }
         .to_string()
         .contains("user"));
-        assert!(MiningError::from(prima_audit::TrailError {
-            index: 7,
-            attribute: "data"
-        })
-        .to_string()
-        .contains("entry 7 has a blank data"));
     }
 }

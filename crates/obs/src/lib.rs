@@ -61,5 +61,5 @@ pub use registry::{MetricFamily, MetricKind, MetricSample, MetricsRegistry};
 pub use report::{PipelineReport, StageProfile};
 pub use ring::{FlightDump, FlightRecorder};
 pub use sampler::{SamplePolicy, SampleStats};
-pub use slo::{BurnRates, SloEngine, SloHealth, SloSpec};
+pub use slo::{SloEngine, SloHealth, SloSpec};
 pub use trace::{SpanGuard, SpanRecord, Tracer};

@@ -41,8 +41,8 @@ pub struct SloSpec {
 }
 
 impl SloSpec {
-    /// An SLO with the default windows (5 short / 60 long ticks — the
-    /// 5m/1h shape at one tick per minute) and breach factor 2.0.
+    /// An SLO with 5-tick short and 60-tick long windows (the 5m/1h shape
+    /// at one tick per minute) and breach factor 2.0.
     pub fn new(name: &str, objective: f64) -> Self {
         Self {
             name: name.to_string(),
@@ -52,29 +52,16 @@ impl SloSpec {
             breach_factor: 2.0,
         }
     }
-
-    /// Builder: override the short/long window lengths (in ticks).
-    pub fn with_windows(mut self, short: usize, long: usize) -> Self {
-        self.short_window = short.max(1);
-        self.long_window = long.max(self.short_window);
-        self
-    }
-
-    /// Builder: override the breach factor.
-    pub fn with_breach_factor(mut self, factor: f64) -> Self {
-        self.breach_factor = factor;
-        self
-    }
 }
 
 /// Burn rates of one SLO over its two windows.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct BurnRates {
+struct BurnRates {
     /// Short-window burn rate (1.0 = burning budget exactly at the
     /// objective rate; 0.0 = no bad events).
-    pub short: f64,
+    short: f64,
     /// Long-window burn rate.
-    pub long: f64,
+    long: f64,
 }
 
 /// Roll-up of every tracked SLO, cheap to copy into health snapshots.
@@ -232,17 +219,6 @@ impl SloEngine {
         slo.breached_gauge.set(if slo.breached { 1.0 } else { 0.0 });
     }
 
-    /// Current burn rates of `name` (None when unknown or disabled).
-    pub fn burn_rates(&self, name: &str) -> Option<BurnRates> {
-        let inner = self.inner.as_ref()?;
-        let guard = inner.lock().expect("slo mutex");
-        guard
-            .slos
-            .iter()
-            .find(|s| s.spec.name == name)
-            .map(|s| s.rates())
-    }
-
     /// True when `name` is currently breached.
     pub fn is_breached(&self, name: &str) -> bool {
         let Some(inner) = &self.inner else {
@@ -291,18 +267,17 @@ mod tests {
         assert!(!e.is_enabled());
         assert!(!e.is_breached("x"));
         assert_eq!(e.health(), SloHealth::default());
-        assert!(e.burn_rates("x").is_none());
     }
 
     #[test]
     fn burn_rate_is_bad_fraction_over_objective() {
         let r = MetricsRegistry::new();
         let e = SloEngine::new(&r);
-        e.track(SloSpec::new("shed", 0.05).with_windows(2, 4));
+        e.track(SloSpec::new("shed", 0.05));
         e.record("shed", 5.0, 100.0); // exactly at objective
-        let rates = e.burn_rates("shed").unwrap();
-        assert!((rates.short - 1.0).abs() < 1e-9);
-        assert!((rates.long - 1.0).abs() < 1e-9);
+        let h = e.health();
+        assert!((h.worst_short_burn - 1.0).abs() < 1e-9);
+        assert!((h.worst_long_burn - 1.0).abs() < 1e-9);
         assert!(!e.is_breached("shed"), "at objective is not a breach");
     }
 
@@ -310,33 +285,34 @@ mod tests {
     fn breach_needs_both_windows_burning() {
         let r = MetricsRegistry::new();
         let e = SloEngine::new(&r);
-        e.track(SloSpec::new("p99", 0.1).with_windows(2, 6));
-        // Long window mostly healthy: one bad tick must not breach.
-        for _ in 0..4 {
+        e.track(SloSpec::new("p99", 0.1));
+        // Long window mostly healthy: a short burst must not breach.
+        for _ in 0..55 {
             e.record("p99", 0.0, 1.0);
         }
         e.record("p99", 1.0, 1.0);
-        let rates = e.burn_rates("p99").unwrap();
-        assert!(rates.short > 2.0, "short window is burning");
+        e.record("p99", 1.0, 1.0);
+        assert!(e.health().worst_short_burn > 2.0, "short window is burning");
         assert!(!e.is_breached("p99"), "long window still filters the blip");
-        // Sustain the burn until the long window agrees.
-        for _ in 0..5 {
+        // Sustain the burn until the long window agrees: 13 bad ticks of
+        // the last 60 burn at 2.17.
+        for _ in 0..11 {
             e.record("p99", 1.0, 1.0);
         }
         assert!(e.is_breached("p99"));
         // Recovery: healthy ticks age the badness out of both windows.
-        for _ in 0..6 {
+        for _ in 0..60 {
             e.record("p99", 0.0, 1.0);
         }
         assert!(!e.is_breached("p99"));
-        assert_eq!(e.burn_rates("p99").unwrap(), BurnRates::default());
+        assert_eq!(e.health().worst_long_burn, 0.0);
     }
 
     #[test]
     fn gauges_export_with_slo_and_window_labels() {
         let r = MetricsRegistry::new();
         let e = SloEngine::new(&r);
-        e.track(SloSpec::new("panics", 0.001).with_windows(1, 2));
+        e.track(SloSpec::new("panics", 0.001));
         e.record("panics", 1.0, 100.0); // 1% bad vs 0.1% objective = 10x
         let fams = r.gather();
         let burn = fams
@@ -364,8 +340,8 @@ mod tests {
     fn health_rolls_up_worst_burns_and_breaches() {
         let r = MetricsRegistry::new();
         let e = SloEngine::new(&r);
-        e.track(SloSpec::new("a", 0.5).with_windows(1, 1));
-        e.track(SloSpec::new("b", 0.5).with_windows(1, 1));
+        e.track(SloSpec::new("a", 0.5));
+        e.track(SloSpec::new("b", 0.5));
         e.track(SloSpec::new("a", 0.01)); // duplicate name: ignored
         e.record("a", 1.0, 1.0); // burn 2.0 — not > factor 2.0
         e.record("b", 0.0, 1.0);
@@ -373,11 +349,7 @@ mod tests {
         assert_eq!(h.tracked, 2);
         assert_eq!(h.breached, 0);
         assert!((h.worst_short_burn - 2.0).abs() < 1e-9);
-        // Push `a` past the factor on both (1-tick) windows.
-        e.record("a", 1.0, 1.0);
-        e.record("a", 1.0, 0.9);
-        assert!(e.health().breached >= 1 || !e.is_breached("a"));
-        // Deterministic: 1.0/0.9 > 1.0 bad fraction → burn > 2.0.
+        // Push `a` past the factor on both windows: 2 bad of 1.4 events.
         e.record("a", 1.0, 0.4);
         assert!(e.is_breached("a"));
         assert_eq!(e.health().breached, 1);

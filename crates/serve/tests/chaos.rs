@@ -268,21 +268,29 @@ fn chaos_round(seed: u64) {
         "recovered service still failing (seed {seed}): {reply:?}"
     );
     // Black-box postmortem: one last seeded panic on the quiet service,
-    // then read the dump it must have produced — the most recent dump is
-    // deterministically this panic's, and it carries the panicking
+    // then read the dump it must have produced. It carries the panicking
     // request's own worker span (the triggering trace, marked in JSONL).
+    // The supervisor may dump an incident of its own after it: a
+    // `breaker_open` when this crash completes the breaker's failure
+    // streak. So the panic's dump is looked up among the dumps made since
+    // the boom, not taken as the latest.
     let boom = DecisionRequest {
         principal: PANIC_TOKEN.into(),
         ..space.sample(&mut StdRng::seed_from_u64(seed))
     };
+    let dumps_before = flight.dump_count();
     let reply = service.handle().decide(boom).expect("service up");
     assert_eq!(
         reply.verdict,
         Verdict::Deny(DenyReason::Internal),
         "seeded panic answers fail-closed (seed {seed})"
     );
-    let dump = flight.last_dump().expect("panic dumped the black box");
-    assert_eq!(dump.trigger, "worker_panic", "seed {seed}");
+    let made = (flight.dump_count() - dumps_before) as usize;
+    let dumps = flight.dumps();
+    let dump = dumps[dumps.len().saturating_sub(made)..]
+        .iter()
+        .find(|d| d.trigger == "worker_panic")
+        .unwrap_or_else(|| panic!("the panic dumped no black box (seed {seed})"));
     assert_ne!(dump.trace_id, 0, "panicking request was traced");
     assert!(
         dump.records.iter().any(|r| {

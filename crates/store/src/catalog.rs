@@ -6,7 +6,6 @@
 //! read-write locks.
 
 use crate::error::StoreError;
-use crate::schema::Schema;
 use crate::table::Table;
 use parking_lot::RwLock;
 use std::collections::BTreeMap;
@@ -25,19 +24,6 @@ impl Catalog {
     /// Creates an empty catalog.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Creates a table, failing if the name is taken.
-    pub fn create_table(&self, name: &str, schema: Schema) -> Result<SharedTable, StoreError> {
-        let mut tables = self.tables.write();
-        if tables.contains_key(name) {
-            return Err(StoreError::DuplicateTable {
-                name: name.to_string(),
-            });
-        }
-        let table = Arc::new(RwLock::new(Table::new(name, schema)));
-        tables.insert(name.to_string(), Arc::clone(&table));
-        Ok(table)
     }
 
     /// Registers an existing table under its own name, failing on conflict.
@@ -63,16 +49,6 @@ impl Catalog {
             })
     }
 
-    /// Drops a table; returns whether it existed.
-    pub fn drop_table(&self, name: &str) -> bool {
-        self.tables.write().remove(name).is_some()
-    }
-
-    /// Names of all registered tables, sorted.
-    pub fn table_names(&self) -> Vec<String> {
-        self.tables.read().keys().cloned().collect()
-    }
-
     /// Number of registered tables.
     pub fn len(&self) -> usize {
         self.tables.read().len()
@@ -88,27 +64,11 @@ impl Catalog {
 mod tests {
     use super::*;
     use crate::row::Row;
-    use crate::schema::{Column, DataType};
+    use crate::schema::{Column, DataType, Schema};
     use crate::value::Value;
 
     fn schema() -> Schema {
         Schema::new(vec![Column::required("x", DataType::Int)]).unwrap()
-    }
-
-    #[test]
-    fn create_get_drop() {
-        let cat = Catalog::new();
-        cat.create_table("t", schema()).unwrap();
-        assert!(cat.get("t").is_ok());
-        assert_eq!(cat.table_names(), vec!["t"]);
-        assert!(matches!(
-            cat.create_table("t", schema()),
-            Err(StoreError::DuplicateTable { .. })
-        ));
-        assert!(cat.drop_table("t"));
-        assert!(!cat.drop_table("t"));
-        assert!(matches!(cat.get("t"), Err(StoreError::UnknownTable { .. })));
-        assert!(cat.is_empty());
     }
 
     #[test]
@@ -119,12 +79,17 @@ mod tests {
         cat.register(t).unwrap();
         assert_eq!(cat.get("pre").unwrap().read().len(), 1);
         assert_eq!(cat.len(), 1);
+        assert!(matches!(
+            cat.register(Table::new("pre", schema())),
+            Err(StoreError::DuplicateTable { .. })
+        ));
+        assert!(matches!(cat.get("t"), Err(StoreError::UnknownTable { .. })));
     }
 
     #[test]
     fn shared_mutation_is_visible() {
         let cat = Catalog::new();
-        let t = cat.create_table("t", schema()).unwrap();
+        let t = cat.register(Table::new("t", schema())).unwrap();
         t.write().insert(Row::new(vec![Value::Int(1)])).unwrap();
         let again = cat.get("t").unwrap();
         assert_eq!(again.read().len(), 1);
@@ -133,7 +98,7 @@ mod tests {
     #[test]
     fn concurrent_appends() {
         let cat = Arc::new(Catalog::new());
-        cat.create_table("t", schema()).unwrap();
+        cat.register(Table::new("t", schema())).unwrap();
         let mut handles = Vec::new();
         for worker in 0..4 {
             let cat = Arc::clone(&cat);

@@ -9,10 +9,9 @@
 //! implements the minimal-but-real storage engine they need:
 //!
 //! * typed [`Value`]s and [`Schema`]s with validation,
-//! * in-memory row [`Table`]s with insertion, scans, and point updates,
-//! * [`Predicate`]s for filtering (shared by index scans and the HDB
-//!   enforcement rewriter),
-//! * secondary hash [`Index`]es,
+//! * in-memory row [`Table`]s with validated insertion and scans,
+//! * [`Predicate`]s for filtering (the HDB enforcement rewriter's and the
+//!   query engine's),
 //! * a [`Catalog`] of shared tables guarded by `parking_lot` locks, which is
 //!   what the query engine (`prima-query`) executes against.
 //!
@@ -27,8 +26,6 @@
 
 pub mod catalog;
 pub mod error;
-pub mod index;
-pub mod persist;
 pub mod predicate;
 pub mod row;
 pub mod schema;
@@ -37,7 +34,6 @@ pub mod value;
 
 pub use catalog::{Catalog, SharedTable};
 pub use error::StoreError;
-pub use index::Index;
 pub use predicate::Predicate;
 pub use row::Row;
 pub use schema::{Column, DataType, Schema};

@@ -1,7 +1,6 @@
-//! In-memory row tables with validated insertion and filtered scans.
+//! In-memory row tables with validated insertion and scans.
 
 use crate::error::StoreError;
-use crate::predicate::Predicate;
 use crate::row::Row;
 use crate::schema::Schema;
 use crate::value::Value;
@@ -56,20 +55,6 @@ impl Table {
         Ok(self.rows.len() - 1)
     }
 
-    /// Validates and appends many rows; all-or-nothing.
-    pub fn insert_all<I: IntoIterator<Item = Row>>(
-        &mut self,
-        rows: I,
-    ) -> Result<usize, StoreError> {
-        let staged: Vec<Row> = rows.into_iter().collect();
-        for r in &staged {
-            self.schema.validate(r)?;
-        }
-        let n = staged.len();
-        self.rows.extend(staged);
-        Ok(n)
-    }
-
     /// The row at `idx`.
     pub fn row(&self, idx: usize) -> Result<&Row, StoreError> {
         self.rows.get(idx).ok_or(StoreError::RowOutOfBounds {
@@ -78,43 +63,9 @@ impl Table {
         })
     }
 
-    /// Replaces the value of `column` in row `idx`.
-    pub fn update_cell(
-        &mut self,
-        idx: usize,
-        column: &str,
-        value: Value,
-    ) -> Result<(), StoreError> {
-        let col = self.schema.require(column, &self.name)?;
-        if idx >= self.rows.len() {
-            return Err(StoreError::RowOutOfBounds {
-                index: idx,
-                len: self.rows.len(),
-            });
-        }
-        // Validate the candidate row before mutating.
-        let mut candidate = self.rows[idx].clone();
-        candidate.set(col, value);
-        self.schema.validate(&candidate)?;
-        self.rows[idx] = candidate;
-        Ok(())
-    }
-
     /// Full scan.
     pub fn scan(&self) -> impl Iterator<Item = &Row> {
         self.rows.iter()
-    }
-
-    /// Filtered scan. The predicate is validated once up front.
-    pub fn scan_where<'a>(
-        &'a self,
-        pred: &'a Predicate,
-    ) -> Result<impl Iterator<Item = &'a Row> + 'a, StoreError> {
-        pred.validate(&self.schema)?;
-        Ok(self
-            .rows
-            .iter()
-            .filter(move |r| pred.matches(&self.schema, r)))
     }
 
     /// Projects named columns from every row (helper for fixtures/tests and
@@ -179,43 +130,6 @@ mod tests {
             .unwrap_err();
         assert!(matches!(err, StoreError::TypeMismatch { .. }));
         assert_eq!(t.len(), 2, "failed insert must not change the table");
-    }
-
-    #[test]
-    fn insert_all_is_all_or_nothing() {
-        let mut t = patients();
-        let res = t.insert_all(vec![
-            Row::new(vec![Value::str("carol"), Value::Int(1), Value::Null]),
-            Row::new(vec![Value::str("dave")]), // arity error
-        ]);
-        assert!(res.is_err());
-        assert_eq!(t.len(), 2);
-    }
-
-    #[test]
-    fn scan_where_filters() {
-        let t = patients();
-        let pred = Predicate::eq("ward", Value::str("icu"));
-        let hits: Vec<_> = t.scan_where(&pred).unwrap().collect();
-        assert_eq!(hits.len(), 1);
-        assert_eq!(hits[0].get(0), &Value::str("alice"));
-    }
-
-    #[test]
-    fn scan_where_rejects_bad_predicate() {
-        let t = patients();
-        let pred = Predicate::eq("nope", Value::Int(1));
-        assert!(t.scan_where(&pred).is_err());
-    }
-
-    #[test]
-    fn update_cell_validates() {
-        let mut t = patients();
-        t.update_cell(1, "ward", Value::str("er")).unwrap();
-        assert_eq!(t.row(1).unwrap().get(2), &Value::str("er"));
-        assert!(t.update_cell(1, "age", Value::str("x")).is_err());
-        assert!(t.update_cell(9, "age", Value::Int(1)).is_err());
-        assert!(t.update_cell(0, "nope", Value::Int(1)).is_err());
     }
 
     #[test]

@@ -44,28 +44,6 @@ impl SurgeProfile {
         }
     }
 
-    /// Ward rush (shift change, morning rounds): 10× load, mildly
-    /// elevated exception rate.
-    pub fn ward_rush() -> Self {
-        Self {
-            surge_factor: 10.0,
-            emergency_share: 0.08,
-            bulk_deadline_us: 10_000,
-            emergency_deadline_us: 50_000,
-        }
-    }
-
-    /// Reporting storm (a batch job gone feral): 100× bulk load with a
-    /// near-zero emergency share — pure shedding pressure.
-    pub fn reporting_storm() -> Self {
-        Self {
-            surge_factor: 100.0,
-            emergency_share: 0.01,
-            bulk_deadline_us: 2_000,
-            emergency_deadline_us: 50_000,
-        }
-    }
-
     /// Samples whether the next request is emergency (break-the-glass).
     pub fn is_emergency(&self, rng: &mut StdRng) -> bool {
         rng.gen::<f64>() < self.emergency_share
@@ -76,18 +54,6 @@ impl SurgeProfile {
 mod tests {
     use super::*;
     use rand::SeedableRng;
-
-    #[test]
-    fn presets_are_ordered_by_pressure() {
-        let rush = SurgeProfile::ward_rush();
-        let casualty = SurgeProfile::mass_casualty();
-        let storm = SurgeProfile::reporting_storm();
-        assert!(rush.surge_factor < casualty.surge_factor);
-        assert!(casualty.surge_factor < storm.surge_factor);
-        // Incidents raise the break-the-glass share; batch storms don't.
-        assert!(casualty.emergency_share > rush.emergency_share);
-        assert!(storm.emergency_share < rush.emergency_share);
-    }
 
     #[test]
     fn emergency_sampling_tracks_the_share() {

@@ -12,7 +12,10 @@
 //! (`QueryObs`) — then scrapes the books once and drains the span
 //! timeline once. The example **asserts** that every expected metric
 //! family and span name is present, so CI can run it as a live check
-//! that the instrumentation stays connected.
+//! that the instrumentation stays connected. It also asserts, off the
+//! same registry, that a round over a re-synced, unchanged remote site
+//! scans no row and joins no key: the site's last fetch is kept as a
+//! store, and its book is read.
 
 use prima::audit::{AuditStore, FaultySource, SourceFaults};
 use prima::obs::{MetricsRegistry, Tracer};
@@ -56,10 +59,11 @@ fn main() {
         )))
         .expect("unique source name");
     let health = prima.sync_sources();
+    let quarantined = health.quarantined_entries();
     println!(
         "federation sync: completeness {:.1}%, {} record(s) quarantined",
         health.completeness() * 100.0,
-        prima.resilient_mut().quarantine().len()
+        quarantined
     );
 
     // 3. A streaming engine on the same books: per-shard ingest/cache
@@ -91,6 +95,35 @@ fn main() {
         round.patterns_found, round.rules_added
     );
     live.shutdown();
+
+    // 4b. Re-sync the unchanged remote before each of two unwindowed
+    //     rounds. Each fetch re-quarantines the same corrupt records; the
+    //     well-formed rest repeats the kept fetch, so the second round
+    //     reads the books: no row scanned, no key joined.
+    let rows_scanned = registry.counter("prima_round_rows_scanned_total", "");
+    let keys_joined = registry.counter("prima_round_keys_joined_total", "");
+    let mut counted = (0, 0);
+    for _ in 0..2 {
+        let health = prima.sync_sources();
+        assert_eq!(
+            health.quarantined_entries(),
+            quarantined,
+            "each fetch re-quarantines the same records"
+        );
+        counted = (rows_scanned.get(), keys_joined.get());
+        prima
+            .run_round(ReviewMode::AutoAccept)
+            .expect("refinement round succeeds");
+    }
+    assert_eq!(
+        (rows_scanned.get(), keys_joined.get()),
+        counted,
+        "a round over a re-synced, unchanged remote scans and joins nothing"
+    );
+    println!(
+        "re-synced round: 0 row(s) scanned, 0 key(s) joined ({} and {} in total)",
+        counted.0, counted.1
+    );
 
     // 5. A query over the consolidated trail, timed per plan node.
     let table = prima

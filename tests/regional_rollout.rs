@@ -1,5 +1,5 @@
 //! Integration test: a staged regional rollout — windowed refinement over
-//! a federated network, with snapshot/restore between periods (the
+//! a federated network, one training period after another (the
 //! operational shape a real deployment would take).
 
 use prima::audit::TrainingWindow;
@@ -47,17 +47,9 @@ fn staged_rollout_with_windows_and_snapshots() {
         "window must truncate the trail"
     );
 
-    // Nightly snapshot…
-    let json = system.snapshot_json();
-
-    // …process restart, re-attach the trails, refine over the second half.
-    let mut restored =
-        PrimaSystem::restore_json(scenario.vocab.clone(), &json).expect("snapshot restores");
-    for store in split_sites(&labeled, 4) {
-        restored.attach_store(store).expect("unique source name");
-    }
+    // Period 2: refine over the second half.
     let rest = TrainingWindow::new(last_time / 2, last_time + 1);
-    let second = restored
+    let second = system
         .run_round_windowed(rest, ReviewMode::AutoAccept)
         .expect("second period mines cleanly");
 
@@ -65,11 +57,11 @@ fn staged_rollout_with_windows_and_snapshots() {
     // re-add them, and coverage over the second period reflects the
     // period-1 refinement.
     assert!(second.entry_coverage_before > first.entry_coverage_before);
-    let final_policy = restored.policy().cardinality();
+    let final_policy = system.policy().cardinality();
     assert!(final_policy >= scenario.policy.cardinality() + first.rules_added);
 
-    // History spans both periods across the restart.
-    assert_eq!(restored.history().len(), 2);
-    assert_eq!(restored.history()[0].round, 1);
-    assert_eq!(restored.history()[1].round, 2);
+    // History spans both periods.
+    assert_eq!(system.history().len(), 2);
+    assert_eq!(system.history()[0].round, 1);
+    assert_eq!(system.history()[1].round, 2);
 }
