@@ -17,9 +17,15 @@
 //! candidates are by construction **not** subsumed by the current
 //! `P_PS`; gating against it would reject every useful refinement,
 //! including the paper's own Section 5 example.
+//!
+//! The envelope is compiled once, when the gate is built, into a
+//! [`CompiledPolicy`]; a candidate's verdict is one subsumer query
+//! against it. Strict mode then compares expansion sizes: a composite
+//! with a single leaf has the same expansion as that leaf, so a
+//! subsumer that is a different rule can still fail to narrow anything.
 
 use prima_model::diag::{DiagCode, DiagLocation, Diagnostic};
-use prima_model::{rule_subsumes, Policy, Rule};
+use prima_model::{CompiledPolicy, Policy, Rule};
 use prima_vocab::Vocabulary;
 
 /// The refinement-safety gate. See the module docs for the envelope
@@ -27,15 +33,27 @@ use prima_vocab::Vocabulary;
 #[derive(Debug, Clone)]
 pub struct SafetyGate {
     envelope: Policy,
+    /// `envelope` compiled under the vocabulary the gate was built with.
+    compiled: CompiledPolicy,
+    /// The expansion size of each envelope rule, under that vocabulary.
+    sizes: Vec<u128>,
     strict: bool,
 }
 
 impl SafetyGate {
     /// A gate admitting candidates subsumed by some `envelope` rule
     /// (an exact match of an envelope rule is admitted — re-stating an
-    /// authorization is not a widening).
-    pub fn new(envelope: Policy) -> Self {
+    /// authorization is not a widening). The envelope is compiled under
+    /// `vocab` here, once; every later call must pass the same
+    /// vocabulary.
+    pub fn new(envelope: Policy, vocab: &Vocabulary) -> Self {
         Self {
+            compiled: CompiledPolicy::new(&envelope, vocab),
+            sizes: envelope
+                .rules()
+                .iter()
+                .map(|u| u.expansion_size(vocab))
+                .collect(),
             envelope,
             strict: false,
         }
@@ -54,12 +72,29 @@ impl SafetyGate {
         &self.envelope
     }
 
-    /// True iff the gate admits `candidate`.
+    /// True iff the gate admits `candidate`. `vocab` must be the
+    /// vocabulary the gate was built with: it sizes the candidate's
+    /// expansion in strict mode.
     pub fn admits(&self, candidate: &Rule, vocab: &Vocabulary) -> bool {
-        self.envelope.rules().iter().any(|u| {
-            rule_subsumes(u, candidate, vocab)
-                && (!self.strict || candidate.expansion_size(vocab) < u.expansion_size(vocab))
-        })
+        self.rejection(candidate, vocab).is_none()
+    }
+
+    /// Why the gate rejects `candidate`, if it does: one subsumer query,
+    /// then, in strict mode, the expansion sizes of the subsumers.
+    fn rejection(&self, candidate: &Rule, vocab: &Vocabulary) -> Option<&'static str> {
+        let subsumers = self.compiled.subsumers(candidate.terms());
+        if subsumers.is_empty() {
+            return Some(
+                "no umbrella rule subsumes it, so promoting it would widen the \
+                 authorized range beyond what stakeholders approved",
+            );
+        }
+        let narrows = || {
+            let size = candidate.expansion_size(vocab);
+            subsumers.iter().any(|u| size < self.sizes[u])
+        };
+        (self.strict && !narrows())
+            .then_some("it restates an umbrella rule exactly instead of narrowing it")
     }
 
     /// Checks one candidate, returning the `PA005` diagnostic on
@@ -74,20 +109,8 @@ impl SafetyGate {
         candidate: &Rule,
         vocab: &Vocabulary,
     ) -> Result<(), Diagnostic> {
-        if self.admits(candidate, vocab) {
+        let Some(detail) = self.rejection(candidate, vocab) else {
             return Ok(());
-        }
-        let detail = if self.strict
-            && self
-                .envelope
-                .rules()
-                .iter()
-                .any(|u| rule_subsumes(u, candidate, vocab))
-        {
-            "it restates an umbrella rule exactly instead of narrowing it"
-        } else {
-            "no umbrella rule subsumes it, so promoting it would widen the \
-             authorized range beyond what stakeholders approved"
         };
         Err(Diagnostic::new(
             DiagCode::WideningCandidate,
@@ -131,7 +154,7 @@ mod tests {
     #[test]
     fn narrowing_candidate_is_admitted() {
         let v = figure_1();
-        let gate = SafetyGate::new(envelope());
+        let gate = SafetyGate::new(envelope(), &v);
         // The paper's Section 5 refinement result.
         let cand = Rule::of(&[
             ("data", "referral"),
@@ -145,7 +168,7 @@ mod tests {
     #[test]
     fn widening_candidate_is_rejected_with_pa005() {
         let v = figure_1();
-        let gate = SafetyGate::new(envelope());
+        let gate = SafetyGate::new(envelope(), &v);
         // marketing is outside administering-healthcare.
         let cand = Rule::of(&[
             ("data", "referral"),
@@ -167,8 +190,8 @@ mod tests {
             ("purpose", "administering-healthcare"),
             ("authorized", "medical-staff"),
         ]);
-        let lax = SafetyGate::new(envelope());
-        let strict = SafetyGate::new(envelope()).strict();
+        let lax = SafetyGate::new(envelope(), &v);
+        let strict = SafetyGate::new(envelope(), &v).strict();
         assert!(lax.admits(&umbrella, &v));
         assert!(!strict.admits(&umbrella, &v));
         let diag = strict.check(0, &umbrella, &v).unwrap_err();
@@ -178,7 +201,7 @@ mod tests {
     #[test]
     fn check_all_reports_only_rejections() {
         let v = figure_1();
-        let gate = SafetyGate::new(envelope());
+        let gate = SafetyGate::new(envelope(), &v);
         let cands = vec![
             Rule::of(&[
                 ("data", "referral"),

@@ -16,10 +16,10 @@ use prima_vocab::Vocabulary;
 /// Runs the shadowing pass over one policy.
 pub fn shadowing_pass(policy: &Policy, vocab: &Vocabulary) -> Vec<Diagnostic> {
     let rules = policy.rules();
-    let mut table = CompiledPolicy::new(policy, vocab);
+    let table = CompiledPolicy::new(policy, vocab);
     (0..rules.len())
         .filter_map(|i| {
-            let by = table.shadowed_by(i)?;
+            let by = table.shadowed_by(rules, i)?;
             Some(shadow_diagnostic(policy, rules, i, by))
         })
         .collect()

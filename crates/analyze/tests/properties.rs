@@ -1,8 +1,9 @@
 //! Property-based checks that the analyzer's indexed verdicts agree with
 //! brute-force ground-expansion comparison and with policy compaction,
-//! plus the perf smoke test the indexed shadowing pass exists for.
+//! that the safety gate agrees with pairwise subsumption, plus the perf
+//! smoke test the indexed shadowing pass exists for.
 
-use prima_analyze::{AnalyzeConfig, Analyzer};
+use prima_analyze::{AnalyzeConfig, Analyzer, SafetyGate};
 use prima_model::diag::DiagCode;
 use prima_model::simplify::{rule_subsumes, simplify_policy};
 use prima_model::{Policy, Rule, RuleTerm, StoreTag};
@@ -88,8 +89,60 @@ fn compacted_away(policy: &Policy, v: &Vocabulary) -> Vec<usize> {
     removed
 }
 
+/// A vocabulary with single-leaf composites (`lab` over `lab-result`,
+/// `billing-data` over `invoice`, `nurse` over `ward-nurse`): a rule
+/// naming one has the same expansion as the rule naming its leaf.
+fn gate_vocab() -> Vocabulary {
+    Vocabulary::builder()
+        .attribute("data")
+        .category("clinical", &["referral", "lab"])
+        .child("lab", "lab-result")
+        .category("billing-data", &["invoice"])
+        .attribute("purpose")
+        .category("care", &["treatment", "triage"])
+        .attribute("authorized")
+        .category("staff", &["nurse", "clerk"])
+        .child("nurse", "ward-nurse")
+        .build()
+        .expect("gate vocabulary")
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// The compiled gate admits exactly what the pairwise reference does:
+    /// lax, some envelope rule subsumes the candidate; strict, one of
+    /// those has a strictly larger expansion. A strict rejection says
+    /// "restates" exactly when some envelope rule subsumes the candidate.
+    #[test]
+    fn gate_matches_pairwise_subsumption(
+        envelope in arb_policy(&gate_vocab(), 4),
+        candidates in collection::vec(arb_rule(&gate_vocab()), 1..8),
+    ) {
+        let v = gate_vocab();
+        let lax = SafetyGate::new(envelope.clone(), &v);
+        let strict = lax.clone().strict();
+        for (i, c) in candidates.iter().enumerate() {
+            let subsumers: Vec<&Rule> = envelope
+                .rules()
+                .iter()
+                .filter(|u| rule_subsumes(u, c, &v))
+                .collect();
+            let narrowed = subsumers
+                .iter()
+                .any(|u| c.expansion_size(&v) < u.expansion_size(&v));
+            prop_assert_eq!(lax.admits(c, &v), !subsumers.is_empty(), "lax on {}", c);
+            prop_assert_eq!(lax.check(i, c, &v).is_ok(), !subsumers.is_empty());
+            prop_assert_eq!(strict.admits(c, &v), narrowed, "strict on {}", c);
+            match strict.check(i, c, &v) {
+                Ok(()) => prop_assert!(narrowed),
+                Err(diag) => {
+                    prop_assert!(!narrowed);
+                    prop_assert_eq!(diag.message.contains("restates"), !subsumers.is_empty());
+                }
+            }
+        }
+    }
 
     /// `rule_subsumes` (the analyzer's containment primitive) is exactly
     /// ground-expansion inclusion.

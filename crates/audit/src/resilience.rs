@@ -159,14 +159,12 @@ impl ResilientFederation {
             match result {
                 Ok(records) => {
                     slot.breaker.record_success();
-                    let parked_before = self.quarantine.len();
-                    let (entries, quarantined) =
-                        consolidate(&mut self.quarantine, &name, round, records.0);
-                    for parked in &self.quarantine.records()[parked_before..] {
-                        self.obs.quarantined(&name, parked.reason);
+                    let (entries, corrupt) = consolidate(records.0);
+                    slot.quarantined = corrupt.len();
+                    for reason in self.quarantine.replace(&name, round, corrupt) {
+                        self.obs.quarantined(&name, reason);
                     }
                     slot.expected = records.1;
-                    slot.quarantined = quarantined;
                     slot.keep(&entries);
                     slot.status = if slot.store.len() == slot.expected {
                         SourceStatus::Healthy
@@ -290,34 +288,21 @@ fn fetch_with_retries(
     }
 }
 
-/// Splits fetched records into consolidated entries and quarantined
-/// ones. Entries that cannot project to a ground rule are quarantined
-/// too — downstream coverage and mining assume projectability.
-fn consolidate(
-    quarantine: &mut Quarantine,
-    name: &str,
-    round: u64,
-    records: Vec<RawRecord>,
-) -> (Vec<AuditEntry>, usize) {
+/// Splits fetched records into consolidated entries and the `(raw,
+/// reason)` records to quarantine. Entries that cannot project to a
+/// ground rule are quarantined too — downstream coverage and mining
+/// assume projectability.
+fn consolidate(records: Vec<RawRecord>) -> (Vec<AuditEntry>, Vec<(String, QuarantineReason)>) {
     let mut entries = Vec::with_capacity(records.len());
-    let mut quarantined = 0usize;
+    let mut corrupt = Vec::new();
     for record in records {
         match record {
-            RawRecord::Entry(e) => {
-                if e.blank_attribute().is_none() {
-                    entries.push(e);
-                } else {
-                    quarantine.park(name, round, e.to_string(), QuarantineReason::EmptyAttribute);
-                    quarantined += 1;
-                }
-            }
-            RawRecord::Corrupt { raw, reason } => {
-                quarantine.park(name, round, raw, reason);
-                quarantined += 1;
-            }
+            RawRecord::Entry(e) if e.blank_attribute().is_none() => entries.push(e),
+            RawRecord::Entry(e) => corrupt.push((e.to_string(), QuarantineReason::EmptyAttribute)),
+            RawRecord::Corrupt { raw, reason } => corrupt.push((raw, reason)),
         }
     }
-    (entries, quarantined)
+    (entries, corrupt)
 }
 
 #[cfg(test)]
@@ -582,6 +567,25 @@ mod tests {
     }
 
     #[test]
+    fn a_resync_parks_only_new_corrupt_records() {
+        let registry = prima_obs::MetricsRegistry::new();
+        let obs = FederationObs::over(registry.clone(), prima_obs::Tracer::new());
+        let blank = |t: i64| AuditEntry::regular(t, "u", " ", "treatment", "nurse");
+        let script = Script::new(vec![blank(1), blank(1)].into());
+        let mut f = fed().with_observability(obs);
+        f.attach(Box::new(RawSite(script.clone()))).unwrap();
+        let labels = [("source", "raw"), ("reason", "empty-attribute")];
+        let parked = registry.counter_with("prima_audit_quarantined_total", "", &labels);
+        f.sync();
+        f.sync();
+        assert_eq!((f.quarantine().len(), parked.get()), (2, 2));
+        script.lock().unwrap().push(blank(2));
+        f.sync();
+        f.sync();
+        assert_eq!((f.quarantine().len(), parked.get()), (3, 3));
+    }
+
+    #[test]
     fn a_fetch_that_extends_the_last_appends_and_any_other_starts_a_new_store() {
         let e = |t: i64, data: &str| AuditEntry::exception(t, "u", data, "treatment", "nurse");
         let script = Script::new(vec![e(1, "referral")].into());
@@ -680,8 +684,8 @@ mod tests {
                 "prima_audit_quarantined_total",
                 &[("source", "noisy"), ("reason", "malformed-record")]
             ),
-            6,
-            "2 corrupt records per round, re-fetched each of 3 rounds"
+            2,
+            "the 2 corrupt records count once, however often they are re-fetched"
         );
         assert_eq!(count("prima_audit_sync_rounds_total", &[]), 3);
         let latencies = registry.histograms("prima_audit_sync_seconds");

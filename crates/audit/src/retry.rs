@@ -149,6 +149,11 @@ impl CircuitBreaker {
         }
     }
 
+    /// The tuning the breaker was built with.
+    pub fn config(&self) -> BreakerConfig {
+        self.config
+    }
+
     /// Current state (transitions happen in [`Self::allows`] and the
     /// record calls, never spontaneously).
     pub fn state(&self) -> BreakerState {

@@ -154,7 +154,7 @@ impl PrimaSystem {
     /// `P_PS`: Prune already removes patterns the policy store covers, so
     /// gating against `P_PS` itself would reject every surviving pattern.
     pub fn with_safety_envelope(mut self, envelope: Policy) -> Self {
-        self.gate = Some(SafetyGate::new(envelope));
+        self.gate = Some(SafetyGate::new(envelope, &self.vocab));
         self
     }
 

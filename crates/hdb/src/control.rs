@@ -21,7 +21,6 @@ pub struct ControlCenter {
     catalog: Catalog,
     enforcement: ActiveEnforcement,
     auditing: ComplianceAuditing,
-    column_map_staging: ColumnMap,
 }
 
 impl ControlCenter {
@@ -39,7 +38,6 @@ impl ControlCenter {
             catalog: Catalog::new(),
             enforcement,
             auditing: ComplianceAuditing::new(AuditStore::new("audit")),
-            column_map_staging: ColumnMap::new(),
         }
     }
 
@@ -56,10 +54,10 @@ impl ControlCenter {
     ) -> Result<(), StoreError> {
         let name = table.name().to_string();
         self.catalog.register(table)?;
+        let columns = self.enforcement.columns_mut();
         for (column, category) in mappings {
-            self.column_map_staging.map(&name, column, category);
+            columns.map(&name, column, category);
         }
-        self.sync_enforcement();
         Ok(())
     }
 
@@ -119,33 +117,6 @@ impl ControlCenter {
             });
         }
         Ok(result)
-    }
-
-    fn sync_enforcement(&mut self) {
-        let policy = self.enforcement.policy().clone();
-        let consent = std::mem::take(self.enforcement.consent_mut());
-        self.enforcement = ActiveEnforcement::new(
-            policy,
-            self.vocab_clone(),
-            self.column_map_staging.clone(),
-            consent,
-            &self.patient_column_clone(),
-        );
-    }
-
-    fn vocab_clone(&self) -> Vocabulary {
-        // ActiveEnforcement owns its vocabulary; reconstruct from it via a
-        // stored copy. (Kept private: the control center is the only writer.)
-        self.enforcement_vocab().clone()
-    }
-
-    fn enforcement_vocab(&self) -> &Vocabulary {
-        // Accessor into the enforcement's vocabulary.
-        self.enforcement.vocab()
-    }
-
-    fn patient_column_clone(&self) -> String {
-        self.enforcement.patient_column().to_string()
     }
 }
 

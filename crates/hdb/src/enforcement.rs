@@ -1,18 +1,20 @@
 //! Active Enforcement: policy- and consent-consistent query rewriting.
 //!
 //! For each requested column, AE asks the formal model whether the policy
-//! store sanctions `(data = category(column), purpose, authorized = role)`
-//! — the same lazy subsumption test the coverage engine uses, so policy
-//! semantics are identical everywhere. Unsanctioned columns are suppressed
-//! (or, under break-the-glass, served and audited as exceptions). Consent
-//! is enforced at cell granularity: cells of patients who opted out of the
-//! (category, purpose) combination come back NULL.
+//! store sanctions `(data = category(column), purpose, authorized = role)`.
+//! It asks the policy's [`CompiledPolicy`], compiled whenever the policy
+//! is set: the same subsumption table batch coverage, Prune and the
+//! safety gate ask, so policy semantics are identical everywhere.
+//! Unsanctioned columns are suppressed (or, under break-the-glass, served
+//! and audited as exceptions). Consent is enforced at cell granularity:
+//! cells of patients who opted out of the (category, purpose) combination
+//! come back NULL.
 
 use crate::consent::ConsentRegistry;
 use crate::error::HdbError;
 use crate::request::{AccessMode, AccessRequest};
 use prima_audit::{AccessStatus, AuditEntry, Op};
-use prima_model::{GroundRule, Policy, RuleTerm};
+use prima_model::{CompiledPolicy, Policy};
 use prima_store::{Predicate, Row, Table, Value};
 use prima_vocab::{normalize, Vocabulary};
 use std::collections::{BTreeSet, HashMap};
@@ -79,6 +81,8 @@ pub struct EnforcedResult {
 #[derive(Debug, Clone)]
 pub struct ActiveEnforcement {
     policy: Policy,
+    /// `policy` compiled under `vocab`; every column decision reads it.
+    compiled: CompiledPolicy,
     vocab: Vocabulary,
     columns: ColumnMap,
     consent: ConsentRegistry,
@@ -96,6 +100,7 @@ impl ActiveEnforcement {
         patient_column: &str,
     ) -> Self {
         Self {
+            compiled: CompiledPolicy::new(&policy, &vocab),
             policy,
             vocab,
             columns,
@@ -112,7 +117,13 @@ impl ActiveEnforcement {
     /// Replaces the enforced policy (the refinement loop does this after
     /// stakeholders accept new rules).
     pub fn set_policy(&mut self, policy: Policy) {
+        self.compiled = CompiledPolicy::new(&policy, &self.vocab);
         self.policy = policy;
+    }
+
+    /// Mutable access to the column→category map.
+    pub fn columns_mut(&mut self) -> &mut ColumnMap {
+        &mut self.columns
     }
 
     /// Mutable access to the consent registry.
@@ -120,35 +131,10 @@ impl ActiveEnforcement {
         &mut self.consent
     }
 
-    /// The vocabulary enforcement decisions are made against.
-    pub fn vocab(&self) -> &Vocabulary {
-        &self.vocab
-    }
-
-    /// The configured patient-identifier column name.
-    pub fn patient_column(&self) -> &str {
-        &self.patient_column
-    }
-
-    /// Does the policy store sanction `(category, purpose, role)`?
+    /// Does the policy store sanction `(category, purpose, role)`? A
+    /// blank field fails closed ([`CompiledPolicy::allows`]).
     pub fn policy_allows(&self, category: &str, purpose: &str, role: &str) -> bool {
-        // A blank field fails closed: no rule can sanction it.
-        let probe = [
-            ("data", category),
-            ("purpose", purpose),
-            ("authorized", role),
-        ]
-        .into_iter()
-        .map(|(attr, value)| RuleTerm::new(attr, value))
-        .collect::<Result<Vec<_>, _>>()
-        .and_then(GroundRule::new);
-        let Ok(probe) = probe else {
-            return false;
-        };
-        self.policy
-            .rules()
-            .iter()
-            .any(|r| r.expansion_contains(&probe, &self.vocab))
+        self.compiled.allows(category, purpose, role)
     }
 
     /// Rewrites and executes `request` against `table`, producing served

@@ -5,7 +5,9 @@
 //! enforcement walks the document, resolves each region's data category
 //! through the [`PathCategoryMap`], asks the same formal-model question as
 //! the relational middleware (`does P_PS sanction (category, purpose,
-//! role)?`), and produces a *view* containing only sanctioned regions.
+//! role)?`) of the policy's [`CompiledPolicy`], the same subsumption table
+//! batch coverage uses, and produces a *view* containing only sanctioned
+//! regions.
 //! Unmapped regions are redacted (fail closed). Break-the-glass returns
 //! the full document and audits every touched category as an exception —
 //! so hierarchical systems feed the identical refinement loop.
@@ -13,7 +15,7 @@
 use crate::category::PathCategoryMap;
 use crate::doc::{Document, NodeId};
 use prima_audit::{AccessStatus, AuditEntry, Op};
-use prima_model::{GroundRule, Policy, RuleTerm};
+use prima_model::{CompiledPolicy, Policy};
 use prima_vocab::Vocabulary;
 use std::collections::BTreeSet;
 
@@ -46,6 +48,8 @@ pub enum TreeAccessMode {
 #[derive(Debug, Clone)]
 pub struct TreeEnforcement {
     policy: Policy,
+    /// `policy` compiled under `vocab`; every region decision reads it.
+    compiled: CompiledPolicy,
     vocab: Vocabulary,
     categories: PathCategoryMap,
 }
@@ -54,6 +58,7 @@ impl TreeEnforcement {
     /// Builds the middleware.
     pub fn new(policy: Policy, vocab: Vocabulary, categories: PathCategoryMap) -> Self {
         Self {
+            compiled: CompiledPolicy::new(&policy, &vocab),
             policy,
             vocab,
             categories,
@@ -62,32 +67,18 @@ impl TreeEnforcement {
 
     /// Replaces the enforced policy (after refinement).
     pub fn set_policy(&mut self, policy: Policy) {
+        self.compiled = CompiledPolicy::new(&policy, &self.vocab);
         self.policy = policy;
+    }
+
+    /// Mutable access to the path→category map.
+    pub fn categories_mut(&mut self) -> &mut PathCategoryMap {
+        &mut self.categories
     }
 
     /// The enforced policy.
     pub fn policy(&self) -> &Policy {
         &self.policy
-    }
-
-    fn allows(&self, category: &str, purpose: &str, role: &str) -> bool {
-        // A blank field fails closed: no rule can sanction it.
-        let probe = [
-            ("data", category),
-            ("purpose", purpose),
-            ("authorized", role),
-        ]
-        .into_iter()
-        .map(|(attr, value)| RuleTerm::new(attr, value))
-        .collect::<Result<Vec<_>, _>>()
-        .and_then(GroundRule::new);
-        let Ok(probe) = probe else {
-            return false;
-        };
-        self.policy
-            .rules()
-            .iter()
-            .any(|r| r.expansion_contains(&probe, &self.vocab))
     }
 
     /// Enforces a request over `doc`.
@@ -171,7 +162,7 @@ impl TreeEnforcement {
                     // `inherited` is only ever a category already allowed.
                     let allowed = Some(cat) == inherited
                         || w.mode == TreeAccessMode::BreakTheGlass
-                        || self.allows(cat, w.purpose, w.role);
+                        || self.compiled.allows(cat, w.purpose, w.role);
                     if allowed {
                         w.served.insert(cat.to_string());
                         let copy = match &src.text {
@@ -408,7 +399,7 @@ mod tests {
             ])],
         );
         let e = TreeEnforcement::new(policy, figure_1(), categories());
-        assert!(e.allows("referral", "invalid", "nurse"));
+        assert!(e.compiled.allows("referral", "invalid", "nurse"));
         let out = e.enforce(&doc(), 1, "tim", "nurse", "   ", TreeAccessMode::Chosen);
         assert_eq!(out.served_categories, Vec::<String>::new());
         assert!(out.redacted_categories.contains(&"referral".to_string()));

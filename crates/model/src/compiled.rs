@@ -4,87 +4,110 @@
 //! subsumption tests.
 //!
 //! This is the bit-vector classifier of Lakshman & Stiliadis (SIGCOMM
-//! 1998) over the paper's rule terms. Each rule term is resolved once, at
-//! compile time: a value the vocabulary knows sets the rule's bit in the
-//! exact row of `(attr, ConceptId)`, and an out-of-vocabulary value gets an
-//! exact-name row only. The row of a queried term is the OR of the exact
-//! rows along its concept's ancestor chain (self → root), built on first
-//! ask: bit `r` is set iff rule `r`'s value on that attribute is the term's
-//! value or one of its ancestors, which is [`Vocabulary::value_subsumes`].
-//! An unknown value's row is its exact-name row, so only the identical
-//! name subsumes it.
+//! 1998) over the paper's rule terms, built whole at compile. Each rule
+//! term sets the rule's bit in the exact row of the concept it names (or,
+//! for a value the vocabulary does not know, of its name), and one
+//! parent-first pass closes the rows, `closed[c] = closed[parent] |
+//! exact[c]`: bit `r` of a concept's row is set iff rule `r`'s value on
+//! that attribute is the concept or an ancestor, which is
+//! [`Vocabulary::value_subsumes`]. Rows are keyed by canonical name, and a
+//! name with no row reads as empty; taxonomies have no aliases, so the
+//! table keeps neither the vocabulary nor the rules.
 //!
 //! [`CompiledPolicy::subsumers`] ANDs a rule's term rows with the mask of
 //! rules of its cardinality: the rows force every attribute of the rule
 //! into a subsumer's signature, and equal cardinality makes the two
 //! signatures equal, which is exactly [`crate::rule_subsumes`] (and, for a
 //! ground rule, [`Rule::expansion_contains`]). Batch coverage, Prune,
-//! compaction and the analyzer's shadowing pass all ask this one query.
+//! compaction, the analyzer and both Active Enforcement middlewares ask
+//! this one query, through `&self`, so a compiled revision can be shared
+//! across threads.
 
 use crate::ground::GroundRule;
 use crate::policy::Policy;
 use crate::rule::Rule;
 use crate::term::RuleTerm;
-use prima_vocab::{ConceptId, Taxonomy, Vocabulary};
+use prima_vocab::{normalize, ConceptId, Vocabulary, ATTR_AUTHORIZED, ATTR_DATA, ATTR_PURPOSE};
 use std::borrow::Borrow;
 use std::collections::HashMap;
 
 /// A bit per rule of the compiled revision.
 type Bits = Box<[u64]>;
 
-/// One attribute's exact rows: the rules whose term names each value.
-#[derive(Debug)]
-struct ExactRows<'a> {
-    taxonomy: Option<&'a Taxonomy>,
-    by_concept: HashMap<ConceptId, Bits>,
-    by_name: HashMap<&'a str, Bits>,
-}
-
 /// One policy revision compiled for subsumption queries: each distinct
 /// access shape is decided, and each rule's subsumers are found, by bitset
 /// intersection.
-#[derive(Debug)]
-pub struct CompiledPolicy<'a> {
-    rules: &'a [Rule],
+#[derive(Debug, Clone)]
+pub struct CompiledPolicy {
     /// `by_cardinality[c]` has bit `r` set iff rule `r` has `c` terms.
     by_cardinality: Vec<Bits>,
-    /// Per attribute, the exact rows of the values the rules name.
-    exact: HashMap<&'a str, ExactRows<'a>>,
-    /// Per queried term: bit `r` set iff rule `r`'s term on the same
-    /// attribute subsumes the term's value. Filled on first ask.
+    /// Per `(attribute, value name)`: bit `r` set iff rule `r`'s term on
+    /// that attribute subsumes the value.
     rows: HashMap<RuleTerm, Bits>,
 }
 
-impl<'a> CompiledPolicy<'a> {
-    /// Compiles `policy` under `vocab`: every rule term is resolved once
-    /// into its exact row, and the cardinality masks are built. Subsumer
-    /// rows follow on demand.
-    pub fn new(policy: &'a Policy, vocab: &'a Vocabulary) -> Self {
+impl CompiledPolicy {
+    /// Compiles `policy` under `vocab`: every rule term is resolved once,
+    /// and every closed row and cardinality mask is built.
+    pub fn new(policy: &Policy, vocab: &Vocabulary) -> Self {
         let rules = policy.rules();
         let zeroed = || vec![0u64; rules.len().div_ceil(64)].into_boxed_slice();
         let max_cardinality = rules.iter().map(Rule::cardinality).max().unwrap_or(0);
         let mut by_cardinality = vec![zeroed(); max_cardinality + 1];
-        let mut exact: HashMap<&str, ExactRows> = HashMap::new();
+        let mut rows: HashMap<RuleTerm, Bits> = HashMap::new();
+        // Per attribute, the exact rows of the concepts the rules name.
+        let mut named: HashMap<&str, HashMap<ConceptId, Bits>> = HashMap::new();
         for (r, rule) in rules.iter().enumerate() {
             by_cardinality[rule.cardinality()][r / 64] |= 1 << (r % 64);
             for term in rule.terms() {
-                let rows = exact.entry(&term.attr).or_insert_with(|| ExactRows {
-                    taxonomy: vocab.attribute(&term.attr),
-                    by_concept: HashMap::new(),
-                    by_name: HashMap::new(),
-                });
-                let row = match rows.taxonomy.and_then(|t| t.resolve(&term.value)) {
-                    Some(id) => rows.by_concept.entry(id).or_insert_with(zeroed),
-                    None => rows.by_name.entry(&term.value).or_insert_with(zeroed),
+                let row = match vocab.resolve(&term.attr, &term.value) {
+                    Some(id) => named
+                        .entry(&term.attr)
+                        .or_default()
+                        .entry(id)
+                        .or_insert_with(zeroed),
+                    None => {
+                        let (attr, value) = (term.attr.clone(), normalize(&term.value));
+                        rows.entry(RuleTerm { attr, value })
+                    }
+                    .or_insert_with(zeroed),
                 };
                 row[r / 64] |= 1 << (r % 64);
             }
         }
+        for (attr, exact) in named {
+            let Some(taxonomy) = vocab.attribute(attr) else {
+                continue;
+            };
+            // closed[c] = closed[parent] | exact[c], parent-first from the
+            // roots; a concept with no named ancestor-or-self gets no row.
+            let mut stack: Vec<(ConceptId, Option<Bits>)> =
+                taxonomy.roots().iter().map(|&root| (root, None)).collect();
+            while let Some((id, inherited)) = stack.pop() {
+                let row = match (inherited, exact.get(&id)) {
+                    (Some(mut row), Some(own)) => {
+                        row.iter_mut().zip(own.iter()).for_each(|(w, b)| *w |= b);
+                        Some(row)
+                    }
+                    (row, own) => row.or_else(|| own.cloned()),
+                };
+                let concept = taxonomy.concept(id);
+                stack.extend(concept.children.iter().map(|&c| (c, row.clone())));
+                if let Some(row) = row {
+                    let value = concept.name.clone();
+                    rows.insert(
+                        RuleTerm {
+                            attr: attr.to_string(),
+                            value,
+                        },
+                        row,
+                    );
+                }
+            }
+        }
         Self {
-            rules,
             by_cardinality,
-            exact,
-            rows: HashMap::new(),
+            rows,
         }
     }
 
@@ -92,18 +115,15 @@ impl<'a> CompiledPolicy<'a> {
     /// these (attribute-sorted, one per attribute) terms: bit `r` is set
     /// iff `rule_subsumes(rules[r], terms)`. A rule of the revision is
     /// among its own subsumers.
-    pub fn subsumers(&mut self, terms: &[RuleTerm]) -> Subsumers {
+    pub fn subsumers(&self, terms: &[RuleTerm]) -> Subsumers {
         let Some(mask) = self.by_cardinality.get(terms.len()) else {
             return Subsumers(Box::default());
         };
         let mut bits = mask.clone();
         for term in terms {
-            if !self.rows.contains_key(term) {
-                let row = self.row(term);
-                self.rows.insert(term.clone(), row);
-            }
-            for (b, r) in bits.iter_mut().zip(&*self.rows[term]) {
-                *b &= r;
+            match self.rows.get(term) {
+                Some(row) => bits.iter_mut().zip(row.iter()).for_each(|(b, r)| *b &= r),
+                None => bits.fill(0),
             }
         }
         Subsumers(bits)
@@ -111,51 +131,42 @@ impl<'a> CompiledPolicy<'a> {
 
     /// True iff some rule of the revision sanctions `g` — the same answer
     /// as `any(|r| r.expansion_contains(g, vocab))` over the policy.
-    pub fn covers(&mut self, g: &GroundRule) -> bool {
+    pub fn covers(&self, g: &GroundRule) -> bool {
         !self.subsumers(g.terms()).is_empty()
+    }
+
+    /// Active Enforcement's question: does the revision sanction the
+    /// access `(data, purpose, authorized)`? The fields are normalized as
+    /// [`RuleTerm::new`] does, and a field that is blank after that fails
+    /// closed: no rule can sanction it.
+    pub fn allows(&self, data: &str, purpose: &str, authorized: &str) -> bool {
+        [
+            (ATTR_DATA, data),
+            (ATTR_PURPOSE, purpose),
+            (ATTR_AUTHORIZED, authorized),
+        ]
+        .into_iter()
+        .map(|(attr, value)| RuleTerm::new(attr, value))
+        .collect::<Result<Vec<_>, _>>()
+        .and_then(GroundRule::new)
+        .is_ok_and(|probe| self.covers(&probe))
     }
 
     /// One verdict per distinct shape, in order: each shape is decided
     /// once per revision, however many entries carry it.
-    pub fn verdicts<G: Borrow<GroundRule>>(&mut self, shapes: &[G]) -> Vec<bool> {
+    pub fn verdicts<G: Borrow<GroundRule>>(&self, shapes: &[G]) -> Vec<bool> {
         shapes.iter().map(|g| self.covers(g.borrow())).collect()
     }
 
-    /// The lowest rule other than rule `i` that subsumes it, if any. An
-    /// identical rule counts only when it comes earlier, so of two copies
-    /// only the later one is shadowed. The analyzer's `PA001` and
+    /// The lowest rule other than rule `i` of `rules`, the rules the table
+    /// was compiled from, that subsumes it, if any. An identical rule
+    /// counts only when it comes earlier, so of two copies only the later
+    /// one is shadowed. The analyzer's `PA001` and
     /// [`crate::simplify_policy`] both decide with this.
-    pub fn shadowed_by(&mut self, i: usize) -> Option<usize> {
-        let rules = self.rules;
+    pub fn shadowed_by(&self, rules: &[Rule], i: usize) -> Option<usize> {
         self.subsumers(rules[i].terms())
             .iter()
             .find(|&j| j < i || (j > i && rules[j] != rules[i]))
-    }
-
-    /// The OR of the exact rows along `term`'s ancestor chain; an unknown
-    /// value has its exact-name row only.
-    fn row(&self, term: &RuleTerm) -> Bits {
-        let mut row = vec![0u64; self.rules.len().div_ceil(64)].into_boxed_slice();
-        let Some(exact) = self.exact.get(term.attr.as_str()) else {
-            return row;
-        };
-        let resolved = exact
-            .taxonomy
-            .and_then(|t| Some((t, t.resolve(&term.value)?)));
-        let chain: Vec<&Bits> = match resolved {
-            Some((t, id)) => t
-                .ancestors(id)
-                .iter()
-                .filter_map(|a| exact.by_concept.get(a))
-                .collect(),
-            None => exact.by_name.get(term.value.as_str()).into_iter().collect(),
-        };
-        for bits in chain {
-            for (w, b) in row.iter_mut().zip(bits.iter()) {
-                *w |= b;
-            }
-        }
-        row
     }
 }
 
@@ -197,7 +208,7 @@ mod tests {
     fn figure_3_verdicts_match_the_worked_example() {
         let v = figure_1();
         let ps = crate::samples::figure_3_policy_store();
-        let mut compiled = CompiledPolicy::new(&ps, &v);
+        let compiled = CompiledPolicy::new(&ps, &v);
         assert!(compiled.covers(&ground("referral", "treatment", "nurse")));
         assert!(compiled.covers(&ground("address", "billing", "clerk")));
         assert!(!compiled.covers(&ground("referral", "registration", "nurse")));
@@ -211,7 +222,7 @@ mod tests {
             StoreTag::PolicyStore,
             vec![Rule::of(&[("data", "demographic"), ("purpose", "billing")])],
         );
-        let mut compiled = CompiledPolicy::new(&policy, &v);
+        let compiled = CompiledPolicy::new(&policy, &v);
         assert!(compiled.covers(&GroundRule::of(&[
             ("data", "address"),
             ("purpose", "billing")
@@ -221,7 +232,7 @@ mod tests {
         assert!(!compiled.covers(&ground("address", "billing", "clerk")));
         assert!(!compiled.covers(&GroundRule::of(&[("data", "address")])));
         let empty = Policy::new(StoreTag::PolicyStore);
-        let mut none = CompiledPolicy::new(&empty, &v);
+        let none = CompiledPolicy::new(&empty, &v);
         assert!(!none.covers(&ground("address", "billing", "clerk")));
     }
 
@@ -236,7 +247,7 @@ mod tests {
                 ("authorized", "nurse"),
             ])],
         );
-        let mut compiled = CompiledPolicy::new(&policy, &v);
+        let compiled = CompiledPolicy::new(&policy, &v);
         assert!(compiled.covers(&ground("genome-panel", "treatment", "nurse")));
         assert!(!compiled.covers(&ground("genome", "treatment", "nurse")));
         assert!(!compiled.covers(&ground("genome-panel", "billing", "nurse")));
@@ -262,7 +273,7 @@ mod tests {
             ("authorized", "nurse"),
         ]));
         let policy = Policy::with_rules(StoreTag::PolicyStore, rules);
-        let mut compiled = CompiledPolicy::new(&policy, &v);
+        let compiled = CompiledPolicy::new(&policy, &v);
         let shapes = [
             ground("referral", "treatment", "nurse"),
             ground("referral", "billing", "clerk"),
@@ -283,22 +294,18 @@ mod tests {
                 Rule::of(&[("data", "demographic"), ("authorized", "nurse")]),
             ],
         );
-        let mut compiled = CompiledPolicy::new(&policy, &v);
-        let of = |compiled: &mut CompiledPolicy, i: usize| -> Vec<usize> {
-            compiled
-                .subsumers(policy.rules()[i].terms())
-                .iter()
-                .collect()
-        };
-        assert_eq!(of(&mut compiled, 0), vec![0]);
-        assert_eq!(of(&mut compiled, 1), vec![0, 1, 2]);
-        assert_eq!(of(&mut compiled, 3), vec![3]);
+        let compiled = CompiledPolicy::new(&policy, &v);
+        let rules = policy.rules();
+        let of = |i: usize| -> Vec<usize> { compiled.subsumers(rules[i].terms()).iter().collect() };
+        assert_eq!(of(0), vec![0]);
+        assert_eq!(of(1), vec![0, 1, 2]);
+        assert_eq!(of(3), vec![3]);
         // The umbrella shadows the narrow rule; of two copies the later is
         // shadowed, and by the umbrella, the lowest other subsumer.
-        assert_eq!(compiled.shadowed_by(0), None);
-        assert_eq!(compiled.shadowed_by(1), Some(0));
-        assert_eq!(compiled.shadowed_by(2), Some(0));
-        assert_eq!(compiled.shadowed_by(3), None);
+        assert_eq!(compiled.shadowed_by(rules, 0), None);
+        assert_eq!(compiled.shadowed_by(rules, 1), Some(0));
+        assert_eq!(compiled.shadowed_by(rules, 2), Some(0));
+        assert_eq!(compiled.shadowed_by(rules, 3), None);
     }
 
     #[test]
@@ -306,9 +313,10 @@ mod tests {
         let v = figure_1();
         let r = Rule::of(&[("data", "free-text-blob"), ("authorized", "nurse")]);
         let policy = Policy::with_rules(StoreTag::PolicyStore, vec![r.clone(), r]);
-        let mut compiled = CompiledPolicy::new(&policy, &v);
-        assert_eq!(compiled.shadowed_by(0), None);
-        assert_eq!(compiled.shadowed_by(1), Some(0));
+        let compiled = CompiledPolicy::new(&policy, &v);
+        let rules = policy.rules();
+        assert_eq!(compiled.shadowed_by(rules, 0), None);
+        assert_eq!(compiled.shadowed_by(rules, 1), Some(0));
         assert!(compiled.subsumers(&[]).is_empty());
     }
 }

@@ -160,7 +160,7 @@ impl CoverageEngine {
                 Ok(split_report(&range_y, |g| overlap_set.contains(g)))
             }
             Strategy::Lazy => {
-                let mut compiled = CompiledPolicy::new(px, vocab);
+                let compiled = CompiledPolicy::new(px, vocab);
                 Ok(split_report(&range_y, |g| compiled.covers(g)))
             }
         }

@@ -49,9 +49,9 @@ pub fn rule_subsumes(broad: &Rule, narrow: &Rule, vocab: &Vocabulary) -> bool {
 /// rule always survives, so no rule is left without one.
 pub fn simplify_policy(policy: &Policy, vocab: &Vocabulary) -> SimplifyOutcome {
     let rules = policy.rules();
-    let mut table = CompiledPolicy::new(policy, vocab);
+    let table = CompiledPolicy::new(policy, vocab);
     let keep: Vec<bool> = (0..rules.len())
-        .map(|i| table.shadowed_by(i).is_none())
+        .map(|i| table.shadowed_by(rules, i).is_none())
         .collect();
     let survivor: Vec<Option<usize>> = rules
         .iter()

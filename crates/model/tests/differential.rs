@@ -1,20 +1,25 @@
-//! Differential tests for the batch coverage path: the compiled bitset
-//! table ([`CompiledPolicy`]), the signature-bucket [`PolicyMatcher`] the
-//! live paths use, and brute-force ground expansion must answer "is this
-//! access covered?" identically. The table's rule-vs-rule answer (its
-//! subsumer sets, and the compaction built on them) must equal pairwise
+//! Differential tests for every path that asks "is this access
+//! covered?": the compiled bitset table ([`CompiledPolicy`]), both Active
+//! Enforcement middlewares built on it, the signature-bucket
+//! [`PolicyMatcher`] the live paths use, and brute-force ground expansion
+//! must answer identically. The table's rule-vs-rule answer (its subsumer
+//! sets, and the compaction built on them) must equal pairwise
 //! [`rule_subsumes`].
 //!
 //! Each case draws a random small vocabulary (a forest per attribute) and
 //! a random policy whose rules mix cardinalities and use internal-node,
 //! out-of-vocabulary and case/whitespace-variant values; the probed
-//! shapes draw from the same values.
+//! shapes draw from the same values, and enforcement probes add blank
+//! fields.
 
+use prima_hdb::{ActiveEnforcement, ColumnMap, ConsentRegistry};
+use prima_hier::enforce::TreeAccessMode;
+use prima_hier::{Document, PathCategoryMap, TreeEnforcement};
 use prima_model::{
     rule_subsumes, simplify_policy, CompiledPolicy, CoverageEngine, GroundRule, Policy,
     PolicyMatcher, Rule, RuleTerm, StoreTag,
 };
-use prima_vocab::Vocabulary;
+use prima_vocab::{normalize, Vocabulary};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -86,6 +91,37 @@ fn shape(rng: &mut StdRng, world: &World) -> GroundRule {
     GroundRule::new(terms(rng, world)).expect("one term per attribute")
 }
 
+/// An Active Enforcement access `(data, purpose, authorized)`: each field
+/// a [`value`], or now and then one that is blank after normalization.
+fn access(rng: &mut StdRng, world: &World) -> [String; 3] {
+    let mut field = |a: usize| match rng.gen_range(0..8) {
+        0 => ["", "  ", " _-"][rng.gen_range(0..3)].to_string(),
+        _ => value(rng, world, a),
+    };
+    [field(0), field(1), field(2)]
+}
+
+/// The oracle for an access: no blank field, and some rule's expansion
+/// holds the three-term shape.
+fn sanctioned(policy: &Policy, v: &Vocabulary, access: &[String; 3]) -> bool {
+    if access.iter().any(|x| normalize(x).is_empty()) {
+        return false;
+    }
+    let terms = ATTRS
+        .iter()
+        .zip(access)
+        .map(|(attr, x)| RuleTerm::of(attr, x))
+        .collect();
+    let g = GroundRule::new(terms).expect("one term per attribute");
+    policy.rules().iter().any(|r| r.expansion_contains(&g, v))
+}
+
+// One compiled revision can be published to any thread.
+const _: fn() = || {
+    fn shareable<T: Send + Sync + 'static>() {}
+    shareable::<CompiledPolicy>();
+};
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -95,12 +131,14 @@ proptest! {
         let world = world(&mut rng);
         let policy = policy(&mut rng, &world);
         let v = &world.vocab;
-        let mut compiled = CompiledPolicy::new(&policy, v);
+        let compiled = CompiledPolicy::new(&policy, v);
         let matcher = PolicyMatcher::new(&policy, v);
         for _ in 0..40 {
             let g = shape(&mut rng, &world);
             let hit = compiled.covers(&g);
             prop_assert_eq!(hit, matcher.covers(&g), "matcher on {} under {}", g, seed);
+            let contained = policy.rules().iter().any(|r| r.expansion_contains(&g, v));
+            prop_assert_eq!(hit, contained, "expansion_contains on {} under {}", g, seed);
             // Ground expansions only ever hold ground rules, so membership
             // is the oracle for shapes whose every value is ground.
             if Rule::from_ground(&g).is_ground(v) {
@@ -110,6 +148,45 @@ proptest! {
                     .any(|r| r.ground_expansion(v).any(|x| x == g));
                 prop_assert_eq!(hit, expanded, "expansion on {} under {}", g, seed);
             }
+        }
+    }
+
+    #[test]
+    fn allows_and_both_enforcements_agree_with_expansion(seed in any::<u64>()) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let world = world(&mut rng);
+        let policy = policy(&mut rng, &world);
+        let v = &world.vocab;
+        let compiled = CompiledPolicy::new(&policy, v);
+        let accesses: Vec<[String; 3]> = (0..20).map(|_| access(&mut rng, &world)).collect();
+        let hdb = ActiveEnforcement::new(
+            policy.clone(),
+            v.clone(),
+            ColumnMap::new(),
+            ConsentRegistry::new(),
+            "patient",
+        );
+        // One region per access, each mapped to the access's data field.
+        let mut doc = Document::new("patient");
+        let mut regions = PathCategoryMap::new();
+        for (i, [data, _, _]) in accesses.iter().enumerate() {
+            doc.add_text_child(doc.root(), &format!("r{i}"), "payload");
+            regions.map(&format!("/patient/r{i}"), data).expect("literal pattern");
+        }
+        let tree = TreeEnforcement::new(policy.clone(), v.clone(), regions);
+        for access in &accesses {
+            let [data, purpose, role] = access;
+            let expected = sanctioned(&policy, v, access);
+            prop_assert_eq!(compiled.allows(data, purpose, role), expected, "allows {:?} under {}", access, seed);
+            prop_assert_eq!(hdb.policy_allows(data, purpose, role), expected, "HDB {:?} under {}", access, seed);
+            let out = tree.enforce(&doc, 0, "u", role, purpose, TreeAccessMode::Chosen);
+            let category = normalize(data);
+            prop_assert_eq!(
+                out.served_categories.contains(&category),
+                expected,
+                "tree {:?} under {}", access, seed
+            );
+            prop_assert_eq!(out.redacted_categories.contains(&category), !expected);
         }
     }
 
@@ -142,7 +219,7 @@ proptest! {
         let policy = policy(&mut rng, &world);
         let v = &world.vocab;
         let rules = policy.rules();
-        let mut compiled = CompiledPolicy::new(&policy, v);
+        let compiled = CompiledPolicy::new(&policy, v);
         for (i, rule) in rules.iter().enumerate() {
             let table: Vec<usize> = compiled
                 .subsumers(rule.terms())

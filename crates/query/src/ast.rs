@@ -4,43 +4,14 @@ use prima_store::predicate::CmpOp;
 use prima_store::Value;
 use std::fmt;
 
-/// Aggregate functions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum AggFunc {
-    /// `COUNT`
-    Count,
-    /// `MIN`
-    Min,
-    /// `MAX`
-    Max,
-    /// `SUM`
-    Sum,
-    /// `AVG` (integer average: SUM / COUNT with truncation — the engine's
-    /// value domain is integral by design, see `prima-store::Value`).
-    Avg,
-}
-
-impl fmt::Display for AggFunc {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
-            AggFunc::Count => "COUNT",
-            AggFunc::Min => "MIN",
-            AggFunc::Max => "MAX",
-            AggFunc::Sum => "SUM",
-            AggFunc::Avg => "AVG",
-        };
-        write!(f, "{s}")
-    }
-}
-
-/// The argument of an aggregate call.
+/// The argument of a `COUNT` call, the one aggregate the engine runs.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum AggArg {
     /// `COUNT(*)`
     Star,
-    /// `F(column)` — NULLs are skipped, per SQL.
+    /// `COUNT(column)` — NULLs are skipped, per SQL.
     Column(String),
-    /// `F(DISTINCT column)` — distinct non-NULL values.
+    /// `COUNT(DISTINCT column)` — distinct non-NULL values.
     Distinct(String),
 }
 
@@ -92,21 +63,16 @@ pub enum Expr {
     Or(Box<Expr>, Box<Expr>),
     /// Negation.
     Not(Box<Expr>),
-    /// Aggregate call (only legal in projections, HAVING, and ORDER BY of
+    /// `COUNT` call (only legal in projections, HAVING, and ORDER BY of
     /// grouped queries; the planner enforces placement).
-    Aggregate {
-        /// Function.
-        func: AggFunc,
-        /// Argument.
-        arg: AggArg,
-    },
+    Count(AggArg),
 }
 
 impl Expr {
     /// True iff the expression contains an aggregate call.
     pub fn contains_aggregate(&self) -> bool {
         match self {
-            Expr::Aggregate { .. } => true,
+            Expr::Count(_) => true,
             Expr::Column(_) | Expr::Literal(_) => false,
             Expr::Compare { lhs, rhs, .. } => lhs.contains_aggregate() || rhs.contains_aggregate(),
             Expr::InList { expr, list, .. } => {
@@ -139,7 +105,7 @@ impl Expr {
                 b.visit_columns(f);
             }
             Expr::Not(e) => e.visit_columns(f),
-            Expr::Aggregate { arg, .. } => match arg {
+            Expr::Count(arg) => match arg {
                 AggArg::Star => {}
                 AggArg::Column(c) | AggArg::Distinct(c) => f(c),
             },
@@ -176,7 +142,7 @@ impl fmt::Display for Expr {
             Expr::And(a, b) => write!(f, "({a} AND {b})"),
             Expr::Or(a, b) => write!(f, "({a} OR {b})"),
             Expr::Not(e) => write!(f, "(NOT {e})"),
-            Expr::Aggregate { func, arg } => write!(f, "{func}({arg})"),
+            Expr::Count(arg) => write!(f, "COUNT({arg})"),
         }
     }
 }
@@ -227,8 +193,6 @@ pub struct SelectStmt {
     pub having: Option<Expr>,
     /// `ORDER BY` expressions with direction.
     pub order_by: Vec<(Expr, SortDir)>,
-    /// Optional `LIMIT`.
-    pub limit: Option<usize>,
 }
 
 impl SelectStmt {
@@ -244,10 +208,7 @@ mod tests {
 
     #[test]
     fn contains_aggregate_walks_tree() {
-        let agg = Expr::Aggregate {
-            func: AggFunc::Count,
-            arg: AggArg::Star,
-        };
+        let agg = Expr::Count(AggArg::Star);
         let cmp = Expr::Compare {
             op: CmpOp::Gt,
             lhs: Box::new(agg),
@@ -265,10 +226,7 @@ mod tests {
                 lhs: Box::new(Expr::Column("a".into())),
                 rhs: Box::new(Expr::Literal(Value::Int(1))),
             }),
-            Box::new(Expr::Aggregate {
-                func: AggFunc::Count,
-                arg: AggArg::Distinct("user".into()),
-            }),
+            Box::new(Expr::Count(AggArg::Distinct("user".into()))),
         );
         let mut cols = Vec::new();
         e.visit_columns(&mut |c| cols.push(c.to_string()));
@@ -279,10 +237,7 @@ mod tests {
     fn display_roundtrips_shape() {
         let e = Expr::Compare {
             op: CmpOp::Gt,
-            lhs: Box::new(Expr::Aggregate {
-                func: AggFunc::Count,
-                arg: AggArg::Distinct("user".into()),
-            }),
+            lhs: Box::new(Expr::Count(AggArg::Distinct("user".into()))),
             rhs: Box::new(Expr::Literal(Value::Int(1))),
         };
         assert_eq!(e.to_string(), "COUNT(DISTINCT user) > 1");
@@ -291,10 +246,7 @@ mod tests {
     #[test]
     fn select_item_output_name() {
         let item = SelectItem {
-            expr: Expr::Aggregate {
-                func: AggFunc::Count,
-                arg: AggArg::Star,
-            },
+            expr: Expr::Count(AggArg::Star),
             alias: Some("n".into()),
         };
         assert_eq!(item.output_name(), "n");

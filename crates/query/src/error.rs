@@ -27,15 +27,22 @@ pub enum QueryError {
         /// The referenced column name.
         column: String,
     },
-    /// Semantic error (aggregate misuse, non-grouped column, …).
+    /// Semantic error (non-grouped column, `SELECT *` in a grouped
+    /// query, …).
     Semantic {
         /// Description.
         message: String,
     },
-    /// Runtime type error (e.g. SUM over strings).
-    Type {
-        /// Description.
-        message: String,
+    /// A call of a function other than `COUNT`, the one aggregate the
+    /// engine runs.
+    UnsupportedAggregate {
+        /// The called name, as written.
+        name: String,
+    },
+    /// A `COUNT` where SQL allows no aggregate.
+    MisplacedAggregate {
+        /// The clause that holds it.
+        clause: &'static str,
     },
 }
 
@@ -65,7 +72,12 @@ impl fmt::Display for QueryError {
             QueryError::UnknownTable { name } => write!(f, "unknown table '{name}'"),
             QueryError::UnknownColumn { column } => write!(f, "unknown column '{column}'"),
             QueryError::Semantic { message } => write!(f, "semantic error: {message}"),
-            QueryError::Type { message } => write!(f, "type error: {message}"),
+            QueryError::UnsupportedAggregate { name } => {
+                write!(f, "unsupported aggregate '{name}': only COUNT is supported")
+            }
+            QueryError::MisplacedAggregate { clause } => {
+                write!(f, "aggregate functions are not allowed in {clause}")
+            }
         }
     }
 }

@@ -1,7 +1,7 @@
 //! Query execution: filter → group → aggregate → HAVING → project →
-//! ORDER BY → LIMIT.
+//! ORDER BY.
 
-use crate::ast::{AggArg, AggFunc, Expr, SortDir};
+use crate::ast::{AggArg, Expr, SortDir};
 use crate::error::QueryError;
 use crate::obs::QueryObs;
 use crate::plan::PlannedQuery;
@@ -83,8 +83,7 @@ fn run_plain(
         })?;
     obs.project_seconds.time(|| {
         let mut rows = Vec::new();
-        // DISTINCT dedups projected rows in (sorted) arrival order, before
-        // LIMIT, matching SQL's DISTINCT-then-LIMIT semantics.
+        // DISTINCT dedups projected rows in (sorted) arrival order.
         let mut seen: HashSet<Row> = HashSet::new();
         for (_, row) in keyed {
             let mut out = Vec::with_capacity(plan.projections.len());
@@ -96,11 +95,6 @@ fn run_plain(
                 continue;
             }
             rows.push(out);
-            if let Some(limit) = plan.limit {
-                if rows.len() == limit {
-                    break;
-                }
-            }
         }
         Ok(QueryResult {
             columns: plan.output_columns.clone(),
@@ -109,108 +103,47 @@ fn run_plain(
     })
 }
 
-/// Per-group aggregate accumulator.
+/// Per-group `COUNT` accumulator.
 #[derive(Debug, Default)]
 struct Accumulator {
     count: i64,
     distinct: HashSet<Value>,
-    min: Option<Value>,
-    max: Option<Value>,
-    sum: i64,
-    sum_count: i64,
 }
 
 impl Accumulator {
-    fn update(
-        &mut self,
-        func: AggFunc,
-        arg: &AggArg,
-        schema: &Schema,
-        row: &Row,
-    ) -> Result<(), QueryError> {
-        let value: Option<Value> = match arg {
-            AggArg::Star => None,
-            AggArg::Column(c) | AggArg::Distinct(c) => {
-                let idx = schema
-                    .index_of(c)
-                    .expect("aggregate argument validated by the planner");
-                let v = row.get(idx);
-                if v.is_null() {
-                    return Ok(()); // SQL: NULLs are invisible to aggregates
-                }
-                Some(v.clone())
-            }
+    fn update(&mut self, arg: &AggArg, schema: &Schema, row: &Row) {
+        let (AggArg::Column(c) | AggArg::Distinct(c)) = arg else {
+            self.count += 1;
+            return;
         };
-        match (func, arg) {
-            (AggFunc::Count, AggArg::Star) => self.count += 1,
-            (AggFunc::Count, AggArg::Column(_)) => self.count += 1,
-            (AggFunc::Count, AggArg::Distinct(_)) => {
-                self.distinct.insert(value.expect("non-star arg"));
-            }
-            (AggFunc::Min, _) => {
-                let v = value.expect("planner rejects MIN(*)");
-                if self.min.as_ref().is_none_or(|m| v < *m) {
-                    self.min = Some(v);
-                }
-            }
-            (AggFunc::Max, _) => {
-                let v = value.expect("planner rejects MAX(*)");
-                if self.max.as_ref().is_none_or(|m| v > *m) {
-                    self.max = Some(v);
-                }
-            }
-            (AggFunc::Sum, _) | (AggFunc::Avg, _) => {
-                let v = value.expect("planner rejects SUM(*)/AVG(*)");
-                let n = match v {
-                    Value::Int(n) => n,
-                    Value::Timestamp(n) => n,
-                    other => {
-                        return Err(QueryError::Type {
-                            message: format!("{func} over non-numeric value {other:?}"),
-                        })
-                    }
-                };
-                self.sum = self.sum.checked_add(n).ok_or_else(|| QueryError::Type {
-                    message: format!("{func} overflow"),
-                })?;
-                self.sum_count += 1;
-            }
+        let idx = schema
+            .index_of(c)
+            .expect("aggregate argument validated by the planner");
+        let v = row.get(idx);
+        if v.is_null() {
+            return; // SQL: NULLs are invisible to aggregates
         }
-        Ok(())
+        match arg {
+            AggArg::Distinct(_) => {
+                self.distinct.insert(v.clone());
+            }
+            _ => self.count += 1,
+        }
     }
 
-    fn finish(&self, func: AggFunc, arg: &AggArg) -> Value {
-        match (func, arg) {
-            (AggFunc::Count, AggArg::Distinct(_)) => Value::Int(self.distinct.len() as i64),
-            (AggFunc::Count, _) => Value::Int(self.count),
-            (AggFunc::Min, _) => self.min.clone().unwrap_or(Value::Null),
-            (AggFunc::Max, _) => self.max.clone().unwrap_or(Value::Null),
-            (AggFunc::Sum, _) => {
-                if self.sum_count == 0 {
-                    Value::Null
-                } else {
-                    Value::Int(self.sum)
-                }
-            }
-            (AggFunc::Avg, _) => {
-                if self.sum_count == 0 {
-                    Value::Null
-                } else {
-                    Value::Int(self.sum / self.sum_count)
-                }
-            }
+    fn finish(&self, arg: &AggArg) -> Value {
+        match arg {
+            AggArg::Distinct(_) => Value::Int(self.distinct.len() as i64),
+            _ => Value::Int(self.count),
         }
     }
 }
 
-type AggKey = (AggFunc, AggArg);
-
-fn collect_aggregates(e: &Expr, out: &mut Vec<AggKey>) {
+fn collect_aggregates(e: &Expr, out: &mut Vec<AggArg>) {
     match e {
-        Expr::Aggregate { func, arg } => {
-            let key = (*func, arg.clone());
-            if !out.contains(&key) {
-                out.push(key);
+        Expr::Count(arg) => {
+            if !out.contains(arg) {
+                out.push(arg.clone());
             }
         }
         Expr::Column(_) | Expr::Literal(_) => {}
@@ -240,7 +173,7 @@ fn run_aggregate(
     obs: &QueryObs,
 ) -> Result<QueryResult, QueryError> {
     // Which aggregates do we need?
-    let mut agg_keys: Vec<AggKey> = Vec::new();
+    let mut agg_keys: Vec<AggArg> = Vec::new();
     for p in &plan.projections {
         collect_aggregates(&p.expr, &mut agg_keys);
     }
@@ -257,44 +190,42 @@ fn run_aggregate(
         .map(|g| schema.index_of(g).expect("validated by the planner"))
         .collect();
 
-    let groups = obs.group_seconds.time(
-        || -> Result<BTreeMap<Vec<Value>, Vec<Accumulator>>, QueryError> {
-            // BTreeMap gives canonical (sorted-by-key) group order for free,
-            // which keeps experiment output reproducible without an explicit
-            // ORDER BY.
-            let mut groups: BTreeMap<Vec<Value>, Vec<Accumulator>> = BTreeMap::new();
-            for row in input {
-                let key: Vec<Value> = group_indices.iter().map(|&i| row.get(i).clone()).collect();
-                let accs = groups.entry(key).or_insert_with(|| {
-                    (0..agg_keys.len())
-                        .map(|_| Accumulator::default())
-                        .collect()
-                });
-                for (acc, (func, arg)) in accs.iter_mut().zip(&agg_keys) {
-                    acc.update(*func, arg, schema, row)?;
-                }
+    let groups = obs.group_seconds.time(|| {
+        // BTreeMap gives canonical (sorted-by-key) group order for free,
+        // which keeps experiment output reproducible without an explicit
+        // ORDER BY.
+        let mut groups: BTreeMap<Vec<Value>, Vec<Accumulator>> = BTreeMap::new();
+        for row in input {
+            let key: Vec<Value> = group_indices.iter().map(|&i| row.get(i).clone()).collect();
+            let accs = groups.entry(key).or_insert_with(|| {
+                (0..agg_keys.len())
+                    .map(|_| Accumulator::default())
+                    .collect()
+            });
+            for (acc, arg) in accs.iter_mut().zip(&agg_keys) {
+                acc.update(arg, schema, row);
             }
-            // A global aggregate over zero rows still yields one group (SQL).
-            if groups.is_empty() && plan.group_by.is_empty() {
-                groups.insert(
-                    Vec::new(),
-                    (0..agg_keys.len())
-                        .map(|_| Accumulator::default())
-                        .collect(),
-                );
-            }
-            Ok(groups)
-        },
-    )?;
+        }
+        // A global aggregate over zero rows still yields one group (SQL).
+        if groups.is_empty() && plan.group_by.is_empty() {
+            groups.insert(
+                Vec::new(),
+                (0..agg_keys.len())
+                    .map(|_| Accumulator::default())
+                    .collect(),
+            );
+        }
+        groups
+    });
 
     obs.finalize_seconds.time(|| {
         // Evaluate per group.
         let mut keyed_rows: Vec<(Vec<Value>, Row)> = Vec::new();
         for (key, accs) in &groups {
-            let agg_values: HashMap<&AggKey, Value> = agg_keys
+            let agg_values: HashMap<&AggArg, Value> = agg_keys
                 .iter()
                 .zip(accs)
-                .map(|(k, acc)| (k, acc.finish(k.0, &k.1)))
+                .map(|(arg, acc)| (arg, acc.finish(arg)))
                 .collect();
             let ctx = GroupContext {
                 group_by: &plan.group_by,
@@ -326,9 +257,6 @@ fn run_aggregate(
             let mut seen: HashSet<Row> = HashSet::new();
             rows.retain(|r| seen.insert(r.clone()));
         }
-        if let Some(limit) = plan.limit {
-            rows.truncate(limit);
-        }
         Ok(QueryResult {
             columns: plan.output_columns.clone(),
             rows,
@@ -340,7 +268,7 @@ fn run_aggregate(
 struct GroupContext<'a> {
     group_by: &'a [String],
     key: &'a [Value],
-    agg_values: &'a HashMap<&'a AggKey, Value>,
+    agg_values: &'a HashMap<&'a AggArg, Value>,
 }
 
 fn eval_group(e: &Expr, ctx: &GroupContext<'_>) -> Result<Value, QueryError> {
@@ -354,14 +282,11 @@ fn eval_group(e: &Expr, ctx: &GroupContext<'_>) -> Result<Value, QueryError> {
             Ok(ctx.key[pos].clone())
         }
         Expr::Literal(v) => Ok(v.clone()),
-        Expr::Aggregate { func, arg } => {
-            let key = (*func, arg.clone());
-            Ok(ctx
-                .agg_values
-                .get(&&key)
-                .expect("all aggregates were collected before grouping")
-                .clone())
-        }
+        Expr::Count(arg) => Ok(ctx
+            .agg_values
+            .get(arg)
+            .expect("all aggregates were collected before grouping")
+            .clone()),
         Expr::Compare { op, lhs, rhs } => {
             compare(*op, &eval_group(lhs, ctx)?, &eval_group(rhs, ctx)?)
         }
@@ -397,9 +322,9 @@ pub fn eval_scalar(e: &Expr, schema: &Schema, row: &Row) -> Result<Value, QueryE
             Ok(row.get(idx).clone())
         }
         Expr::Literal(v) => Ok(v.clone()),
-        Expr::Aggregate { .. } => Err(QueryError::semantic(
-            "aggregate evaluated in row context (planner bug)",
-        )),
+        Expr::Count(_) => Err(QueryError::MisplacedAggregate {
+            clause: "a row expression",
+        }),
         Expr::Compare { op, lhs, rhs } => compare(
             *op,
             &eval_scalar(lhs, schema, row)?,
@@ -593,30 +518,6 @@ mod tests {
     }
 
     #[test]
-    fn min_max_sum_avg() {
-        let r = query("SELECT MIN(status), MAX(status), SUM(status), AVG(status) FROM audit");
-        assert_eq!(r.rows[0].values()[0], Value::Int(0));
-        assert_eq!(r.rows[0].values()[1], Value::Int(1));
-        assert_eq!(r.rows[0].values()[2], Value::Int(1));
-        assert_eq!(r.rows[0].values()[3], Value::Int(0)); // integer avg
-    }
-
-    #[test]
-    fn min_max_over_strings() {
-        let r = query("SELECT MIN(user), MAX(user) FROM audit");
-        assert_eq!(r.rows[0].values()[0], Value::str("bill"));
-        assert_eq!(r.rows[0].values()[1], Value::str("tim"));
-    }
-
-    #[test]
-    fn sum_over_strings_is_type_error() {
-        let t = table();
-        let stmt = parse("SELECT SUM(user) FROM audit").unwrap();
-        let p = plan(&stmt, t.schema()).unwrap();
-        assert!(matches!(run(&p, &t), Err(QueryError::Type { .. })));
-    }
-
-    #[test]
     fn global_aggregate_over_empty_filter_yields_one_row() {
         let r = query("SELECT COUNT(*) AS n FROM audit WHERE user = 'nobody'");
         assert_eq!(r.len(), 1);
@@ -630,17 +531,16 @@ mod tests {
     }
 
     #[test]
-    fn order_by_desc_and_limit() {
-        let r =
-            query("SELECT data, COUNT(*) AS n FROM audit GROUP BY data ORDER BY n DESC LIMIT 2");
-        assert_eq!(r.len(), 2);
+    fn order_by_desc() {
+        let r = query("SELECT data, COUNT(*) AS n FROM audit GROUP BY data ORDER BY n DESC");
+        assert_eq!(r.len(), 4);
         assert_eq!(r.rows[0].values()[0], Value::str("referral"));
         assert_eq!(r.value_at(0, "n"), Some(&Value::Int(5)));
     }
 
     #[test]
     fn order_by_unprojected_column_in_plain_query() {
-        let r = query("SELECT user FROM audit ORDER BY data, user LIMIT 3");
+        let r = query("SELECT user FROM audit ORDER BY data, user");
         assert_eq!(r.rows[0].values()[0], Value::str("bill")); // address row
     }
 
@@ -662,12 +562,6 @@ mod tests {
     }
 
     #[test]
-    fn min_of_all_null_group_is_null() {
-        let r = query("SELECT MIN(ward) FROM audit WHERE ward IS NULL");
-        assert_eq!(r.rows[0].values()[0], Value::Null);
-    }
-
-    #[test]
     fn select_distinct_dedups_rows() {
         let r = query("SELECT DISTINCT data FROM audit");
         assert_eq!(r.len(), 4);
@@ -676,11 +570,11 @@ mod tests {
     }
 
     #[test]
-    fn distinct_respects_order_and_limit() {
-        let r = query("SELECT DISTINCT data FROM audit ORDER BY data DESC LIMIT 2");
+    fn distinct_respects_order() {
+        let r = query("SELECT DISTINCT data FROM audit ORDER BY data DESC");
         assert_eq!(r.rows[0].get(0), &Value::str("referral"));
         assert_eq!(r.rows[1].get(0), &Value::str("psychiatry"));
-        assert_eq!(r.len(), 2);
+        assert_eq!(r.len(), 4);
     }
 
     #[test]

@@ -18,14 +18,14 @@
 //! * [`plan`] — semantic validation against a table's schema (column
 //!   resolution, GROUP BY discipline, aggregate placement);
 //! * [`exec`] — execution: filter → hash-group → aggregate → HAVING →
-//!   project → ORDER BY → LIMIT, producing a [`QueryResult`].
+//!   project → ORDER BY, producing a [`QueryResult`].
 //!
 //! Supported surface: single-table `SELECT` with `*` or expression
 //! projections (optional `AS` aliases), `WHERE` (comparisons, `IN`,
 //! `IS [NOT] NULL`, `AND`/`OR`/`NOT`), `GROUP BY` columns, `HAVING` over
-//! aggregates (`COUNT(*)`, `COUNT(col)`, `COUNT(DISTINCT col)`, `MIN`,
-//! `MAX`, `SUM`, `AVG`), `ORDER BY … [ASC|DESC]`, `LIMIT n`. Joins are out
-//! of scope — audit federation (in `prima-audit`) consolidates sources into
+//! `COUNT(*)`, `COUNT(col)` and `COUNT(DISTINCT col)`, and `ORDER BY …
+//! [ASC|DESC]`: what Algorithm 5 needs. Any other aggregate, or one where
+//! SQL allows none, is a typed [`QueryError`]. Joins are out of scope — audit federation (in `prima-audit`) consolidates sources into
 //! one virtual table *before* analysis, matching the paper's architecture.
 //!
 //! Group output order is canonical (sorted by group key) unless `ORDER BY`
@@ -147,7 +147,7 @@ mod tests {
         )
         .unwrap();
         assert_eq!(r.rows.len(), 3);
-        execute_observed(&t, "SELECT user FROM practice ORDER BY user LIMIT 2", &obs).unwrap();
+        execute_observed(&t, "SELECT user FROM practice ORDER BY user", &obs).unwrap();
 
         let count = |name: &str| registry.counter(name, "").get();
         assert_eq!(count("prima_query_statements_total"), 2);
@@ -158,8 +158,8 @@ mod tests {
         );
         assert_eq!(
             count("prima_query_rows_returned_total"),
-            5,
-            "3 groups + 2 rows"
+            10,
+            "3 groups + 7 rows"
         );
 
         let nodes = registry.histograms("prima_query_node_seconds");

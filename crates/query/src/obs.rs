@@ -18,7 +18,7 @@
 //!
 //! Plan nodes: `plan` (parse + validate), `filter` (WHERE scan), `sort`,
 //! `project` (plain queries), `group` (accumulation), `finalize`
-//! (HAVING + project + sort + limit, aggregate queries).
+//! (HAVING + project + sort, aggregate queries).
 
 use prima_obs::{Counter, Histogram, MetricsRegistry, Tracer};
 
@@ -37,11 +37,11 @@ pub struct QueryObs {
     pub(crate) filter_seconds: Histogram,
     /// Sort-key computation + sort time (plain queries).
     pub(crate) sort_seconds: Histogram,
-    /// Projection/DISTINCT/LIMIT time (plain queries).
+    /// Projection/DISTINCT time (plain queries).
     pub(crate) project_seconds: Histogram,
     /// Group accumulation time (aggregate queries).
     pub(crate) group_seconds: Histogram,
-    /// HAVING + project + sort + limit time (aggregate queries).
+    /// HAVING + project + sort time (aggregate queries).
     pub(crate) finalize_seconds: Histogram,
     pub(crate) tracer: Tracer,
 }

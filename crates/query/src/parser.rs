@@ -1,6 +1,6 @@
 //! Recursive-descent parser for the SQL subset.
 
-use crate::ast::{AggArg, AggFunc, Expr, SelectItem, SelectStmt, SortDir};
+use crate::ast::{AggArg, Expr, SelectItem, SelectStmt, SortDir};
 use crate::error::QueryError;
 use crate::lexer::{lex, Token};
 use prima_store::predicate::CmpOp;
@@ -124,18 +124,6 @@ impl Parser {
         } else {
             Vec::new()
         };
-        let limit = if self.eat_kw("LIMIT") {
-            match self.next() {
-                Some(Token::IntLit(n)) if n >= 0 => Some(n as usize),
-                other => {
-                    return Err(QueryError::parse(format!(
-                        "expected non-negative LIMIT count, found {other:?}"
-                    )))
-                }
-            }
-        } else {
-            None
-        };
         Ok(SelectStmt {
             distinct,
             projections,
@@ -144,7 +132,6 @@ impl Parser {
             group_by,
             having,
             order_by,
-            limit,
         })
     }
 
@@ -280,39 +267,21 @@ impl Parser {
                 Ok(Expr::Literal(Value::Str(s)))
             }
             Some(Token::Ident(name)) => {
-                // Aggregate?
-                let func = if name.eq_ignore_ascii_case("count") {
-                    Some(AggFunc::Count)
-                } else if name.eq_ignore_ascii_case("min") {
-                    Some(AggFunc::Min)
-                } else if name.eq_ignore_ascii_case("max") {
-                    Some(AggFunc::Max)
-                } else if name.eq_ignore_ascii_case("sum") {
-                    Some(AggFunc::Sum)
-                } else if name.eq_ignore_ascii_case("avg") {
-                    Some(AggFunc::Avg)
-                } else {
-                    None
-                };
-                if let Some(func) = func {
-                    if matches!(self.tokens.get(self.pos + 1), Some(Token::LParen)) {
-                        self.pos += 2; // consume name and '('
-                        let arg = if matches!(self.peek(), Some(Token::Star)) {
-                            self.pos += 1;
-                            if func != AggFunc::Count {
-                                return Err(QueryError::parse(format!(
-                                    "{func}(*) is not valid; only COUNT(*)"
-                                )));
-                            }
-                            AggArg::Star
-                        } else if self.eat_kw("DISTINCT") {
-                            AggArg::Distinct(self.ident("aggregate column")?)
-                        } else {
-                            AggArg::Column(self.ident("aggregate column")?)
-                        };
-                        self.expect(&Token::RParen, "')'")?;
-                        return Ok(Expr::Aggregate { func, arg });
+                if matches!(self.tokens.get(self.pos + 1), Some(Token::LParen)) {
+                    if !name.eq_ignore_ascii_case("count") {
+                        return Err(QueryError::UnsupportedAggregate { name });
                     }
+                    self.pos += 2; // consume name and '('
+                    let arg = if matches!(self.peek(), Some(Token::Star)) {
+                        self.pos += 1;
+                        AggArg::Star
+                    } else if self.eat_kw("DISTINCT") {
+                        AggArg::Distinct(self.ident("aggregate column")?)
+                    } else {
+                        AggArg::Column(self.ident("aggregate column")?)
+                    };
+                    self.expect(&Token::RParen, "')'")?;
+                    return Ok(Expr::Count(arg));
                 }
                 // Literal keywords.
                 if name.eq_ignore_ascii_case("true") {
@@ -361,10 +330,10 @@ mod tests {
     }
 
     #[test]
-    fn parses_star_where_order_limit() {
+    fn parses_star_where_order() {
         let s = parse(
             "SELECT * FROM audit WHERE status = 0 AND user <> 'bob' \
-             ORDER BY time DESC, user LIMIT 10",
+             ORDER BY time DESC, user",
         )
         .unwrap();
         assert!(s.is_star());
@@ -372,14 +341,14 @@ mod tests {
         assert_eq!(s.order_by.len(), 2);
         assert_eq!(s.order_by[0].1, SortDir::Desc);
         assert_eq!(s.order_by[1].1, SortDir::Asc);
-        assert_eq!(s.limit, Some(10));
     }
 
     #[test]
     fn parses_aliases_and_aggregates() {
-        let s = parse("SELECT data, COUNT(*) AS n, MIN(time) FROM t GROUP BY data").unwrap();
+        let s =
+            parse("SELECT data, COUNT(*) AS n, COUNT(DISTINCT user) FROM t GROUP BY data").unwrap();
         assert_eq!(s.projections[1].output_name(), "n");
-        assert_eq!(s.projections[2].output_name(), "MIN(time)");
+        assert_eq!(s.projections[2].output_name(), "COUNT(DISTINCT user)");
     }
 
     #[test]
@@ -414,17 +383,27 @@ mod tests {
 
     #[test]
     fn rejects_trailing_garbage() {
-        assert!(parse("SELECT * FROM t LIMIT 5 extra").is_err());
+        assert!(parse("SELECT * FROM t ORDER BY a extra").is_err());
     }
 
     #[test]
-    fn rejects_star_in_non_count() {
-        assert!(parse("SELECT SUM(*) FROM t").is_err());
-    }
-
-    #[test]
-    fn rejects_negative_limit() {
-        assert!(parse("SELECT * FROM t LIMIT -1").is_err());
+    fn rejects_every_aggregate_but_count_with_a_typed_error() {
+        for (sql, name) in [
+            ("SELECT SUM(*) FROM t", "SUM"),
+            (
+                "SELECT data FROM t GROUP BY data HAVING min(status) > 0",
+                "min",
+            ),
+            ("SELECT data FROM t ORDER BY Avg(status)", "Avg"),
+        ] {
+            assert_eq!(
+                parse(sql),
+                Err(QueryError::UnsupportedAggregate { name: name.into() }),
+                "{sql}"
+            );
+        }
+        // A LIMIT clause is not part of the subset either.
+        assert!(parse("SELECT * FROM t LIMIT 5").is_err());
     }
 
     #[test]

@@ -19,8 +19,6 @@ pub struct PlannedQuery {
     pub having: Option<Expr>,
     /// Sort keys.
     pub order_by: Vec<(Expr, SortDir)>,
-    /// Row cap.
-    pub limit: Option<usize>,
     /// Whether execution takes the grouped/aggregated path.
     pub is_aggregate: bool,
     /// Output column names, in order.
@@ -51,9 +49,7 @@ pub fn plan(stmt: &SelectStmt, schema: &Schema) -> Result<PlannedQuery, QueryErr
     if let Some(w) = &stmt.where_clause {
         check_columns(w)?;
         if w.contains_aggregate() {
-            return Err(QueryError::semantic(
-                "aggregate functions are not allowed in WHERE",
-            ));
+            return Err(QueryError::MisplacedAggregate { clause: "WHERE" });
         }
     }
 
@@ -110,9 +106,9 @@ pub fn plan(stmt: &SelectStmt, schema: &Schema) -> Result<PlannedQuery, QueryErr
     for (e, _) in &order_by {
         check_columns(e)?;
         if e.contains_aggregate() && !is_aggregate {
-            return Err(QueryError::semantic(
-                "aggregate in ORDER BY of a non-aggregated query",
-            ));
+            return Err(QueryError::MisplacedAggregate {
+                clause: "the ORDER BY of a non-aggregated query",
+            });
         }
     }
 
@@ -151,7 +147,6 @@ pub fn plan(stmt: &SelectStmt, schema: &Schema) -> Result<PlannedQuery, QueryErr
         group_by: stmt.group_by.clone(),
         having: stmt.having.clone(),
         order_by,
-        limit: stmt.limit,
         is_aggregate,
         output_columns,
     })
@@ -161,7 +156,7 @@ pub fn plan(stmt: &SelectStmt, schema: &Schema) -> Result<PlannedQuery, QueryErr
 fn collect_bare_columns<'a>(e: &'a Expr, f: &mut impl FnMut(&'a str)) {
     match e {
         Expr::Column(c) => f(c),
-        Expr::Literal(_) | Expr::Aggregate { .. } => {}
+        Expr::Literal(_) | Expr::Count(_) => {}
         Expr::Compare { lhs, rhs, .. } => {
             collect_bare_columns(lhs, f);
             collect_bare_columns(rhs, f);
@@ -244,7 +239,9 @@ mod tests {
     #[test]
     fn rejects_aggregate_in_where() {
         let err = plan_sql("SELECT * FROM t WHERE COUNT(*) > 1").unwrap_err();
-        assert!(matches!(err, QueryError::Semantic { .. }));
+        assert_eq!(err, QueryError::MisplacedAggregate { clause: "WHERE" });
+        let err = plan_sql("SELECT data FROM t ORDER BY COUNT(*)").unwrap_err();
+        assert!(matches!(err, QueryError::MisplacedAggregate { .. }));
     }
 
     #[test]

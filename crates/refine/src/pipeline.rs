@@ -271,14 +271,15 @@ mod tests {
         // Envelope: mined practice may only specialize medical-staff access
         // to medical data for administering healthcare. The Table 1 mined
         // pattern referral:registration:nurse fits inside it.
-        let inside = SafetyGate::new(Policy::with_rules(
+        let envelope = Policy::with_rules(
             prima_model::StoreTag::Named("envelope".into()),
             vec![Rule::of(&[
                 ("data", "medical"),
                 ("purpose", "administering-healthcare"),
                 ("authorized", "medical-staff"),
             ])],
-        ));
+        );
+        let inside = SafetyGate::new(envelope, &v);
         let miner = SqlMiner::default();
         let classifier = NoViolations;
         let config = RefinementConfig::new(&miner, &classifier).with_gate(&inside);
@@ -287,14 +288,15 @@ mod tests {
         assert!(report.gate_rejected.is_empty());
 
         // Shrink the envelope so the same pattern becomes a widening.
-        let outside = SafetyGate::new(Policy::with_rules(
+        let envelope = Policy::with_rules(
             prima_model::StoreTag::Named("envelope".into()),
             vec![Rule::of(&[
                 ("data", "demographic"),
                 ("purpose", "billing"),
                 ("authorized", "administrative-staff"),
             ])],
-        ));
+        );
+        let outside = SafetyGate::new(envelope, &v);
         let config = RefinementConfig::new(&miner, &classifier).with_gate(&outside);
         let report = refinement_with(&figure_3_policy_store(), &table_1(), &v, &config).unwrap();
         assert!(report.useful_patterns.is_empty());

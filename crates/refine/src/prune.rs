@@ -29,7 +29,7 @@ pub struct PruneOutcome {
 
 /// Algorithm 6 via the compiled policy store's membership test.
 pub fn prune(patterns: Vec<Pattern>, policy_store: &Policy, vocab: &Vocabulary) -> PruneOutcome {
-    let mut table = CompiledPolicy::new(policy_store, vocab);
+    let table = CompiledPolicy::new(policy_store, vocab);
     let (already_covered, useful) = patterns.into_iter().partition(|p| table.covers(&p.rule));
     PruneOutcome {
         useful,

@@ -43,13 +43,12 @@ pub struct Candidate {
 }
 
 /// The review queue.
-#[derive(Debug, Default, Clone, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone)]
 pub struct ReviewQueue {
     next_id: u64,
     candidates: Vec<Candidate>,
     /// Rules already decided (accepted or rejected) — used to suppress
     /// re-proposals of the same pattern in later rounds.
-    #[serde(skip)]
     decided_cache: HashMap<Rule, CandidateState>,
 }
 
@@ -190,16 +189,6 @@ impl ReviewQueue {
         }
         (added, diags)
     }
-
-    /// Rebuilds the decided-rule cache (after deserialization).
-    pub fn rebuild_cache(&mut self) {
-        self.decided_cache = self
-            .candidates
-            .iter()
-            .filter(|c| matches!(c.state, CandidateState::Accepted | CandidateState::Rejected))
-            .map(|c| (c.proposed_rule.clone(), c.state))
-            .collect();
-    }
 }
 
 #[cfg(test)]
@@ -292,14 +281,15 @@ mod tests {
         use prima_analyze::SafetyGate;
         use prima_vocab::samples::figure_1;
         let v = figure_1();
-        let gate = SafetyGate::new(Policy::with_rules(
+        let envelope = Policy::with_rules(
             StoreTag::Named("envelope".into()),
             vec![Rule::of(&[
                 ("data", "medical"),
                 ("purpose", "administering-healthcare"),
                 ("authorized", "medical-staff"),
             ])],
-        ));
+        );
+        let gate = SafetyGate::new(envelope, &v);
         let mut q = ReviewQueue::new();
         q.propose(
             vec![
@@ -334,14 +324,15 @@ mod tests {
         use prima_analyze::SafetyGate;
         use prima_vocab::samples::figure_1;
         let v = figure_1();
-        let gate = SafetyGate::new(Policy::with_rules(
+        let envelope = Policy::with_rules(
             StoreTag::Named("envelope".into()),
             vec![Rule::of(&[
                 ("data", "medical"),
                 ("purpose", "administering-healthcare"),
                 ("authorized", "medical-staff"),
             ])],
-        ));
+        );
+        let gate = SafetyGate::new(envelope, &v);
         let mut q = ReviewQueue::new();
         q.propose(
             vec![
@@ -358,17 +349,5 @@ mod tests {
         // One bump for the promotion (push_unique), one for the overturn
         // (touch): caches keyed on the old revision must re-decide.
         assert_eq!(policy.revision(), 2);
-    }
-
-    #[test]
-    fn serde_roundtrip_with_cache_rebuild() {
-        let mut q = ReviewQueue::new();
-        q.propose(vec![pattern("a", "b", "c")], 1);
-        let id = q.pending().next().unwrap().id;
-        q.decide(id, CandidateState::Rejected, None);
-        let json = serde_json::to_string(&q).unwrap();
-        let mut back: ReviewQueue = serde_json::from_str(&json).unwrap();
-        back.rebuild_cache();
-        assert_eq!(back.propose(vec![pattern("a", "b", "c")], 2), 0);
     }
 }

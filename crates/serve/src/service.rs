@@ -897,6 +897,37 @@ impl SloTicker {
     }
 }
 
+/// Books one supervision tick on the restart breaker: `crashed` workers
+/// died this tick, `all_alive` says no slot is left dead, and `clean`
+/// counts the clean ticks (no crash, no dead worker) in a row. A
+/// half-open breaker closes on a clean tick (its probe respawn survived);
+/// a closed one forgets its failure streak only after `cooldown_rounds`
+/// clean ticks in a row, so crashes a few ticks apart still add up to a
+/// crash loop. Returns whether dead workers may be respawned.
+fn breaker_tick(
+    breaker: &mut CircuitBreaker,
+    clean: &mut u64,
+    tick: u64,
+    crashed: usize,
+    all_alive: bool,
+) -> bool {
+    if crashed > 0 {
+        breaker.record_failure(tick);
+    }
+    let allows = breaker.allows(tick);
+    *clean = if crashed == 0 && all_alive {
+        *clean + 1
+    } else {
+        0
+    };
+    let forgets =
+        breaker.state() == BreakerState::HalfOpen || *clean >= breaker.config().cooldown_rounds;
+    if allows && *clean > 0 && forgets {
+        breaker.record_success();
+    }
+    allows
+}
+
 fn supervisor_loop(
     shared: Arc<SupervisorShared>,
     ctx: WorkerCtx,
@@ -905,6 +936,7 @@ fn supervisor_loop(
     slo: SloEngine,
 ) {
     let mut tick = 0u64;
+    let mut clean = 0u64;
     let mut slo_ticker = SloTicker::new(&obs);
     let mut was_degraded = ctx.engine.is_degraded();
     while !shared.shutting_down.load(Ordering::Acquire) {
@@ -935,22 +967,16 @@ fn supervisor_loop(
         }
         let mut breaker = shared.breaker.lock();
         let before = breaker.state();
-        if crashed > 0 {
-            breaker.record_failure(tick);
-        }
-        if breaker.allows(tick) {
-            if !dead.is_empty() {
-                let mut slots = shared.slots.lock();
-                for i in dead {
-                    if slots[i].is_none() {
-                        slots[i] = Some(spawn_worker(i, tick, ctx.clone()));
-                        shared.restarts.fetch_add(1, Ordering::Relaxed);
-                        obs.worker_restarts.inc();
-                    }
+        if breaker_tick(&mut breaker, &mut clean, tick, crashed, dead.is_empty())
+            && !dead.is_empty()
+        {
+            let mut slots = shared.slots.lock();
+            for i in dead {
+                if slots[i].is_none() {
+                    slots[i] = Some(spawn_worker(i, tick, ctx.clone()));
+                    shared.restarts.fetch_add(1, Ordering::Relaxed);
+                    obs.worker_restarts.inc();
                 }
-            } else if crashed == 0 && breaker.state() == BreakerState::HalfOpen {
-                // The probe respawn survived a full tick: close.
-                breaker.record_success();
             }
         }
         let after = breaker.state();
@@ -1240,6 +1266,38 @@ mod tests {
             ])],
         );
         (policy, vocab)
+    }
+
+    /// Runs `crashes` (one entry per tick: workers crashed that tick)
+    /// through `breaker_tick` under threshold 3 and a 5-tick cooldown;
+    /// a crash tick leaves its worker dead for that tick.
+    fn breaker_after(crashes: &[usize]) -> BreakerState {
+        let mut breaker = CircuitBreaker::new(BreakerConfig {
+            failure_threshold: 3,
+            cooldown_rounds: 5,
+        });
+        let mut clean = 0;
+        for (tick, &crashed) in crashes.iter().enumerate() {
+            breaker_tick(&mut breaker, &mut clean, tick as u64, crashed, crashed == 0);
+        }
+        breaker.state()
+    }
+
+    #[test]
+    fn clean_ticks_clear_a_closed_breakers_failure_streak() {
+        // Two crashes (one short of the threshold), a cooldown's worth of
+        // clean ticks, then one crash on the recovered pool: a new streak.
+        assert_eq!(
+            breaker_after(&[1, 1, 0, 0, 0, 0, 0, 1]),
+            BreakerState::Closed
+        );
+    }
+
+    #[test]
+    fn crashes_spaced_by_clean_ticks_still_open_the_breaker() {
+        // Fewer clean ticks between crashes than the cooldown: one loop.
+        assert_eq!(breaker_after(&[1, 0, 1, 0, 1]), BreakerState::Open);
+        assert_eq!(breaker_after(&[1, 0, 0, 0, 0, 1, 1]), BreakerState::Open);
     }
 
     fn allow_req() -> DecisionRequest {

@@ -82,7 +82,7 @@ fn base_policy() -> Policy {
 /// administration by medical staff, plus the registrar's registration
 /// lane. `PROMOTABLE` rules are inside; `OVERTURNED` rules are not.
 fn gate() -> SafetyGate {
-    SafetyGate::new(Policy::with_rules(
+    let envelope = Policy::with_rules(
         StoreTag::PolicyStore,
         vec![
             Rule::of(&[
@@ -96,7 +96,8 @@ fn gate() -> SafetyGate {
                 ("authorized", "registrar"),
             ]),
         ],
-    ))
+    );
+    SafetyGate::new(envelope, &figure_1())
 }
 
 fn ground(spec: (&str, &str, &str)) -> GroundRule {

@@ -198,20 +198,6 @@ impl Taxonomy {
         self.subsumes(a, b) || self.subsumes(b, a)
     }
 
-    /// The ancestor chain of `id`, from the concept itself up to its root
-    /// (inclusive on both ends). The chain's length is `depth + 1` and is
-    /// bounded by the taxonomy's height, which is what makes
-    /// ancestor-indexed subsumption lookups cheap.
-    pub fn ancestors(&self, id: ConceptId) -> Vec<ConceptId> {
-        let mut chain = Vec::new();
-        let mut cur = Some(id);
-        while let Some(c) = cur {
-            chain.push(c);
-            cur = self.concepts[c.index()].parent;
-        }
-        chain
-    }
-
     /// All leaves of the whole taxonomy.
     pub fn all_leaves(&self) -> Vec<ConceptId> {
         (0..self.concepts.len() as u32)

@@ -97,7 +97,8 @@ fn main() {
     live.shutdown();
 
     // 4b. Re-sync the unchanged remote before each of two unwindowed
-    //     rounds. Each fetch re-quarantines the same corrupt records; the
+    //     rounds. Each fetch holds the same corrupt records, which the
+    //     quarantine already holds, so it parks none again; the
     //     well-formed rest repeats the kept fetch, so the second round
     //     reads the books: no row scanned, no key joined.
     let rows_scanned = registry.counter("prima_round_rows_scanned_total", "");
@@ -108,7 +109,7 @@ fn main() {
         assert_eq!(
             health.quarantined_entries(),
             quarantined,
-            "each fetch re-quarantines the same records"
+            "each fetch holds the same corrupt records"
         );
         counted = (rows_scanned.get(), keys_joined.get());
         prima

@@ -168,14 +168,15 @@ fn refinement_rejects_widening_candidate_with_pa005() {
     assert!(diags[0].to_string().contains("PA005"));
 
     // The same round under a generous envelope reproduces Section 5.
-    let gate = SafetyGate::new(Policy::with_rules(
+    let envelope = Policy::with_rules(
         StoreTag::Named("envelope".into()),
         vec![Rule::of(&[
             ("data", "medical"),
             ("purpose", "administering-healthcare"),
             ("authorized", "medical-staff"),
         ])],
-    ));
+    );
+    let gate = SafetyGate::new(envelope, sys.vocab());
     let candidate = Rule::of(&[
         ("data", "referral"),
         ("purpose", "registration"),
