@@ -2,12 +2,11 @@
 //! counts.
 
 use crate::entry::{AccessStatus, AuditEntry, Op};
-use crate::intern::{next_id, FxHashSet, Interner};
+use crate::intern::{log_hash, next_id, FxHashSet, Interner};
 use crate::retention::TrainingWindow;
 use crate::tally::{Group, Tally, TallyRef};
 use parking_lot::{RwLock, RwLockReadGuard};
 use prima_model::{GroundRule, Policy, StoreTag};
-use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 
@@ -133,11 +132,13 @@ pub(crate) struct Columns {
     pub(crate) raw: Vec<u32>,
     users: Interner<str>,
     /// Raw triples by their byte key (each string followed by
-    /// [`KEY_SEPARATOR`]), so an append probes without allocating.
+    /// [`KEY_SEPARATOR`]), so an append probes without allocating. The
+    /// probe's keyed hash is the one the triple's group carries.
     raw_keys: Interner<[u8]>,
-    /// The book, one group per raw id: the raw strings, the shape, and
-    /// the entry and practice counts kept at append.
+    /// The book, one group per raw id: the raw strings, the shape, the
+    /// entry and practice counts kept at append, and the carried hashes.
     pub(crate) groups: Vec<Group>,
+    /// The distinct ground rules, by their terms' carried hashes.
     shapes: Interner<GroundRule>,
     /// The book's distinct `(raw, user)` practice pairs, first-seen order.
     pairs: Vec<(u32, u32)>,
@@ -151,7 +152,7 @@ pub(crate) struct Columns {
 }
 
 /// Writes the byte key of `e`'s raw triple into `key`.
-fn raw_key(e: &AuditEntry, key: &mut Vec<u8>) {
+pub(crate) fn raw_key(e: &AuditEntry, key: &mut Vec<u8>) {
     key.clear();
     for part in [&e.data, &e.purpose, &e.authorized] {
         key.extend_from_slice(part.as_bytes());
@@ -160,16 +161,16 @@ fn raw_key(e: &AuditEntry, key: &mut Vec<u8>) {
 }
 
 /// The values a batch brings that its store has not interned, in
-/// first-seen order, with the ids [`Columns::resolve`] gave them: past the
-/// end of the store's tables, which is where [`Columns::intern`] puts
-/// them.
+/// first-seen order, with their keyed hashes: [`Columns::resolve`] gives
+/// them ids past the end of the store's tables, which is where
+/// [`Columns::intern`] puts them.
 #[derive(Default)]
 struct NewValues<'a> {
+    /// The new triples' byte keys.
+    raw_keys: Interner<[u8]>,
     /// The first entry carrying each new triple.
     raws: Vec<&'a AuditEntry>,
-    raw_ids: HashMap<Vec<u8>, u32>,
-    users: Vec<&'a str>,
-    user_ids: HashMap<&'a str, u32>,
+    users: Interner<str>,
 }
 
 impl Columns {
@@ -181,7 +182,9 @@ impl Columns {
             self.reserve(1);
         }
         raw_key(e, &mut self.key);
-        let (raw, user) = match (self.raw_keys.get(&self.key), self.users.get(&e.user)) {
+        let raw = self.raw_keys.find(log_hash(self.key.as_slice()), &self.key);
+        let user = self.users.find(log_hash(e.user.as_str()), &e.user);
+        let (raw, user) = match (raw, user) {
             (Some(raw), Some(user)) => (raw, user),
             _ => {
                 let mut new = NewValues::default();
@@ -196,57 +199,42 @@ impl Columns {
     /// The raw and user ids of `e`, which passed the blank check: the
     /// store's own, or the ones `new` gives the values the store has not
     /// interned yet. Changes nothing but `new`, so a batch is resolved
-    /// entry by entry, reading each entry's strings once, before any of
+    /// entry by entry, hashing each entry's strings once, before any of
     /// it is stored.
     fn resolve<'a>(&mut self, e: &'a AuditEntry, new: &mut NewValues<'a>) -> (u32, u32) {
-        let key = &mut self.key;
-        raw_key(e, key);
-        let raw = match self.raw_keys.get(key) {
+        raw_key(e, &mut self.key);
+        let hash = log_hash(self.key.as_slice());
+        let raw = match self.raw_keys.find(hash, &self.key) {
             Some(id) => id,
-            None => match new.raw_ids.get(key.as_slice()) {
-                Some(&id) => id,
-                None => {
-                    let id = next_id(self.groups.len() + new.raws.len());
-                    new.raw_ids.insert(key.clone(), id);
+            None => {
+                let id = new.raw_keys.intern(hash, &self.key);
+                if id as usize == new.raws.len() {
                     new.raws.push(e);
-                    id
                 }
-            },
+                next_id(self.groups.len() + id as usize)
+            }
         };
-        let user = match self.users.get(&e.user) {
+        let hash = log_hash(e.user.as_str());
+        let user = match self.users.find(hash, &e.user) {
             Some(id) => id,
-            None => *new.user_ids.entry(&e.user).or_insert_with(|| {
-                new.users.push(&e.user);
-                next_id(self.users.len() + new.users.len() - 1)
-            }),
+            None => next_id(self.users.len() + new.users.intern(hash, &e.user) as usize),
         };
         (raw, user)
     }
 
     /// Interns `new`'s triples and users, giving them the ids
-    /// [`Self::resolve`] did.
+    /// [`Self::resolve`] did and the hashes it computed.
     fn intern(&mut self, new: NewValues<'_>) {
-        let mut key = std::mem::take(&mut self.key);
-        for e in new.raws {
-            let rule = e
-                .to_ground_rule()
-                .expect("append refuses entries with blank attributes");
-            self.groups.push(Group {
-                raw: [
-                    e.data.as_str().into(),
-                    e.purpose.as_str().into(),
-                    e.authorized.as_str().into(),
-                ],
-                shape: self.shapes.intern_owned(rule),
-                entries: 0,
-                practice: 0,
-            });
-            raw_key(e, &mut key);
-            self.raw_keys.intern(&key);
+        self.groups.reserve(new.raws.len());
+        let keys = new.raw_keys.values().iter().zip(new.raw_keys.hashes());
+        for (e, (key, &hash)) in new.raws.into_iter().zip(keys) {
+            self.groups
+                .push(Group::first_seen(e, hash, &mut self.shapes));
+            self.raw_keys.intern_arc(hash, key);
         }
-        self.key = key;
-        for user in new.users {
-            self.users.intern(user);
+        let users = new.users.values().iter().zip(new.users.hashes());
+        for (user, &hash) in users {
+            self.users.intern_arc(hash, user);
         }
     }
 
@@ -320,6 +308,7 @@ impl Columns {
             groups: &self.groups,
             shapes: self.shapes.values(),
             users: self.users.values(),
+            user_keys: self.users.hashes(),
             practice_users: &self.pairs,
         }
     }
@@ -355,6 +344,7 @@ impl Columns {
             groups,
             shapes: self.shapes.values().to_vec(),
             users: self.users.values().to_vec(),
+            user_keys: self.users.hashes().to_vec(),
             practice_users: pairs
                 .into_iter()
                 .map(|pair| ((pair >> 32) as u32, pair as u32))
@@ -659,9 +649,16 @@ mod tests {
         assert_eq!(s.approx_bytes(), bytes, "nor allocated for");
         {
             let c = s.read();
-            assert_eq!(c.users.get("a"), None, "the refused user is unknown");
+            assert_eq!(
+                c.users.find(log_hash("a"), "a"),
+                None,
+                "the refused user is unknown"
+            );
             let rule = batch[0].to_ground_rule().unwrap();
-            assert_eq!(c.shapes.get(&rule), None, "and so is its shape");
+            assert!(
+                c.shapes.values().iter().all(|s| **s != rule),
+                "and so is its shape"
+            );
         }
         assert_eq!(s.append_all([&batch[0], &batch[2]]).unwrap(), 2);
         assert_eq!(s.len(), 5);

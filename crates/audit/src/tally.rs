@@ -14,19 +14,24 @@
 //!
 //! A [`KeySpace`] joins the sources' tallies. It keeps, per store, remaps
 //! from the store's own group, shape and user ids to federation ids, and
-//! since a store's ids only grow, a read hashes only the ids interned
-//! since the previous one; everything else is integer lookups. The key
-//! space also keeps one verdict per federation shape for one policy
-//! revision. [`Tally::merge`] is the same join done once, over fresh
-//! remaps.
+//! since a store's ids only grow, a read joins only the ids interned
+//! since the previous one; everything else is integer lookups. A join
+//! hashes no string: each group carries the keyed hashes its store
+//! computed when it first saw the triple (of the raw triple and of its
+//! shape's three rule terms), each user its name's, and the key space's
+//! tables take those and compare the values in full. A shape is the
+//! triple of its terms' federation ids. The key space also keeps one
+//! verdict per federation shape for one policy revision, decided by
+//! ANDing the compiled rows of the shape's three terms, each row resolved
+//! once per revision. [`Tally::merge`] is the same join done once, over
+//! fresh remaps.
 
 use crate::entry::AuditEntry;
-use crate::intern::{next_id, FxHashSet, Interner};
+use crate::intern::{log_hash, next_id, FxHashMap, FxHashSet, HashIndex, Interner};
 use crate::retention::TrainingWindow;
-use crate::store::{flags_of, AppendError, AuditStore, PRACTICE};
-use prima_model::{CompiledPolicy, EntryCoverageReport, GroundRule, Policy};
+use crate::store::{flags_of, raw_key, AppendError, AuditStore, PRACTICE};
+use prima_model::{CompiledPolicy, EntryCoverageReport, GroundRule, Policy, RuleTerm, TermRow};
 use prima_vocab::Vocabulary;
-use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -42,6 +47,54 @@ pub struct Group {
     pub entries: usize,
     /// Of those, the practice entries: served exception-based accesses.
     pub practice: usize,
+    /// The keyed hashes computed where the triple was first seen.
+    pub(crate) keys: Keys,
+}
+
+/// The keyed hashes ([`log_hash`]) a [`Group`] carries from where its
+/// triple was first seen, so that no later join hashes its strings again:
+/// of the raw triple's byte key, and of the three terms of its shape, in
+/// the shape's term order. Tables keyed by them still compare the strings
+/// and terms themselves.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct Keys {
+    pub(crate) raw: u64,
+    pub(crate) terms: [u64; 3],
+}
+
+impl Group {
+    /// The group of `e`'s raw triple, first seen: `e` passed the blank
+    /// check and its byte key hashed to `raw`. Its shape is interned into
+    /// `shapes` by its terms' hashes; its counts are zero.
+    pub(crate) fn first_seen(e: &AuditEntry, raw: u64, shapes: &mut Interner<GroundRule>) -> Self {
+        let rule = e
+            .to_ground_rule()
+            .expect("an entry with no blank attribute projects");
+        let terms = three_terms(&rule).each_ref().map(log_hash);
+        Self {
+            raw: [
+                e.data.as_str().into(),
+                e.purpose.as_str().into(),
+                e.authorized.as_str().into(),
+            ],
+            shape: shapes.intern_owned(shape_hash(terms), rule),
+            entries: 0,
+            practice: 0,
+            keys: Keys { raw, terms },
+        }
+    }
+}
+
+/// The three terms of an access's ground rule, attribute-sorted.
+fn three_terms(rule: &GroundRule) -> &[RuleTerm; 3] {
+    rule.terms()
+        .try_into()
+        .expect("an access projects onto data, purpose and authorized")
+}
+
+/// A shape's table hash, mixed from its terms' carried hashes.
+fn shape_hash([a, b, c]: [u64; 3]) -> u64 {
+    a ^ b.rotate_left(21) ^ c.rotate_left(42)
 }
 
 /// A trail reduced to its raw access triples: per triple, how many
@@ -57,6 +110,8 @@ pub struct Tally {
     pub(crate) shapes: Vec<Arc<GroundRule>>,
     /// User names, indexed by the user ids of `practice_users`.
     pub(crate) users: Vec<Arc<str>>,
+    /// The users' carried keyed hashes, indexed like `users`.
+    pub(crate) user_keys: Vec<u64>,
     /// Distinct `(group, user)` pairs among the practice entries.
     pub(crate) practice_users: Vec<(u32, u32)>,
 }
@@ -68,6 +123,7 @@ pub(crate) struct TallyRef<'a> {
     pub(crate) groups: &'a [Group],
     pub(crate) shapes: &'a [Arc<GroundRule>],
     pub(crate) users: &'a [Arc<str>],
+    pub(crate) user_keys: &'a [u64],
     pub(crate) practice_users: &'a [(u32, u32)],
 }
 
@@ -78,6 +134,7 @@ impl TallyRef<'_> {
             groups: self.groups.to_vec(),
             shapes: self.shapes.to_vec(),
             users: self.users.to_vec(),
+            user_keys: self.user_keys.to_vec(),
             practice_users: self.practice_users.to_vec(),
         }
     }
@@ -88,55 +145,46 @@ impl Tally {
     /// failing closed on the first one with a blank attribute, as an
     /// append would.
     ///
-    /// Entries are keyed by their raw borrowed strings, so
-    /// [`AuditEntry::to_ground_rule`] runs once per distinct raw triple;
-    /// case and whitespace variants that project to the same ground rule
-    /// (`Referral`, ` referral `) share one shape but stay two groups.
+    /// Entries are keyed by their raw triple's byte key, hashed once per
+    /// entry as an append hashes it, so [`AuditEntry::to_ground_rule`]
+    /// runs once per distinct raw triple; case and whitespace variants
+    /// that project to the same ground rule (`Referral`, ` referral `)
+    /// share one shape but stay two groups.
     pub fn of_entries(
         entries: &[AuditEntry],
         window: Option<TrainingWindow>,
     ) -> Result<Self, AppendError> {
         let mut tally = Self::default();
-        let mut groups: HashMap<(&str, &str, &str), u32> = HashMap::new();
+        let mut raws: Interner<[u8]> = Interner::default();
         let mut shapes: Interner<GroundRule> = Interner::default();
-        let mut users: HashMap<&str, u32> = HashMap::new();
+        let mut users: Interner<str> = Interner::default();
         let mut pairs: FxHashSet<(u32, u32)> = FxHashSet::default();
+        let mut key = Vec::new();
         for (index, e) in entries.iter().enumerate() {
             if window.is_some_and(|w| !w.contains(e.time)) {
                 continue;
             }
-            let key = (e.data.as_str(), e.purpose.as_str(), e.authorized.as_str());
-            let group = match groups.get(&key) {
-                Some(&group) => group,
+            raw_key(e, &mut key);
+            let hash = log_hash(key.as_slice());
+            let group = match raws.find(hash, &key) {
+                Some(group) => group,
                 None => {
                     AppendError::check(index, e)?;
-                    let rule = e
-                        .to_ground_rule()
-                        .expect("an entry with no blank attribute projects");
-                    let id = next_id(tally.groups.len());
-                    tally.groups.push(Group {
-                        raw: [key.0.into(), key.1.into(), key.2.into()],
-                        shape: shapes.intern_owned(rule),
-                        entries: 0,
-                        practice: 0,
-                    });
-                    groups.insert(key, id);
-                    id
+                    tally.groups.push(Group::first_seen(e, hash, &mut shapes));
+                    raws.intern(hash, &key)
                 }
             };
             let g = &mut tally.groups[group as usize];
             g.entries += 1;
             if flags_of(e) == PRACTICE {
                 g.practice += 1;
-                let next = next_id(tally.users.len());
-                let user = *users.entry(e.user.as_str()).or_insert_with(|| {
-                    tally.users.push(e.user.as_str().into());
-                    next
-                });
+                let user = users.intern(log_hash(e.user.as_str()), &e.user);
                 pairs.insert((group, user));
             }
         }
         tally.shapes = shapes.values().to_vec();
+        tally.users = users.values().to_vec();
+        tally.user_keys = users.hashes().to_vec();
         tally.practice_users = pairs.into_iter().collect();
         Ok(tally)
     }
@@ -161,6 +209,7 @@ impl Tally {
             groups: &self.groups,
             shapes: &self.shapes,
             users: &self.users,
+            user_keys: &self.user_keys,
             practice_users: &self.practice_users,
         }
     }
@@ -242,7 +291,7 @@ pub struct ReadCost {
     /// Rows the read scanned: only a windowed read scans, every row of
     /// every store. An unwindowed read reads the books and scans none.
     pub rows_scanned: usize,
-    /// Source-local ids (groups, shapes and users) newly hashed into the
+    /// Source-local ids (groups, shapes and users) newly joined into the
     /// key space.
     pub keys_joined: usize,
     /// Time spent reading the sources: locking the stores and scanning a
@@ -255,12 +304,15 @@ pub struct ReadCost {
 /// The federation-wide key space a long-lived system keeps between
 /// reads.
 ///
-/// It interns every raw triple, shape and user the federation's sources
-/// have shown it, and keeps per store the remaps from the store's ids to
-/// its own. A store's ids only grow, so a read hashes only the ids the
-/// store interned since the previous read and joins the rest through
-/// integer remaps. A resilient source's last good fetch is a store too
-/// (`crate::ResilientFederation`), so every source is joined this way.
+/// It interns every raw triple, rule term, shape and user the
+/// federation's sources have shown it, and keeps per store the remaps
+/// from the store's ids to its own. A store's ids only grow, so a read
+/// joins only the ids the store interned since the previous read and the
+/// rest through integer remaps. A resilient source's last good fetch is a
+/// store too (`crate::ResilientFederation`), so every source is joined
+/// this way. A join hashes no string: triples, terms and users are found
+/// by the keyed hashes their source carries, then compared in full, and a
+/// shape is the triple of its terms' federation ids.
 ///
 /// The key space also keeps one verdict per federation shape, valid for
 /// one [`Policy::revision`]: extended for new shapes, recomputed when the
@@ -273,17 +325,35 @@ pub struct ReadCost {
 /// stores in any order, and a store it leaves out loses its remap.
 #[derive(Debug, Default)]
 pub struct KeySpace {
-    /// The federation's groups, counts unused: raw strings and
-    /// federation shape id.
+    /// The federation's groups, counts unused: raw strings, federation
+    /// shape id and carried hashes.
     groups: Vec<Group>,
-    group_ids: HashMap<[Arc<str>; 3], u32>,
-    shapes: Interner<GroundRule>,
+    /// `groups` by their raw triples' carried hashes.
+    group_index: HashIndex,
+    /// The federation's rule terms, by their carried hashes.
+    terms: Interner<RuleTerm>,
+    /// The federation's shapes: each ground rule, the federation ids of
+    /// its three terms, and the shape ids by those.
+    shapes: Vec<Arc<GroundRule>>,
+    shape_terms: Vec<[u32; 3]>,
+    shape_ids: FxHashMap<[u32; 3], u32>,
     users: Interner<str>,
     /// One remap per store, keyed by the store's trail.
     stores: Vec<(AuditStore, Remap)>,
+    /// The verdicts of the policy revision last asked about.
+    decided: Option<Decided>,
+}
+
+/// One policy revision's verdicts, as far as decided: the revision's
+/// compiled table, the row of each federation term a decided shape names
+/// (indexed by term id), and one verdict per federation shape decided so
+/// far.
+#[derive(Debug)]
+struct Decided {
+    revision: u64,
+    table: CompiledPolicy,
+    rows: Vec<Option<TermRow>>,
     verdicts: Vec<bool>,
-    /// The policy revision `verdicts` hold for.
-    revision: Option<u64>,
 }
 
 impl KeySpace {
@@ -324,7 +394,7 @@ impl KeySpace {
     }
 
     /// Entry-weighted coverage of the trail of `stores` under `policy`,
-    /// with the number of ids newly hashed into the key space.
+    /// with the number of ids newly joined into the key space.
     /// `uncovered_indices` index the trail in timestamp order, stable
     /// across sources: ties go to the earlier store, then to append order.
     ///
@@ -366,20 +436,34 @@ impl KeySpace {
 
     /// One verdict per federation shape under `policy`, indexed like a
     /// read's [`Tally::shapes`]. The verdicts are kept for one policy
-    /// revision: a later call at the same revision decides only the
-    /// shapes joined since, and compiles the policy only if there are
-    /// any; a call at another revision decides every shape again.
+    /// revision, compiled once: a later call at the same revision decides
+    /// only the shapes joined since; a call at another revision compiles
+    /// it and decides every shape again. Each term a shape names has its
+    /// row resolved once per revision, and a shape is decided by ANDing
+    /// its three rows with the three-term mask.
     pub fn verdicts(&mut self, policy: &Policy, vocab: &Vocabulary) -> &[bool] {
-        if self.revision != Some(policy.revision()) {
-            self.verdicts.clear();
-            self.revision = Some(policy.revision());
+        let revision = policy.revision();
+        self.decided.take_if(|d| d.revision != revision);
+        let Decided {
+            table,
+            rows,
+            verdicts,
+            ..
+        } = self.decided.get_or_insert_with(|| Decided {
+            revision,
+            table: CompiledPolicy::new(policy, vocab),
+            rows: Vec::new(),
+            verdicts: Vec::new(),
+        });
+        rows.resize(self.terms.len(), None);
+        let terms = self.terms.values();
+        for shape in &self.shape_terms[verdicts.len()..] {
+            let shape_rows = shape.map(|term| {
+                *rows[term as usize].get_or_insert_with(|| table.term_row(&terms[term as usize]))
+            });
+            verdicts.push(table.covers_rows(&shape_rows));
         }
-        let undecided = &self.shapes.values()[self.verdicts.len()..];
-        if !undecided.is_empty() {
-            let decided = CompiledPolicy::new(policy, vocab).verdicts(undecided);
-            self.verdicts.extend(decided);
-        }
-        &self.verdicts
+        verdicts
     }
 
     /// The remaps of `stores`, taken out for a read: the one kept for
@@ -423,10 +507,10 @@ impl KeySpace {
     }
 
     /// Extends `remap` with the ids `source` interned since `remap` last
-    /// saw it, hashing only those into the key space. A shape is hashed
-    /// only when a group new to the federation carries it: a group the
-    /// federation knows names the shape's federation id already. Returns
-    /// how many ids were hashed.
+    /// saw it, joining only those into the key space, each by its carried
+    /// hash in one probe. A shape is joined only when a group new to the
+    /// federation carries it: a group the federation knows names the
+    /// shape's federation id already. Returns how many ids were joined.
     fn remap(&mut self, remap: &mut Remap, source: TallyRef<'_>) -> usize {
         assert!(
             remap.groups.len() <= source.groups.len()
@@ -434,39 +518,60 @@ impl KeySpace {
                 && remap.users.len() <= source.users.len(),
             "a source's ids only grow"
         );
-        let mut joined = 0;
+        let new_groups = &source.groups[remap.groups.len()..];
+        let new_users = &source.users[remap.users.len()..];
+        let mut joined = new_groups.len() + new_users.len();
+        self.groups.reserve(new_groups.len());
+        self.group_index.reserve(new_groups.len());
+        remap.groups.reserve(new_groups.len());
         remap.shapes.resize(source.shapes.len(), UNSEEN);
-        for g in &source.groups[remap.groups.len()..] {
-            joined += 1;
+        for g in new_groups {
+            let groups = &self.groups;
+            let (id, new) = self
+                .group_index
+                .find_or_insert(g.keys.raw, |id| groups[id as usize].raw == g.raw);
             let shape = &mut remap.shapes[g.shape as usize];
-            let id = match self.group_ids.get(&g.raw) {
-                Some(&id) => {
-                    *shape = self.groups[id as usize].shape;
-                    id
+            if new {
+                if *shape == UNSEEN {
+                    *shape = self.join_shape(&source.shapes[g.shape as usize], g.keys.terms);
+                    joined += 1;
                 }
-                None => {
-                    if *shape == UNSEEN {
-                        *shape = self.shapes.intern_arc(&source.shapes[g.shape as usize]);
-                        joined += 1;
-                    }
-                    let id = next_id(self.groups.len());
-                    self.group_ids.insert(g.raw.clone(), id);
-                    self.groups.push(Group {
-                        raw: g.raw.clone(),
-                        shape: *shape,
-                        entries: 0,
-                        practice: 0,
-                    });
-                    id
-                }
-            };
+                self.groups.push(Group {
+                    raw: g.raw.clone(),
+                    shape: *shape,
+                    entries: 0,
+                    practice: 0,
+                    keys: g.keys,
+                });
+            } else {
+                *shape = self.groups[id as usize].shape;
+            }
             remap.groups.push(id);
         }
-        for user in &source.users[remap.users.len()..] {
-            joined += 1;
-            remap.users.push(self.users.intern_arc(user));
+        self.users.reserve(new_users.len());
+        let user_keys = &source.user_keys[remap.users.len()..];
+        for (user, &hash) in new_users.iter().zip(user_keys) {
+            remap.users.push(self.users.intern_arc(hash, user));
         }
         joined
+    }
+
+    /// The federation id of `rule`, a source's shape whose terms carry
+    /// `hashes`: its terms are interned by their hashes, and the shape by
+    /// the triple of their ids.
+    fn join_shape(&mut self, rule: &Arc<GroundRule>, hashes: [u64; 3]) -> u32 {
+        let mut ids = [0; 3];
+        for ((id, term), hash) in ids.iter_mut().zip(three_terms(rule)).zip(hashes) {
+            *id = self
+                .terms
+                .intern_with(hash, term, || Arc::new(term.clone()));
+        }
+        let next = next_id(self.shapes.len());
+        *self.shape_ids.entry(ids).or_insert_with(|| {
+            self.shapes.push(Arc::clone(rule));
+            self.shape_terms.push(ids);
+            next
+        })
     }
 
     /// The finished read: every federation group with the counts `sums`
@@ -484,8 +589,9 @@ impl KeySpace {
                     ..g.clone()
                 })
                 .collect(),
-            shapes: self.shapes.values().to_vec(),
+            shapes: self.shapes.clone(),
             users: self.users.values().to_vec(),
+            user_keys: self.users.hashes().to_vec(),
             practice_users: sums.pairs.into_iter().collect(),
         }
     }
@@ -538,6 +644,8 @@ fn merge_runs(runs: &[Run]) -> Vec<u32> {
 mod tests {
     use super::*;
     use prima_vocab::samples::figure_1;
+    use proptest::collection;
+    use proptest::prelude::*;
 
     fn entry(t: i64, user: &str, data: &str, purpose: &str, authorized: &str) -> AuditEntry {
         AuditEntry::exception(t, user, data, purpose, authorized)
@@ -632,6 +740,7 @@ mod tests {
                 shape: 0,
                 entries: 0,
                 practice: 0,
+                keys: Keys::default(),
             }],
             shapes: vec![Arc::new(GroundRule::of(&[
                 ("data", "d"),
@@ -828,6 +937,198 @@ mod tests {
             ("authorized", "nurse"),
         ]));
         assert_eq!(space.verdicts(&p, &vocab), [true, true]);
+    }
+
+    /// A one-entry tally of `raw` by `user`, built by hand so that its
+    /// carried hashes can be forced: every triple, term and user of it
+    /// carries the same hash.
+    fn forced(raw: [&str; 3], user: &str) -> Tally {
+        let rule = GroundRule::of(&[
+            ("data", raw[0]),
+            ("purpose", raw[1]),
+            ("authorized", raw[2]),
+        ]);
+        Tally {
+            groups: vec![Group {
+                raw: raw.map(Arc::from),
+                shape: 0,
+                entries: 1,
+                practice: 1,
+                keys: Keys {
+                    raw: 7,
+                    terms: [7; 3],
+                },
+            }],
+            shapes: vec![Arc::new(rule)],
+            users: vec![user.into()],
+            user_keys: vec![7],
+            practice_users: vec![(0, 0)],
+        }
+    }
+
+    #[test]
+    fn equal_carried_hashes_never_join_different_values() {
+        let mut space = KeySpace::new();
+        let mut sums = Sums::default();
+        for tally in [
+            forced(["referral", "registration", "nurse"], "mark"),
+            forced(["address", "billing", "clerk"], "tim"),
+            // A case variant: its own group, the first one's shape.
+            forced(["Referral", "registration", "nurse"], "mark"),
+        ] {
+            space.join(&mut Remap::default(), tally.view(), &mut sums);
+        }
+        assert_eq!(space.groups.len(), 3, "three raw triples");
+        assert_eq!(space.terms.len(), 6, "six terms");
+        assert_eq!(space.shapes.len(), 2, "two shapes");
+        assert_eq!(space.users.len(), 2, "two users");
+        assert_eq!(space.shape_terms, [[0, 1, 2], [3, 4, 5]]);
+        let merged = space.tally(sums);
+        assert_eq!(merged.groups()[2].shape, 0);
+        assert_eq!(merged.practice_users().len(), 3);
+        // Each shape is decided by its own terms' rows.
+        let p = policy(&[["address", "billing", "clerk"]]);
+        assert_eq!(space.verdicts(&p, &figure_1()), [false, true]);
+    }
+
+    #[test]
+    fn a_revision_resolves_its_own_term_rows() {
+        let store = AuditStore::new("a");
+        store
+            .append_all(&[
+                entry(1, "u", "referral", "registration", "nurse"),
+                entry(2, "u", "address", "billing", "clerk"),
+            ])
+            .unwrap();
+        let vocab = figure_1();
+        let mut p = policy(&[["referral", "registration", "nurse"]]);
+        let mut space = KeySpace::new();
+        space.read(&[store], None);
+        assert_eq!(space.verdicts(&p, &vocab), [true, false]);
+        // The next revision numbers its rows afresh: `clerk` and
+        // `address` take the rows `referral` and `registration` had, so a
+        // row kept from the last revision would decide both shapes wrong.
+        p.push(prima_model::Rule::of(&[
+            ("data", "address"),
+            ("purpose", "billing"),
+            ("authorized", "clerk"),
+        ]));
+        assert_eq!(space.verdicts(&p, &vocab), [true, true]);
+    }
+
+    /// Entry values: case variants that share a shape, and values the
+    /// vocabulary does not know (`x-ray`, `triage`, `doctor`).
+    const DATA: [&str; 6] = [
+        "referral",
+        "Referral",
+        " referral ",
+        "psychiatry",
+        "address",
+        "x-ray",
+    ];
+    const PURPOSE: [&str; 4] = ["registration", "Treatment", "billing", "triage"];
+    const AUTHORIZED: [&str; 4] = ["nurse", "NURSE", "clerk", "doctor"];
+    /// Rule values: concepts at every level, and the unknown ones.
+    const RULE_DATA: [&str; 6] = [
+        "referral",
+        "general-care",
+        "medical",
+        "demographic",
+        "psychiatry",
+        "x-ray",
+    ];
+    const RULE_PURPOSE: [&str; 4] = [
+        "registration",
+        "administering-healthcare",
+        "billing",
+        "triage",
+    ];
+    const RULE_AUTHORIZED: [&str; 4] = ["nurse", "medical-staff", "clerk", "doctor"];
+
+    fn arb_entry() -> impl Strategy<Value = AuditEntry> {
+        (
+            0..DATA.len(),
+            0..PURPOSE.len(),
+            0..AUTHORIZED.len(),
+            0i64..10,
+        )
+            .prop_map(|(d, p, a, t)| entry(t, "u", DATA[d], PURPOSE[p], AUTHORIZED[a]))
+    }
+
+    /// A rule over a non-empty subset of the three attributes and a
+    /// fourth, so that rules of every cardinality meet the three-term
+    /// shapes.
+    fn arb_rule() -> impl Strategy<Value = prima_model::Rule> {
+        (
+            0..RULE_DATA.len(),
+            0..RULE_PURPOSE.len(),
+            0..RULE_AUTHORIZED.len(),
+            1u8..16,
+        )
+            .prop_map(|(d, p, a, attrs)| {
+                let pairs = [
+                    ("data", RULE_DATA[d]),
+                    ("purpose", RULE_PURPOSE[p]),
+                    ("authorized", RULE_AUTHORIZED[a]),
+                    ("recipient", "insurer"),
+                ];
+                let chosen: Vec<(&str, &str)> = (0..4)
+                    .filter(|i| attrs & (1 << i) != 0)
+                    .map(|i| pairs[i])
+                    .collect();
+                prima_model::Rule::of(&chosen)
+            })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// The key space's verdicts, decided from term rows resolved once
+        /// per revision, equal the compiled table's and Algorithm 1's
+        /// answer for each shape's ground rule, as stores grow, stores
+        /// join, and the policy grows, drops copies or is touched.
+        #[test]
+        fn key_space_verdicts_equal_the_table_on_every_shape(
+            first in collection::vec(arb_entry(), 0..12),
+            rules in collection::vec(arb_rule(), 0..4),
+            steps in collection::vec(
+                (0u8..5, 0usize..4, collection::vec(arb_entry(), 0..12), arb_rule()),
+                1..10,
+            ),
+        ) {
+            let vocab = figure_1();
+            let mut p = Policy::with_rules(prima_model::StoreTag::PolicyStore, rules);
+            let mut stores = vec![AuditStore::new("site-0")];
+            stores[0].append_all(&first).unwrap();
+            let mut space = KeySpace::new();
+            for (kind, site, entries, rule) in steps {
+                match kind {
+                    0 => {
+                        stores[site % stores.len()].append_all(&entries).unwrap();
+                    }
+                    1 => {
+                        let store = AuditStore::new(&format!("site-{}", stores.len()));
+                        store.append_all(&entries).unwrap();
+                        stores.push(store);
+                    }
+                    2 => p.push(rule),
+                    3 => {
+                        p.push(rule.clone());
+                        p.push(rule);
+                        p.dedup();
+                    }
+                    _ => p.touch(),
+                }
+                let (tally, _) = space.read(&stores, None);
+                let table = CompiledPolicy::new(&p, &vocab);
+                let expected: Vec<bool> = tally.shapes().iter().map(|s| table.covers(s)).collect();
+                for (shape, &covered) in tally.shapes().iter().zip(&expected) {
+                    let sanctioned = p.rules().iter().any(|r| r.expansion_contains(shape, &vocab));
+                    prop_assert_eq!(covered, sanctioned);
+                }
+                prop_assert_eq!(space.verdicts(&p, &vocab), expected.as_slice());
+            }
+        }
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //! no row and joins no key (asserted from the system's own counters),
 //! and its cost follows the distinct triples and users, not the trail.
 //! A `grown` row follows: a third round after 1 % more entries were
-//! appended across the sites. It too scans no row, and hashes only the
+//! appended across the sites. It too scans no row, and joins only the
 //! ids the appended entries brought.
 
 use prima_bench::suite::pipeline::{run_pipeline, LaterRound};
@@ -70,7 +70,7 @@ fn main() {
     println!(
         "shape: every stage is near-linear in trail size, and a 100k-entry round completes \
          in well under a second; a second round over the unchanged trail scans no row and \
-         joins no key, and one over a trail grown by 1 % hashes only the new ids."
+         joins no key, and one over a trail grown by 1 % joins only the new ids."
     );
 }
 

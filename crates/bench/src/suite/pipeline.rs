@@ -52,7 +52,7 @@ pub struct RoundReport {
 
 /// What a round after the first did. Its key space already holds the ids
 /// of the trail the previous round read and the verdicts of the policy
-/// revision it left, so it reads the stores' books, hashes only the ids
+/// revision it left, so it reads the stores' books, joins only the ids
 /// appended since, and decides only their new shapes (or every shape, if
 /// the previous round moved the policy's revision).
 #[derive(Debug, Clone, Default)]

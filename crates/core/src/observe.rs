@@ -17,7 +17,7 @@
 //! | `prima_round_patterns_useful_total` | counter | patterns surviving Prune |
 //! | `prima_round_rules_added_total` | counter | rules folded into the policy |
 //! | `prima_round_rows_scanned_total` | counter | rows the rounds scanned (windowed rounds only) |
-//! | `prima_round_keys_joined_total` | counter | store-local ids newly hashed into the federation key space |
+//! | `prima_round_keys_joined_total` | counter | store-local ids newly joined into the federation key space |
 //! | `prima_coverage_entry_ratio` | gauge | latest entry-weighted coverage |
 //! | `prima_coverage_completeness_lower` | gauge | lower bound on true coverage |
 //! | `prima_coverage_completeness_upper` | gauge | upper bound on true coverage |
@@ -150,7 +150,7 @@ impl SystemObs {
             ),
             keys_joined_total: registry.counter(
                 "prima_round_keys_joined_total",
-                "Store-local ids newly hashed into the federation key space.",
+                "Store-local ids newly joined into the federation key space.",
             ),
             coverage_ratio: registry.gauge(
                 "prima_coverage_entry_ratio",

@@ -1,52 +1,15 @@
 //! A sample clinical database for examples and experiments.
 //!
-//! Two tables, mapped onto the Figure 1 vocabulary:
-//!
-//! * `patients` — demographic columns (`name`, `address`, `gender`,
-//!   `date_of_birth`);
-//! * `encounters` — clinical and financial columns (`referral`,
-//!   `prescription`, `psychiatry`, `insurance`).
+//! One table, `encounters`, whose clinical and financial columns
+//! (`referral`, `prescription`, `psychiatry`, `insurance`) are mapped onto
+//! the Figure 1 vocabulary, keyed by a `patient` column that consent
+//! filtering reads.
 //!
 //! [`generate_encounters`] scales the encounter table for the overhead
 //! experiment (E6) deterministically — no RNG, so benchmark inputs are
 //! reproducible byte-for-byte.
 
 use prima_store::{Column, DataType, Row, Schema, Table, Value};
-
-/// Builds the `patients` table with its column→category mappings.
-pub fn patients_table() -> (Table, Vec<(String, String)>) {
-    let schema = Schema::new(vec![
-        Column::required("patient", DataType::Str),
-        Column::required("name", DataType::Str),
-        Column::required("address", DataType::Str),
-        Column::required("gender", DataType::Str),
-        Column::required("date_of_birth", DataType::Str),
-    ])
-    .unwrap();
-    let mut t = Table::new("patients", schema);
-    for (p, n, a, g, d) in [
-        ("p1", "Ada Pine", "12 Oak St", "f", "1950-02-11"),
-        ("p2", "Bo Reed", "3 Elm Ave", "m", "1983-07-30"),
-        ("p3", "Cy Voss", "9 Fir Rd", "m", "1971-12-02"),
-    ] {
-        t.insert(Row::new(vec![
-            Value::str(p),
-            Value::str(n),
-            Value::str(a),
-            Value::str(g),
-            Value::str(d),
-        ]))
-        .unwrap();
-    }
-    let mappings = vec![
-        ("patient".to_string(), "name".to_string()),
-        ("name".to_string(), "name".to_string()),
-        ("address".to_string(), "address".to_string()),
-        ("gender".to_string(), "gender".to_string()),
-        ("date_of_birth".to_string(), "date-of-birth".to_string()),
-    ];
-    (t, mappings)
-}
 
 /// Builds the `encounters` table with its column→category mappings.
 pub fn encounters_table() -> (Table, Vec<(String, String)>) {
@@ -100,19 +63,18 @@ mod tests {
     #[test]
     fn tables_build_and_map_to_vocabulary() {
         let v = figure_1();
-        for (t, mappings) in [patients_table(), encounters_table()] {
-            assert!(!t.is_empty());
-            for (col, cat) in &mappings {
-                assert!(
-                    t.schema().index_of(col).is_some(),
-                    "{col} must exist in {}",
-                    t.name()
-                );
-                assert!(
-                    v.is_ground("data", cat) || v.resolve("data", cat).is_some(),
-                    "{cat} must be a known data category"
-                );
-            }
+        let (t, mappings) = encounters_table();
+        assert!(!t.is_empty());
+        for (col, cat) in &mappings {
+            assert!(
+                t.schema().index_of(col).is_some(),
+                "{col} must exist in {}",
+                t.name()
+            );
+            assert!(
+                v.is_ground("data", cat) || v.resolve("data", cat).is_some(),
+                "{cat} must be a known data category"
+            );
         }
     }
 

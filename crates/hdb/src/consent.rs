@@ -45,20 +45,6 @@ impl ConsentRegistry {
             });
     }
 
-    /// Removes all opt-outs of `patient` for `purpose` (any data scope).
-    /// Returns how many were removed.
-    pub fn revoke_opt_outs(&mut self, patient: &str, purpose: &str) -> usize {
-        let purpose = normalize(purpose);
-        match self.by_patient.get_mut(&normalize(patient)) {
-            Some(list) => {
-                let before = list.len();
-                list.retain(|o| o.purpose != purpose);
-                before - list.len()
-            }
-            None => 0,
-        }
-    }
-
     /// Number of patients with at least one opt-out.
     pub fn patients_with_opt_outs(&self) -> usize {
         self.by_patient.values().filter(|v| !v.is_empty()).count()
@@ -81,21 +67,6 @@ impl ConsentRegistry {
             };
             purpose_hit && data_hit
         })
-    }
-
-    /// The patients (among `candidates`) who do **not** permit `data` for
-    /// `purpose` — the exclusion list the query rewriter conjoins.
-    pub fn excluded_patients<'a>(
-        &self,
-        vocab: &Vocabulary,
-        candidates: impl Iterator<Item = &'a str>,
-        data: &str,
-        purpose: &str,
-    ) -> Vec<String> {
-        candidates
-            .filter(|p| !self.permits(vocab, p, data, purpose))
-            .map(normalize)
-            .collect()
     }
 }
 
@@ -132,29 +103,6 @@ mod tests {
         r.opt_out("p1", "research", Some("mental-health"));
         assert!(!r.permits(&v, "p1", "psychiatry", "research"));
         assert!(r.permits(&v, "p1", "prescription", "research"));
-    }
-
-    #[test]
-    fn revoke_restores_permission() {
-        let v = figure_1();
-        let mut r = ConsentRegistry::new();
-        r.opt_out("p1", "marketing", None);
-        r.opt_out("p1", "research", None);
-        assert_eq!(r.revoke_opt_outs("p1", "marketing"), 1);
-        assert!(r.permits(&v, "p1", "address", "telemarketing"));
-        assert!(!r.permits(&v, "p1", "address", "research"));
-        assert_eq!(r.revoke_opt_outs("p1", "nothing"), 0);
-        assert_eq!(r.revoke_opt_outs("ghost", "marketing"), 0);
-    }
-
-    #[test]
-    fn excluded_patients_lists_refusers() {
-        let v = figure_1();
-        let mut r = ConsentRegistry::new();
-        r.opt_out("p2", "billing", Some("demographic"));
-        let excluded =
-            r.excluded_patients(&v, ["p1", "p2", "p3"].into_iter(), "address", "billing");
-        assert_eq!(excluded, vec!["p2"]);
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! Compliance Auditing together and is the single entry point examples and
 //! the PRIMA system use.
 
-use crate::auditing::{AuditScope, ComplianceAuditing};
+use crate::auditing::ComplianceAuditing;
 use crate::enforcement::{ActiveEnforcement, ColumnMap, EnforcedResult};
 use crate::error::HdbError;
 use crate::request::AccessRequest;
@@ -39,11 +39,6 @@ impl ControlCenter {
             enforcement,
             auditing: ComplianceAuditing::new(AuditStore::new("audit")),
         }
-    }
-
-    /// Sets the audit scope (what needs to be auditable).
-    pub fn set_audit_scope(&mut self, scope: AuditScope) {
-        self.auditing = ComplianceAuditing::new(self.auditing.store().clone()).with_scope(scope);
     }
 
     /// Registers a clinical table and its column→category mappings.

@@ -22,9 +22,10 @@
 //!   or overridden) lands in a `prima-audit` store with the paper's
 //!   seven-attribute schema;
 //! * [`control`] — the HDB Control Center facade stakeholders use to
-//!   "enter fine-grained rules, patient consent information and specify
-//!   what needs to be auditable";
-//! * [`clinical`] — a sample clinical database (patients + encounters)
+//!   "enter fine-grained rules, patient consent information"; what
+//!   "needs to be auditable" is the [`auditing::AuditScope`] a
+//!   [`ComplianceAuditing`] is built with;
+//! * [`clinical`] — a sample clinical database (an encounters table)
 //!   with its column→data-category map, used by examples and experiments.
 
 #![forbid(unsafe_code)]

@@ -21,7 +21,11 @@
 //! ground rule, [`Rule::expansion_contains`]). Batch coverage, Prune,
 //! compaction, the analyzer and both Active Enforcement middlewares ask
 //! this one query, through `&self`, so a compiled revision can be shared
-//! across threads.
+//! across threads. [`CompiledPolicy::covers`] asks it without allocating,
+//! word by word with an early exit; a caller that decides many shapes
+//! over a few terms resolves each term's row once
+//! ([`CompiledPolicy::term_row`]) and decides each shape from its rows
+//! ([`CompiledPolicy::covers_rows`]), hashing nothing per shape.
 
 use crate::ground::GroundRule;
 use crate::policy::Policy;
@@ -29,21 +33,44 @@ use crate::rule::Rule;
 use crate::term::RuleTerm;
 use prima_vocab::{normalize, ConceptId, Vocabulary, ATTR_AUTHORIZED, ATTR_DATA, ATTR_PURPOSE};
 use std::borrow::Borrow;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 /// A bit per rule of the compiled revision.
 type Bits = Box<[u64]>;
+
+/// Terms a [`CompiledPolicy::covers`] query resolves on the stack; a
+/// ground rule with more terms (a vocabulary of more attributes) is
+/// decided through [`CompiledPolicy::subsumers`].
+const INLINE_TERMS: usize = 8;
 
 /// One policy revision compiled for subsumption queries: each distinct
 /// access shape is decided, and each rule's subsumers are found, by bitset
 /// intersection.
 #[derive(Debug, Clone)]
 pub struct CompiledPolicy {
+    /// Words per row: one bit per rule.
+    words: usize,
     /// `by_cardinality[c]` has bit `r` set iff rule `r` has `c` terms.
     by_cardinality: Vec<Bits>,
-    /// Per `(attribute, value name)`: bit `r` set iff rule `r`'s term on
-    /// that attribute subsumes the value.
-    rows: HashMap<RuleTerm, Bits>,
+    /// The rows, `words` apiece, numbered in a fixed order: row 0 is
+    /// empty, then the rows of out-of-vocabulary values in first-seen rule
+    /// order, then the closed concept rows by attribute and parent-first.
+    rows: Vec<u64>,
+    /// Per `(attribute, value name)`: the row with bit `r` set iff rule
+    /// `r`'s term on that attribute subsumes the value.
+    row_of: HashMap<RuleTerm, u32>,
+}
+
+/// A row of one [`CompiledPolicy`], resolved once by
+/// [`CompiledPolicy::term_row`] and then ANDed by
+/// [`CompiledPolicy::covers_rows`] without hashing. It names a row of the
+/// table that resolved it only.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TermRow(u32);
+
+impl TermRow {
+    /// The empty row: no rule's term subsumes the value.
+    const EMPTY: Self = Self(0);
 }
 
 impl CompiledPolicy {
@@ -51,28 +78,35 @@ impl CompiledPolicy {
     /// and every closed row and cardinality mask is built.
     pub fn new(policy: &Policy, vocab: &Vocabulary) -> Self {
         let rules = policy.rules();
-        let zeroed = || vec![0u64; rules.len().div_ceil(64)].into_boxed_slice();
+        let words = rules.len().div_ceil(64);
+        let zeroed = || vec![0u64; words].into_boxed_slice();
         let max_cardinality = rules.iter().map(Rule::cardinality).max().unwrap_or(0);
-        let mut by_cardinality = vec![zeroed(); max_cardinality + 1];
-        let mut rows: HashMap<RuleTerm, Bits> = HashMap::new();
+        let mut table = Self {
+            words,
+            by_cardinality: vec![zeroed(); max_cardinality + 1],
+            rows: vec![0; words],
+            row_of: HashMap::new(),
+        };
         // Per attribute, the exact rows of the concepts the rules name.
-        let mut named: HashMap<&str, HashMap<ConceptId, Bits>> = HashMap::new();
+        let mut named: BTreeMap<&str, HashMap<ConceptId, Bits>> = BTreeMap::new();
         for (r, rule) in rules.iter().enumerate() {
-            by_cardinality[rule.cardinality()][r / 64] |= 1 << (r % 64);
+            let (word, bit) = (r / 64, 1 << (r % 64));
+            table.by_cardinality[rule.cardinality()][word] |= bit;
             for term in rule.terms() {
-                let row = match vocab.resolve(&term.attr, &term.value) {
-                    Some(id) => named
-                        .entry(&term.attr)
-                        .or_default()
-                        .entry(id)
-                        .or_insert_with(zeroed),
+                match vocab.resolve(&term.attr, &term.value) {
+                    Some(id) => {
+                        named
+                            .entry(&term.attr)
+                            .or_default()
+                            .entry(id)
+                            .or_insert_with(zeroed)[word] |= bit;
+                    }
                     None => {
                         let (attr, value) = (term.attr.clone(), normalize(&term.value));
-                        rows.entry(RuleTerm { attr, value })
+                        let row = table.row_for(RuleTerm { attr, value });
+                        table.rows[row * words + word] |= bit;
                     }
-                    .or_insert_with(zeroed),
-                };
-                row[r / 64] |= 1 << (r % 64);
+                }
             }
         }
         for (attr, exact) in named {
@@ -81,8 +115,12 @@ impl CompiledPolicy {
             };
             // closed[c] = closed[parent] | exact[c], parent-first from the
             // roots; a concept with no named ancestor-or-self gets no row.
-            let mut stack: Vec<(ConceptId, Option<Bits>)> =
-                taxonomy.roots().iter().map(|&root| (root, None)).collect();
+            let mut stack: Vec<(ConceptId, Option<Bits>)> = taxonomy
+                .roots()
+                .iter()
+                .rev()
+                .map(|&root| (root, None))
+                .collect();
             while let Some((id, inherited)) = stack.pop() {
                 let row = match (inherited, exact.get(&id)) {
                     (Some(mut row), Some(own)) => {
@@ -92,23 +130,57 @@ impl CompiledPolicy {
                     (row, own) => row.or_else(|| own.cloned()),
                 };
                 let concept = taxonomy.concept(id);
-                stack.extend(concept.children.iter().map(|&c| (c, row.clone())));
+                stack.extend(concept.children.iter().rev().map(|&c| (c, row.clone())));
                 if let Some(row) = row {
-                    let value = concept.name.clone();
-                    rows.insert(
-                        RuleTerm {
-                            attr: attr.to_string(),
-                            value,
-                        },
-                        row,
-                    );
+                    let at = table.row_for(RuleTerm {
+                        attr: attr.to_string(),
+                        value: concept.name.clone(),
+                    });
+                    table.rows[at * words..(at + 1) * words].copy_from_slice(&row);
                 }
             }
         }
-        Self {
-            by_cardinality,
-            rows,
+        table
+    }
+
+    /// The number of `term`'s row, added empty if it has none yet.
+    fn row_for(&mut self, term: RuleTerm) -> usize {
+        let next =
+            u32::try_from(self.rows.len() / self.words).expect("fewer than 2^32 rows are compiled");
+        let row = *self.row_of.entry(term).or_insert(next);
+        if row == next {
+            self.rows.resize(self.rows.len() + self.words, 0);
         }
+        row as usize
+    }
+
+    fn row(&self, row: TermRow) -> &[u64] {
+        let start = row.0 as usize * self.words;
+        &self.rows[start..start + self.words]
+    }
+
+    /// The row of `term`: bit `r` set iff rule `r`'s term on `term`'s
+    /// attribute subsumes `term`'s value. A term no rule's term subsumes
+    /// has the empty row.
+    pub fn term_row(&self, term: &RuleTerm) -> TermRow {
+        self.row_of
+            .get(term)
+            .map_or(TermRow::EMPTY, |&row| TermRow(row))
+    }
+
+    /// True iff some rule of the revision subsumes a ground rule whose
+    /// terms have these rows, one per term: the AND of the rows and the
+    /// mask of rules with as many terms, word by word, stopping at the
+    /// first word with a rule left.
+    pub fn covers_rows(&self, rows: &[TermRow]) -> bool {
+        let Some(mask) = self.by_cardinality.get(rows.len()) else {
+            return false;
+        };
+        mask.iter().enumerate().any(|(w, &word)| {
+            rows.iter().fold(word, |bits, &row| {
+                bits & self.rows[row.0 as usize * self.words + w]
+            }) != 0
+        })
     }
 
     /// The rules of the revision that subsume a rule or ground rule with
@@ -121,18 +193,28 @@ impl CompiledPolicy {
         };
         let mut bits = mask.clone();
         for term in terms {
-            match self.rows.get(term) {
-                Some(row) => bits.iter_mut().zip(row.iter()).for_each(|(b, r)| *b &= r),
-                None => bits.fill(0),
-            }
+            let row = self.row(self.term_row(term));
+            bits.iter_mut().zip(row).for_each(|(b, r)| *b &= r);
         }
         Subsumers(bits)
     }
 
     /// True iff some rule of the revision sanctions `g` — the same answer
-    /// as `any(|r| r.expansion_contains(g, vocab))` over the policy.
+    /// as `any(|r| r.expansion_contains(g, vocab))` over the policy. Each
+    /// term's row is looked up once, and nothing is allocated.
     pub fn covers(&self, g: &GroundRule) -> bool {
-        !self.subsumers(g.terms()).is_empty()
+        let terms = g.terms();
+        if terms.len() > INLINE_TERMS {
+            return !self.subsumers(terms).is_empty();
+        }
+        let mut rows = [TermRow::EMPTY; INLINE_TERMS];
+        for (row, term) in rows.iter_mut().zip(terms) {
+            *row = self.term_row(term);
+            if *row == TermRow::EMPTY {
+                return false;
+            }
+        }
+        self.covers_rows(&rows[..terms.len()])
     }
 
     /// Active Enforcement's question: does the revision sanction the

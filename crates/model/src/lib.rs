@@ -43,7 +43,7 @@ pub mod samples;
 pub mod simplify;
 pub mod term;
 
-pub use compiled::{CompiledPolicy, Subsumers};
+pub use compiled::{CompiledPolicy, Subsumers, TermRow};
 pub use completeness::CompletenessBound;
 pub use coverage::{
     compute_coverage, entry_ratio, CoverageEngine, CoverageReport, EntryCoverageReport,
